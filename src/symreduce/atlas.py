@@ -15,11 +15,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import count
 from math import factorial, gcd
 from pathlib import Path
 
 from .errors import DomainError, TailCheckFailed
-from .intmath import is_prime, prime_power_parts, prime_powers_upto, int_nth_root
+from .intmath import is_prime, prime_power_parts, prime_power_triples, prime_power_triples_upto
 
 
 class Family(Enum):
@@ -147,10 +148,12 @@ def _require(cond: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _q_parts(q: int, what: str) -> tuple[int, int]:
+def _lie(fam: Family, n: int, q: int) -> SimpleGroupId:
+    """Raw id of a Lie-type group given q as an integer."""
     parts = prime_power_parts(q)
-    _require(parts is not None, f"{what}: q={q} is not a prime power")
-    return parts
+    _require(parts is not None, f"{_lie_name(fam, n, q)}: q={q} is not a prime power")
+    _require(_in_domain(fam, n, *parts), f"{_lie_name(fam, n, q)} is outside its family's domain")
+    return SimpleGroupId(fam, n=n, p=parts[0], f=parts[1])
 
 
 def alternating(n: int) -> SimpleGroupId:
@@ -170,98 +173,67 @@ def tits() -> SimpleGroupId:
 
 
 def linear(n: int, q: int) -> SimpleGroupId:
-    _require(n >= 2, f"PSL dimension must be >= 2, got {n}")
-    p, f = _q_parts(q, "PSL")
-    _require((n, q) not in ((2, 2), (2, 3)), f"PSL({n},{q}) is not simple")
-    return _canonicalize(SimpleGroupId(Family.LINEAR, n=n, p=p, f=f))
+    return _canonicalize(_lie(Family.LINEAR, n, q))
 
 
 def unitary(n: int, q: int) -> SimpleGroupId:
-    _require(n >= 3, f"PSU dimension must be >= 3, got {n}")
-    p, f = _q_parts(q, "PSU")
-    _require((n, q) != (3, 2), "PSU(3,2) is not simple")
-    return SimpleGroupId(Family.UNITARY, n=n, p=p, f=f)
+    return _lie(Family.UNITARY, n, q)
 
 
 def symplectic(n: int, q: int) -> SimpleGroupId:
-    _require(n >= 4 and n % 2 == 0, f"PSp dimension must be even and >= 4, got {n}")
-    p, f = _q_parts(q, "PSp")
-    _require((n, q) != (4, 2), "PSp(4,2) is not simple")
-    return _canonicalize(SimpleGroupId(Family.SYMPLECTIC, n=n, p=p, f=f))
+    return _canonicalize(_lie(Family.SYMPLECTIC, n, q))
 
 
 def orthogonal_odd(n: int, q: int) -> SimpleGroupId:
-    _require(n >= 7 and n % 2 == 1, f"POmega dimension must be odd and >= 7, got {n}")
-    p, f = _q_parts(q, "POmega")
-    _require(p != 2, f"POmega({n},{q}) requires odd q")
-    return SimpleGroupId(Family.ORTHOGONAL_ODD, n=n, p=p, f=f)
+    return _lie(Family.ORTHOGONAL_ODD, n, q)
 
 
 def orthogonal_plus(n: int, q: int) -> SimpleGroupId:
-    _require(n >= 8 and n % 2 == 0, f"POmega+ dimension must be even and >= 8, got {n}")
-    p, f = _q_parts(q, "POmega+")
-    return SimpleGroupId(Family.ORTHOGONAL_PLUS, n=n, p=p, f=f)
+    return _lie(Family.ORTHOGONAL_PLUS, n, q)
 
 
 def orthogonal_minus(n: int, q: int) -> SimpleGroupId:
-    _require(n >= 8 and n % 2 == 0, f"POmega- dimension must be even and >= 8, got {n}")
-    p, f = _q_parts(q, "POmega-")
-    return SimpleGroupId(Family.ORTHOGONAL_MINUS, n=n, p=p, f=f)
+    return _lie(Family.ORTHOGONAL_MINUS, n, q)
 
 
 def g2(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "G2")
-    # G2(2) is not simple; its derived subgroup is PSU(3,3).
-    _require(q >= 3, "G2(q) requires q >= 3")
-    return SimpleGroupId(Family.G2, p=p, f=f)
+    return _lie(Family.G2, 0, q)
 
 
 def f4(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "F4")
-    return SimpleGroupId(Family.F4, p=p, f=f)
+    return _lie(Family.F4, 0, q)
 
 
 def e6(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "E6")
-    return SimpleGroupId(Family.E6, p=p, f=f)
+    return _lie(Family.E6, 0, q)
 
 
 def e7(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "E7")
-    return SimpleGroupId(Family.E7, p=p, f=f)
+    return _lie(Family.E7, 0, q)
 
 
 def e8(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "E8")
-    return SimpleGroupId(Family.E8, p=p, f=f)
+    return _lie(Family.E8, 0, q)
 
 
 def suzuki(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "2B2")
-    _require(p == 2 and f % 2 == 1 and f >= 3, f"2B2 requires q = 2^f with odd f >= 3, got q={q}")
-    return SimpleGroupId(Family.SUZUKI, p=p, f=f)
+    return _lie(Family.SUZUKI, 0, q)
 
 
 def ree_g2(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "2G2")
-    _require(p == 3 and f % 2 == 1 and f >= 3, f"2G2 requires q = 3^f with odd f >= 3, got q={q}")
-    return SimpleGroupId(Family.REE_G2, p=p, f=f)
+    return _lie(Family.REE_G2, 0, q)
 
 
 def ree_f4(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "2F4")
-    _require(p == 2 and f % 2 == 1 and f >= 3, f"2F4 requires q = 2^f with odd f >= 3, got q={q}")
-    return SimpleGroupId(Family.REE_F4, p=p, f=f)
+    return _lie(Family.REE_F4, 0, q)
 
 
 def steinberg_3d4(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "3D4")
-    return SimpleGroupId(Family.STEINBERG_3D4, p=p, f=f)
+    return _lie(Family.STEINBERG_3D4, 0, q)
 
 
 def steinberg_2e6(q: int) -> SimpleGroupId:
-    p, f = _q_parts(q, "2E6")
-    return SimpleGroupId(Family.STEINBERG_2E6, p=p, f=f)
+    return _lie(Family.STEINBERG_2E6, 0, q)
 
 
 def _canonicalize(g: SimpleGroupId) -> SimpleGroupId:
@@ -282,110 +254,144 @@ def _canonicalize(g: SimpleGroupId) -> SimpleGroupId:
     return g
 
 
-# -- exact orders -----------------------------------------------------------
+# -- domains and exact orders -----------------------------------------------
+
+
+def _in_domain(fam: Family, n: int, p: int, f: int) -> bool:
+    """Whether (n, q = p^f), with p prime and f >= 1, names a simple group of
+    the Lie-type family.  This is the one statement of the family domains:
+    the constructors, _validate, the catalog walk and the scan all ask it.
+    Exceptional families carry no dimension, so they need n = 0."""
+    q = p**f
+    if fam is Family.LINEAR:
+        return n >= 2 and (n, q) not in ((2, 2), (2, 3))
+    if fam is Family.UNITARY:
+        return n >= 3 and (n, q) != (3, 2)
+    if fam is Family.SYMPLECTIC:
+        return n >= 4 and n % 2 == 0 and (n, q) != (4, 2)
+    if fam is Family.ORTHOGONAL_ODD:
+        return n >= 7 and n % 2 == 1 and p != 2
+    if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
+        return n >= 8 and n % 2 == 0
+    if fam not in _LIE_FAMILIES or n != 0:
+        return False
+    if fam is Family.G2:
+        # G2(2) is not simple; its derived subgroup is PSU(3,3).
+        return q >= 3
+    if fam in (Family.SUZUKI, Family.REE_F4):
+        return p == 2 and f % 2 == 1 and f >= 3
+    if fam is Family.REE_G2:
+        return p == 3 and f % 2 == 1 and f >= 3
+    return True
 
 
 def _validate(g: SimpleGroupId) -> None:
-    fam, n, q = g.family, g.n, g.q
+    fam = g.family
     if fam is Family.ALTERNATING:
-        _require(n >= 5, f"alternating degree must be >= 5, got {n}")
+        _require(g.n >= 5, f"alternating degree must be >= 5, got {g.n}")
         return
     if fam in (Family.SPORADIC, Family.TITS):
         return
-    parts = prime_power_parts(q)
-    _require(
-        parts == (g.p, g.f) and is_prime(g.p) and g.f >= 1,
-        f"invalid prime power data p={g.p}, f={g.f}",
-    )
-    if fam is Family.LINEAR:
-        _require(n >= 2 and (n, q) not in ((2, 2), (2, 3)), f"PSL({n},{q}) out of domain")
-    elif fam is Family.UNITARY:
-        _require(n >= 3 and (n, q) != (3, 2), f"PSU({n},{q}) out of domain")
-    elif fam is Family.SYMPLECTIC:
-        _require(n >= 4 and n % 2 == 0 and (n, q) != (4, 2), f"PSp({n},{q}) out of domain")
-    elif fam is Family.ORTHOGONAL_ODD:
-        _require(n >= 7 and n % 2 == 1 and q % 2 == 1, f"POmega({n},{q}) out of domain")
-    elif fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
-        _require(n >= 8 and n % 2 == 0, f"POmega±({n},{q}) out of domain")
-    elif fam is Family.G2:
-        _require(q >= 3, "G2(q) requires q >= 3")
-    elif fam is Family.SUZUKI:
-        _require(g.p == 2 and g.f % 2 == 1 and g.f >= 3, f"2B2({q}) out of domain")
-    elif fam is Family.REE_G2:
-        _require(g.p == 3 and g.f % 2 == 1 and g.f >= 3, f"2G2({q}) out of domain")
-    elif fam is Family.REE_F4:
-        _require(g.p == 2 and g.f % 2 == 1 and g.f >= 3, f"2F4({q}) out of domain")
+    # q is defined as p**f, so a prime p and f >= 1 are all it needs.  The
+    # messages are built only on failure: this runs once per scan point.
+    if not (g.f >= 1 and is_prime(g.p)):
+        raise DomainError(f"invalid prime power data p={g.p}, f={g.f}")
+    if not _in_domain(fam, g.n, g.p, g.f):
+        raise DomainError(f"{display_name(g)} is outside its family's domain")
 
 
-def order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
-    """Exact |T|."""
-    _validate(g)
-    fam, n, q = g.family, g.n, g.q
-    if fam is Family.ALTERNATING:
-        return factorial(n) // 2
-    if fam in (Family.SPORADIC, Family.TITS):
-        return _sporadic_facts(g, sporadic_table).order
+def _order_parts(fam: Family, n: int, q: int) -> tuple[int, int]:
+    """(N, d) with |T| = N // d for a Lie-type group: N is the undivided
+    order and d the order of the centre that is divided out.  At fixed
+    (family, n), N strictly increases in q, while |T| need not."""
     if fam is Family.LINEAR:
         num = q ** (n * (n - 1) // 2)
         for i in range(2, n + 1):
             num *= q**i - 1
-        return num // gcd(n, q - 1)
+        return num, gcd(n, q - 1)
     if fam is Family.UNITARY:
         num = q ** (n * (n - 1) // 2)
         for i in range(2, n + 1):
             num *= q**i - (-1) ** i
-        return num // gcd(n, q + 1)
+        return num, gcd(n, q + 1)
     if fam in (Family.SYMPLECTIC, Family.ORTHOGONAL_ODD):
         m = n // 2
         num = q ** (m * m)
         for i in range(1, m + 1):
             num *= q ** (2 * i) - 1
-        return num // gcd(2, q - 1)
+        return num, gcd(2, q - 1)
     if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
         m = n // 2
         eps = 1 if fam is Family.ORTHOGONAL_PLUS else -1
         num = q ** (m * (m - 1)) * (q**m - eps)
         for i in range(1, m):
             num *= q ** (2 * i) - 1
-        return num // gcd(4, q**m - eps)
+        return num, gcd(4, q**m - eps)
     if fam is Family.G2:
-        return q**6 * (q**6 - 1) * (q**2 - 1)
+        return q**6 * (q**6 - 1) * (q**2 - 1), 1
     if fam is Family.F4:
-        return q**24 * (q**12 - 1) * (q**8 - 1) * (q**6 - 1) * (q**2 - 1)
+        return q**24 * (q**12 - 1) * (q**8 - 1) * (q**6 - 1) * (q**2 - 1), 1
     if fam is Family.E6:
         num = q**36
         for i in (12, 9, 8, 6, 5, 2):
             num *= q**i - 1
-        return num // gcd(3, q - 1)
+        return num, gcd(3, q - 1)
     if fam is Family.E7:
         num = q**63
         for i in (18, 14, 12, 10, 8, 6, 2):
             num *= q**i - 1
-        return num // gcd(2, q - 1)
+        return num, gcd(2, q - 1)
     if fam is Family.E8:
         num = q**120
         for i in (30, 24, 20, 18, 14, 12, 8, 2):
             num *= q**i - 1
-        return num
+        return num, 1
     if fam is Family.SUZUKI:
-        return q**2 * (q**2 + 1) * (q - 1)
+        return q**2 * (q**2 + 1) * (q - 1), 1
     if fam is Family.REE_G2:
-        return q**3 * (q**3 + 1) * (q - 1)
+        return q**3 * (q**3 + 1) * (q - 1), 1
     if fam is Family.REE_F4:
-        return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1)
+        return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1), 1
     if fam is Family.STEINBERG_3D4:
-        return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1)
+        return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1), 1
     if fam is Family.STEINBERG_2E6:
         num = q**36
         num *= (q**12 - 1) * (q**9 + 1) * (q**8 - 1) * (q**6 - 1) * (q**5 + 1) * (q**2 - 1)
-        return num // gcd(3, q + 1)
-    raise DomainError(f"no order formula for {g}")
+        return num, gcd(3, q + 1)
+    raise DomainError(f"no order formula for family {fam.value}")
 
 
-def out_order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
-    """Exact |Out(T)|, including the diagonal/field/graph contributions and
-    the D4 triality factor."""
+def _max_centre(fam: Family, n: int) -> int:
+    """Largest d that _order_parts returns for (family, n)."""
+    if fam in (Family.LINEAR, Family.UNITARY):
+        return n
+    if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
+        return 4
+    if fam in (Family.E6, Family.STEINBERG_2E6):
+        return 3
+    if fam in (Family.SYMPLECTIC, Family.ORTHOGONAL_ODD, Family.E7):
+        return 2
+    return 1
+
+
+def _order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
+    """|T| for an id already known to be valid."""
+    if g.family is Family.ALTERNATING:
+        return factorial(g.n) // 2
+    if g.family in (Family.SPORADIC, Family.TITS):
+        return _sporadic_facts(g, sporadic_table).order
+    num, d = _order_parts(g.family, g.n, g.q)
+    return num // d
+
+
+def order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
+    """Exact |T|."""
     _validate(g)
+    return _order(g, sporadic_table)
+
+
+def _out_order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
+    """|Out(T)| for an id already known to be valid."""
     fam, n, q, f = g.family, g.n, g.q, g.f
     if fam is Family.ALTERNATING:
         return 4 if n == 6 else 2
@@ -432,6 +438,13 @@ def out_order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
     raise DomainError(f"no out-order formula for {g}")
 
 
+def out_order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
+    """Exact |Out(T)|, including the diagonal/field/graph contributions and
+    the D4 triality factor."""
+    _validate(g)
+    return _out_order(g, sporadic_table)
+
+
 def _sporadic_facts(g: SimpleGroupId, sporadic_table: str | None) -> GroupFacts:
     table = load_sporadic_table(sporadic_table)
     if g.name not in table:
@@ -440,7 +453,8 @@ def _sporadic_facts(g: SimpleGroupId, sporadic_table: str | None) -> GroupFacts:
 
 
 def facts(g: SimpleGroupId, sporadic_table: str | None = None) -> GroupFacts:
-    return GroupFacts(order(g, sporadic_table), out_order(g, sporadic_table))
+    _validate(g)
+    return GroupFacts(_order(g, sporadic_table), _out_order(g, sporadic_table))
 
 
 # -- display / parse --------------------------------------------------------
@@ -468,15 +482,19 @@ _DISPLAY_EXCEPTIONAL = {
 }
 
 
+def _lie_name(fam: Family, n: int, q: int) -> str:
+    if fam in _DISPLAY_PREFIX:
+        return f"{_DISPLAY_PREFIX[fam]}{n}({q})"
+    return f"{_DISPLAY_EXCEPTIONAL[fam]}({q})"
+
+
 def display_name(g: SimpleGroupId) -> str:
     fam = g.family
     if fam is Family.ALTERNATING:
         return f"A{g.n}"
     if fam in (Family.SPORADIC, Family.TITS):
         return g.name
-    if fam in _DISPLAY_PREFIX:
-        return f"{_DISPLAY_PREFIX[fam]}{g.n}({g.q})"
-    return f"{_DISPLAY_EXCEPTIONAL[fam]}({g.q})"
+    return _lie_name(fam, g.n, g.q)
 
 
 _CLASSICAL_PATTERN = re.compile(r"^(L|U|S|O\+|O-|O)(\d+)\((\d+)\)$")
@@ -529,35 +547,11 @@ def parse_group(text: str, sporadic_table: str | None = None) -> SimpleGroupId:
 # -- bounded catalog --------------------------------------------------------
 
 
-def _rank_values(fam: Family, n_limit: int | None = None):
-    """In-domain dimension values for a classical family, smallest first."""
-    if fam is Family.LINEAR:
-        start, step = 2, 1
-    elif fam is Family.UNITARY:
-        start, step = 3, 1
-    elif fam is Family.SYMPLECTIC:
-        start, step = 4, 2
-    elif fam is Family.ORTHOGONAL_ODD:
-        start, step = 7, 2
-    else:
-        start, step = 8, 2
-    n = start
-    while n_limit is None or n <= n_limit:
-        yield n
-        n += step
-
-
-def _min_q(fam: Family, n: int) -> int:
-    """Smallest q in the family's domain at dimension n."""
-    if fam is Family.LINEAR and n == 2:
-        return 4
-    if fam is Family.UNITARY and n == 3:
-        return 3
-    if fam is Family.SYMPLECTIC and n == 4:
-        return 3
-    if fam is Family.ORTHOGONAL_ODD:
-        return 3
-    return 2
+def _rank_values(fam: Family):
+    """Dimensions n at which the classical family has members, smallest
+    first, without end.  q = 5 lies in every classical family's domain at
+    each of its dimensions."""
+    return (n for n in count(2) if _in_domain(fam, n, 5, 1))
 
 
 def _classical_bound(fam: Family, n: int, q: int) -> tuple[int, int]:
@@ -586,48 +580,38 @@ _EXCEPTIONAL_BOUND_EXPONENT = {
 }
 
 
-def _in_domain_q(fam: Family, n: int, q: int) -> bool:
-    try:
-        parts = prime_power_parts(q)
-        if parts is None:
-            return False
-        if fam in _CLASSICAL_FAMILIES:
-            _CLASSICAL_BUILDER[_DISPLAY_PREFIX[fam]](n, q)
-        else:
-            _EXCEPTIONAL_BUILDER[_DISPLAY_EXCEPTIONAL[fam]](q)
-    except DomainError:
-        return False
-    return True
+def _walk_q(fam: Family, n: int, max_order: int):
+    """(raw id, |T|) at one (family, n) for each in-domain q with
+    |T| <= max_order, q ascending.
+
+    The walk stops once the undivided order N = d*|T| passes
+    d_max*max_order.  N strictly increases in q, so every later q has
+    |T| >= N/d_max > max_order.  |T| itself is not monotone
+    (|L2(8)| = 504 > |L2(9)| = 360) and cannot stop the walk."""
+    limit = _max_centre(fam, n) * max_order
+    for q, p, f in prime_power_triples():
+        if not _in_domain(fam, n, p, f):
+            continue
+        num, d = _order_parts(fam, n, q)
+        if num > limit:
+            return
+        if num <= d * max_order:
+            yield SimpleGroupId(fam, n=n, p=p, f=f), num // d
 
 
 def _iter_family_raw(fam: Family, max_order: int):
-    """Raw (non-canonical) ids in the family with a proven-order lower bound
-    <= max_order.  Callers still filter by the exact order."""
-    if fam in _CLASSICAL_FAMILIES:
-        for n in _rank_values(fam):
-            min_q = _min_q(fam, n)
-            c, bound = _classical_bound(fam, n, min_q)
-            if bound > c * max_order:
-                return
-            exponent = {
-                Family.LINEAR: n * n - 2,
-                Family.UNITARY: n * n - 3,
-                Family.SYMPLECTIC: n * (n + 1) // 2,
-            }.get(fam, n * (n - 1) // 2)
-            # One past the root, so the boundary prime power is still tried.
-            q_limit = int_nth_root(c * max_order, exponent) + 1
-            for q in prime_powers_upto(q_limit):
-                if not _in_domain_q(fam, n, q):
-                    continue
-                yield SimpleGroupId(fam, n=n, p=prime_power_parts(q)[0], f=prime_power_parts(q)[1])
-    else:
-        exponent = _EXCEPTIONAL_BOUND_EXPONENT[fam]
-        q_limit = int_nth_root(max_order, exponent) + 1
-        for q in prime_powers_upto(q_limit):
-            if not _in_domain_q(fam, 0, q):
-                continue
-            p, f = prime_power_parts(q)
-            yield SimpleGroupId(fam, p=p, f=f)
+    """(raw id, |T|) for every raw (non-canonical) id in the family with
+    |T| <= max_order.  A classical family stops at the first n whose cited
+    lower bound, at the smallest q of that n, already passes max_order."""
+    if fam not in _CLASSICAL_FAMILIES:
+        yield from _walk_q(fam, 0, max_order)
+        return
+    for n in _rank_values(fam):
+        min_q = next(q for q, p, f in prime_power_triples() if _in_domain(fam, n, p, f))
+        c, bound = _classical_bound(fam, n, min_q)
+        if bound > c * max_order:
+            return
+        yield from _walk_q(fam, n, max_order)
 
 
 def enumerate_catalog(
@@ -653,8 +637,10 @@ def enumerate_catalog(
     for name in load_sporadic_table(sporadic_table):
         _admit(tits() if name == _TITS_NAME else sporadic(name, sporadic_table))
     for fam in _LIE_FAMILIES:
-        for raw in _iter_family_raw(fam, max_order):
-            _admit(_canonicalize(raw))
+        for raw, t in _iter_family_raw(fam, max_order):
+            g = _canonicalize(raw)
+            if g not in found:
+                found[g] = GroupFacts(t, _out_order(g, sporadic_table))
     return sorted(found.items(), key=lambda item: (item[1].order,) + item[0].sort_key())
 
 
@@ -699,13 +685,21 @@ class Out4ScanResult:
         return [check for check in self.checks if not check.ok]
 
 
-def _axis_checks(fam: Family, axis: str, ratios: dict[int, Fraction]) -> TailCheck | None:
+def _exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a > b for ratios held as (numerator, positive denominator)."""
+    return a[0] * b[1] > b[0] * a[1]
+
+
+def _axis_checks(fam: Family, axis: str, ratios: dict[int, tuple[int, int]]) -> TailCheck | None:
     if not ratios:
         return None
     boundary = max(ratios)
-    boundary_ratio = ratios[boundary]
-    interior = [ratios[value] for value in ratios if value != boundary]
-    interior_ratio = max(interior) if interior else None
+    interior = None
+    for value, ratio in ratios.items():
+        if value != boundary and (interior is None or _exceeds(ratio, interior)):
+            interior = ratio
+    boundary_ratio = Fraction(*ratios[boundary])
+    interior_ratio = None if interior is None else Fraction(*interior)
     return TailCheck(
         family=fam,
         axis=axis,
@@ -727,24 +721,27 @@ def out4_scan(
     """Scan |T| < |Out(T)|^4 over the bounded grid and collect per-family
     tail checks.  The grid is scanned with raw identifiers so that each
     family's own order formula feeds its tail statistics; candidate ids are
-    canonicalized before reporting."""
+    canonicalized before reporting.  Ratios |Out|^4/|T| stay int pairs;
+    only the per-axis maxima a TailCheck keeps become Fractions."""
     # The reference outcome is only claimed for boxes at least as large as
     # (12, 1024); smaller boxes still scan, and the tail checks say whether
     # the bounds carried any evidence.
     _require(n_max >= 5, f"n_max must be >= 5, got {n_max}")
     _require(q_max >= 2, f"q_max must be >= 2, got {q_max}")
     selected = set(Family) if families is None else set(families)
+    prime_powers = prime_power_triples_upto(q_max)
 
     candidates: dict[SimpleGroupId, int] = {}
     checks: list[TailCheck] = []
 
-    def _ratio(g: SimpleGroupId) -> Fraction:
-        t = order(g, sporadic_table)
-        o = out_order(g, sporadic_table)
-        if t < o**4:
+    def _ratio(g: SimpleGroupId) -> tuple[int, int]:
+        # One out_order call per grid point; it validates g for _order.
+        o4 = out_order(g, sporadic_table) ** 4
+        t = _order(g, sporadic_table)
+        if t < o4:
             canonical = _canonicalize(g) if g.family in _CLASSICAL_FAMILIES else g
-            candidates[canonical] = order(canonical, sporadic_table)
-        return Fraction(o**4, t)
+            candidates[canonical] = _order(canonical, sporadic_table)
+        return o4, t
 
     if Family.ALTERNATING in selected:
         ratios = {n: _ratio(alternating(n)) for n in range(5, n_max + 1)}
@@ -759,29 +756,27 @@ def out4_scan(
     for fam in sorted(_LIE_FAMILIES, key=_FAMILY_INDEX.get):
         if fam not in selected:
             continue
-        by_n: dict[int, Fraction] = {}
-        by_q: dict[int, Fraction] = {}
+        by_n: dict[int, tuple[int, int]] = {}
+        by_q: dict[int, tuple[int, int]] = {}
         if fam in _CLASSICAL_FAMILIES:
-            for n in _rank_values(fam, n_limit=n_max):
-                for q in prime_powers_upto(q_max):
-                    if not _in_domain_q(fam, n, q):
+            for n in _rank_values(fam):
+                if n > n_max:
+                    break
+                for q, p, f in prime_powers:
+                    if not _in_domain(fam, n, p, f):
                         continue
-                    p, f = prime_power_parts(q)
                     ratio = _ratio(SimpleGroupId(fam, n=n, p=p, f=f))
-                    if n not in by_n or ratio > by_n[n]:
+                    if n not in by_n or _exceeds(ratio, by_n[n]):
                         by_n[n] = ratio
-                    if q not in by_q or ratio > by_q[q]:
+                    if q not in by_q or _exceeds(ratio, by_q[q]):
                         by_q[q] = ratio
             check = _axis_checks(fam, "n", by_n)
             if check is not None:
                 checks.append(check)
         else:
-            for q in prime_powers_upto(q_max):
-                if not _in_domain_q(fam, 0, q):
-                    continue
-                p, f = prime_power_parts(q)
-                ratio = _ratio(SimpleGroupId(fam, p=p, f=f))
-                by_q[q] = ratio
+            for q, p, f in prime_powers:
+                if _in_domain(fam, 0, p, f):
+                    by_q[q] = _ratio(SimpleGroupId(fam, p=p, f=f))
         check = _axis_checks(fam, "q", by_q)
         if check is not None:
             checks.append(check)

@@ -51,9 +51,11 @@ def diag_oddpart_test(g: atlas.SimpleGroupId, m: int, sporadic_table: str | None
     """|T|^(m-1) < odd_part(m!^4 * |Out(T)|^4)."""
     if not 2 <= m <= 6:
         raise DomainError(f"odd-part test defined for 2 <= m <= 6, got m={m}")
-    t = atlas.order(g, sporadic_table)
-    out = atlas.out_order(g, sporadic_table)
-    return t ** (m - 1) < odd_part(factorial(m) ** 4 * out**4)
+    return _oddpart_holds(atlas.facts(g, sporadic_table), m)
+
+
+def _oddpart_holds(fct: atlas.GroupFacts, m: int) -> bool:
+    return fct.order ** (m - 1) < odd_part(factorial(m) ** 4 * fct.out_order**4)
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,12 @@ def implication_check(
     implication is settled by evaluating the premise directly."""
     if not 2 <= m <= 6:
         raise DomainError(f"implication check defined for 2 <= m <= 6, got m={m}")
-    t = atlas.order(g, sporadic_table)
-    out = atlas.out_order(g, sporadic_table)
+    fct = atlas.facts(g, sporadic_table)
     constant = odd_part(factorial(m)) ** 4
     # constant < |T|^(m-2) lets the m! factor be absorbed into |T| powers.
-    constant_step_ok = constant < t ** (m - 2) if m > 2 else constant == 1
-    premise = diag_oddpart_test(g, m, sporadic_table)
-    conclusion = t < odd_part(out**4)
+    constant_step_ok = constant < fct.order ** (m - 2) if m > 2 else constant == 1
+    premise = _oddpart_holds(fct, m)
+    conclusion = fct.order < odd_part(fct.out_order**4)
     return ImplicationCheck(
         group=g,
         m=m,
@@ -126,7 +127,7 @@ def diagonal_scan(catalog_bound: int, sporadic_table: str | None = None) -> Diag
     entries = atlas.enumerate_catalog(catalog_bound, sporadic_table)
     for gid, fct in entries:
         for m in range(2, 7):
-            if diag_oddpart_test(gid, m, sporadic_table):
+            if _oddpart_holds(fct, m):
                 survivors.append(DiagonalCase(gid, m))
         if fct.order < fct.out_order**4 and fct.order >= odd_part(fct.out_order**4):
             near_misses.append(gid)

@@ -6,11 +6,14 @@ rest of the package can compare huge group orders and root bounds exactly.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 
 def is_prime(n: int) -> bool:
-    """Trial division; fine for the parameter ranges used here (q <= ~10^6)."""
+    """Trial division.  Callers pass small values: the characteristic p of
+    an identifier being validated, or a q given by the user.  The catalog
+    and the scans take (q, p, f) from the sieve and never factor q."""
     if n < 2:
         return False
     if n < 4:
@@ -53,8 +56,8 @@ def prime_power_parts(q: int) -> tuple[int, int] | None:
     return None
 
 
-def prime_powers_upto(limit: int) -> list[int]:
-    """All prime powers p**f <= limit (f >= 1), ascending."""
+def prime_power_triples_upto(limit: int) -> list[tuple[int, int, int]]:
+    """(q, p, f) with q = p**f <= limit, p prime and f >= 1, ascending in q."""
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -63,14 +66,30 @@ def prime_powers_upto(limit: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     out = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            pk = p
-            while pk <= limit:
-                out.append(pk)
-                pk *= p
+    for p in compress(range(limit + 1), sieve):
+        q, f = p, 1
+        while q <= limit:
+            out.append((q, p, f))
+            q *= p
+            f += 1
     out.sort()
     return out
+
+
+def prime_power_triples():
+    """(q, p, f) for every prime power, ascending in q, without end.  The
+    sieve behind it doubles whenever the walk passes its limit, so a walk
+    that reaches q sieves at most about 4q entries in all."""
+    done, limit = 0, 64
+    while True:
+        triples = prime_power_triples_upto(limit)
+        yield from triples[done:]
+        done, limit = len(triples), 2 * limit
+
+
+def prime_powers_upto(limit: int) -> list[int]:
+    """All prime powers p**f <= limit (f >= 1), ascending."""
+    return [q for q, _, _ in prime_power_triples_upto(limit)]
 
 
 def divisors(n: int) -> list[int]:

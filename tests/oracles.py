@@ -3,10 +3,18 @@
 These deliberately avoid the closed forms used by the package: instead of
 computing lambda from (m, a, v0) directly, lambda_by_scan walks candidate
 lambda values and checks the defining identity with plain multiplication.
-Agreement between the two is what the equivalence tests assert.
+Agreement between the two is what the equivalence tests assert.  The
+atlas oracles at the end redo the catalog and the |T| < |Out(T)|^4 scan the
+slow way.
 """
 
-from math import gcd
+from fractions import Fraction
+from math import factorial, gcd
+
+from symreduce import atlas
+from symreduce.atlas import Family
+from symreduce.errors import DomainError
+from symreduce.intmath import int_nth_root, prime_power_parts
 
 
 def lambda_by_scan(m: int, a: int, v0: int, cap: int = 10**6) -> int | None:
@@ -64,3 +72,167 @@ def truncated_sqrt_bound(x: int) -> int:
     while (n + 1) * (n + 1) <= 100 * x:
         n += 1
     return n  # n/10 is the truncation of sqrt(x) to one decimal
+
+
+# -- atlas: the catalog and the |T| < |Out(T)|^4 scan -----------------------
+#
+# Both walk q with prime_power_parts over plain ranges and learn each
+# family's domain from its public constructor, so neither shares the sieve,
+# the domain predicate or the stop rule of the package.
+
+_CLASSICAL_BUILDERS = {
+    Family.LINEAR: atlas.linear,
+    Family.UNITARY: atlas.unitary,
+    Family.SYMPLECTIC: atlas.symplectic,
+    Family.ORTHOGONAL_ODD: atlas.orthogonal_odd,
+    Family.ORTHOGONAL_PLUS: atlas.orthogonal_plus,
+    Family.ORTHOGONAL_MINUS: atlas.orthogonal_minus,
+}
+
+_EXCEPTIONAL_BUILDERS = {
+    Family.G2: atlas.g2,
+    Family.F4: atlas.f4,
+    Family.E6: atlas.e6,
+    Family.E7: atlas.e7,
+    Family.E8: atlas.e8,
+    Family.SUZUKI: atlas.suzuki,
+    Family.REE_G2: atlas.ree_g2,
+    Family.REE_F4: atlas.ree_f4,
+    Family.STEINBERG_3D4: atlas.steinberg_3d4,
+    Family.STEINBERG_2E6: atlas.steinberg_2e6,
+}
+
+# Cited lower bounds c*|T| > q**e: (smallest dimension, c, e(n)) per
+# classical family, e per exceptional family.
+_CLASSICAL_CITED = {
+    Family.LINEAR: (2, 1, lambda n: n * n - 2),
+    Family.UNITARY: (3, 1, lambda n: n * n - 3),
+    Family.SYMPLECTIC: (4, 4, lambda n: n * (n + 1) // 2),
+    Family.ORTHOGONAL_ODD: (7, 8, lambda n: n * (n - 1) // 2),
+    Family.ORTHOGONAL_PLUS: (8, 8, lambda n: n * (n - 1) // 2),
+    Family.ORTHOGONAL_MINUS: (8, 8, lambda n: n * (n - 1) // 2),
+}
+
+_EXCEPTIONAL_CITED = {
+    Family.G2: 12,
+    Family.F4: 20,
+    Family.E6: 20,
+    Family.E7: 20,
+    Family.E8: 20,
+    Family.SUZUKI: 4,
+    Family.REE_G2: 4,
+    Family.REE_F4: 20,
+    Family.STEINBERG_3D4: 20,
+    Family.STEINBERG_2E6: 20,
+}
+
+
+def _prime_powers_by_parts(limit: int) -> list[int]:
+    return [q for q in range(2, limit + 1) if prime_power_parts(q) is not None]
+
+
+def _build(fam: Family, n: int, q: int):
+    """The constructor's (canonical) id for (fam, n, q), or None when the
+    constructor rejects it."""
+    try:
+        if fam in _CLASSICAL_BUILDERS:
+            return _CLASSICAL_BUILDERS[fam](n, q)
+        return _EXCEPTIONAL_BUILDERS[fam](q)
+    except DomainError:
+        return None
+
+
+def catalog_by_cited_bounds(max_order: int, sporadic_table: str | None = None) -> list:
+    """enumerate_catalog by the walk it replaced: each Lie family is walked
+    up to the q at which its cited lower bound passes max_order, and every
+    group found is kept by its exact order."""
+    if max_order < 60:
+        return []
+    found = {}
+
+    def admit(g):
+        if g not in found:
+            fct = atlas.facts(g, sporadic_table)
+            if fct.order <= max_order:
+                found[g] = fct
+
+    n = 5
+    while factorial(n) // 2 <= max_order:
+        admit(atlas.alternating(n))
+        n += 1
+    for name in atlas.load_sporadic_table(sporadic_table):
+        admit(atlas.parse_group(name, sporadic_table))
+    for fam, (n, c, exponent) in _CLASSICAL_CITED.items():
+        # q = 2 gives the weakest bound at each n, and e(n) increases.
+        while 2 ** exponent(n) <= c * max_order:
+            for q in _prime_powers_by_parts(int_nth_root(c * max_order, exponent(n)) + 1):
+                g = _build(fam, n, q)
+                if g is not None:
+                    admit(g)
+            n += 1
+    for fam, exponent in _EXCEPTIONAL_CITED.items():
+        for q in _prime_powers_by_parts(int_nth_root(max_order, exponent) + 1):
+            g = _build(fam, 0, q)
+            if g is not None:
+                admit(g)
+    return sorted(found.items(), key=lambda item: (item[1].order,) + item[0].sort_key())
+
+
+def _tail_check(fam: Family, axis: str, ratios: dict):
+    if not ratios:
+        return None
+    boundary = max(ratios)
+    interior = [ratio for value, ratio in ratios.items() if value != boundary]
+    interior_ratio = max(interior) if interior else None
+    return atlas.TailCheck(
+        family=fam,
+        axis=axis,
+        boundary=boundary,
+        boundary_ratio=ratios[boundary],
+        interior_ratio=interior_ratio,
+        bounded=ratios[boundary] < 1,
+        decreasing=None if interior_ratio is None else ratios[boundary] < interior_ratio,
+    )
+
+
+def out4_scan_by_fractions(n_max: int, q_max: int, include_sporadic: bool = True) -> tuple:
+    """(candidates, checks) of out4_scan over the same grid, with every ratio
+    |Out|^4/|T| a Fraction and every axis maximum taken by Fraction
+    comparison.  Grid ids stay raw, as in out4_scan; candidates are
+    canonicalized by parsing their display names."""
+    candidates = {}
+
+    def ratio(g):
+        t, o = atlas.order(g), atlas.out_order(g)
+        if t < o**4:
+            canonical = atlas.parse_group(atlas.display_name(g))
+            candidates[canonical] = atlas.order(canonical)
+        return Fraction(o**4, t)
+
+    checks = [_tail_check(Family.ALTERNATING, "n", {n: ratio(atlas.alternating(n)) for n in range(5, n_max + 1)})]
+    if include_sporadic:
+        for name in atlas.load_sporadic_table():
+            ratio(atlas.parse_group(name))
+    prime_powers = _prime_powers_by_parts(q_max)
+    for fam in Family:
+        by_n, by_q = {}, {}
+        if fam in _CLASSICAL_BUILDERS:
+            for n in range(2, n_max + 1):
+                for q in prime_powers:
+                    if _build(fam, n, q) is None:
+                        continue
+                    p, f = prime_power_parts(q)
+                    r = ratio(atlas.SimpleGroupId(fam, n=n, p=p, f=f))
+                    by_n[n] = max(by_n.get(n, r), r)
+                    by_q[q] = max(by_q.get(q, r), r)
+            checks.append(_tail_check(fam, "n", by_n))
+        elif fam in _EXCEPTIONAL_BUILDERS:
+            for q in prime_powers:
+                if _build(fam, 0, q) is not None:
+                    p, f = prime_power_parts(q)
+                    by_q[q] = ratio(atlas.SimpleGroupId(fam, p=p, f=f))
+        else:
+            continue
+        checks.append(_tail_check(fam, "q", by_q))
+    ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
+    return tuple(ordered), tuple(check for check in checks if check is not None)

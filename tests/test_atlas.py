@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from symreduce import atlas
 from symreduce.atlas import (
     Family,
+    SimpleGroupId,
     alternating,
     display_name,
     enumerate_catalog,
@@ -30,6 +33,9 @@ from symreduce.atlas import (
     unitary,
 )
 from symreduce.errors import DomainError, TailCheckFailed
+from symreduce.intmath import prime_power_triples
+
+from . import oracles
 
 # Orders cross-checked against standard published tables.
 ORDER_ANCHORS = [
@@ -395,3 +401,98 @@ def test_tail_check_shapes():
     assert (Family.ALTERNATING, "n") in axes
     for c in scan.checks:
         assert c.boundary_ratio < 1
+
+
+def test_validate_rejects_bad_prime_power_data():
+    for bad in [
+        SimpleGroupId(Family.LINEAR, n=3, p=4, f=1),  # p not prime
+        SimpleGroupId(Family.LINEAR, n=3, p=2, f=0),  # f < 1
+        SimpleGroupId(Family.ORTHOGONAL_ODD, n=7, p=2, f=1),  # q even
+        SimpleGroupId(Family.G2, n=5, p=3, f=1),  # exceptional ids carry no n
+        SimpleGroupId(Family.SUZUKI, p=2, f=4),  # even exponent
+    ]:
+        with pytest.raises(DomainError):
+            order(bad)
+        with pytest.raises(DomainError):
+            out_order(bad)
+
+
+# -- the catalog walk's stop rule -------------------------------------------
+
+CATALOG_REACH = 10**12
+
+
+def _reached_ranks(fam, max_order):
+    """The dimensions the catalog walk visits at max_order: 0 for an
+    exceptional family, else each n until the cited bound at its smallest q
+    passes max_order."""
+    if fam not in atlas._CLASSICAL_FAMILIES:
+        return [0]
+    ranks = []
+    for n in atlas._rank_values(fam):
+        min_q = next(q for q, p, f in prime_power_triples() if atlas._in_domain(fam, n, p, f))
+        c, bound = atlas._classical_bound(fam, n, min_q)
+        if bound > c * max_order:
+            return ranks
+        ranks.append(n)
+
+
+def _walk_orders(fam, n, max_order, beyond=2):
+    """(id, N, d) for each in-domain q of one walk, through the q where the
+    walk stops and `beyond` in-domain q past it."""
+    limit = atlas._max_centre(fam, n) * max_order
+    out, past = [], 0
+    for q, p, f in prime_power_triples():
+        if not atlas._in_domain(fam, n, p, f):
+            continue
+        num, d = atlas._order_parts(fam, n, q)
+        out.append((SimpleGroupId(fam, n=n, p=p, f=f), num, d))
+        if num > limit:
+            past += 1
+            if past > beyond:
+                return out
+
+
+@pytest.mark.parametrize("fam", sorted(atlas._LIE_FAMILIES, key=lambda fam: fam.value))
+def test_undivided_order_strictly_increases_along_each_walk(fam):
+    ranks = _reached_ranks(fam, CATALOG_REACH)
+    assert ranks
+    for n in ranks:
+        walk = _walk_orders(fam, n, CATALOG_REACH)
+        for gid, num, d in walk:
+            assert 1 <= d <= atlas._max_centre(fam, n)
+            assert num % d == 0 and order(gid) == num // d
+        undivided = [num for _, num, _ in walk]
+        assert all(a < b for a, b in zip(undivided, undivided[1:])), (fam, n)
+
+
+def test_exact_order_is_not_monotone_in_q():
+    l2_8 = linear(2, 8)
+    l2_9 = SimpleGroupId(Family.LINEAR, n=2, p=3, f=2)  # raw; linear(2, 9) is A6
+    assert order(l2_8) == 504 > order(l2_9) == 360
+    # The undivided orders, which stop the walk, keep q's order.
+    assert atlas._order_parts(Family.LINEAR, 2, 8) == (504, 1)
+    assert atlas._order_parts(Family.LINEAR, 2, 9) == (720, 2)
+    assert [display_name(g) for g, _ in enumerate_catalog(504)][-2:] == ["A6", "L2(8)"]
+
+
+@pytest.mark.parametrize("bound", [59, 200, 30_000, 10**7, 10**9])
+def test_catalog_matches_cited_bound_walk(bound):
+    assert enumerate_catalog(bound) == oracles.catalog_by_cited_bounds(bound)
+
+
+def test_catalog_size_at_1e12():
+    # The count the cited-bound walk gives, which is too slow for the suite
+    # at this bound.
+    assert len(enumerate_catalog(10**12)) == 1650
+
+
+@pytest.mark.parametrize("n_max,q_max", [(5, 2), (12, 1024)])
+def test_out4_scan_matches_fraction_oracle(n_max, q_max):
+    scan = out4_scan(n_max, q_max)
+    candidates, checks = oracles.out4_scan_by_fractions(n_max, q_max)
+    assert scan.candidates == candidates
+    assert scan.checks == checks
+    for check in scan.checks:
+        assert type(check.boundary_ratio) is Fraction
+        assert check.interior_ratio is None or type(check.interior_ratio) is Fraction

@@ -4,6 +4,7 @@ import pytest
 
 from symreduce.atlas import alternating, display_name, linear, parse_group, sporadic
 from symreduce.diagonal import (
+    DiagonalCase,
     diag_divisibility_gate,
     diag_implies_out4,
     diag_m_admissible,
@@ -116,3 +117,13 @@ def test_scan_implication_everywhere():
     for gid, _ in enumerate_catalog(100_000):
         for m in range(2, 7):
             assert diag_implies_out4(gid, m), (display_name(gid), m)
+
+
+def test_scan_keeps_survivors_of_a_custom_sporadic_row(tmp_path):
+    # |T| = 100, |Out| = 50 passes the odd-part test at every m.
+    table = tmp_path / "fake.txt"
+    table.write_text("FAKE, 100, 50\n")
+    fake = sporadic("FAKE", str(table))
+    result = diagonal_scan(10_000_000, str(table))
+    assert result.survivors == tuple(DiagonalCase(fake, m) for m in range(2, 7))
+    assert all(diag_oddpart_test(fake, m, str(table)) for m in range(2, 7))

@@ -10,6 +10,8 @@ from symreduce.intmath import (
     is_prime,
     odd_part,
     prime_power_parts,
+    prime_power_triples,
+    prime_power_triples_upto,
     prime_powers_upto,
 )
 
@@ -45,6 +47,23 @@ def test_prime_powers_upto():
     assert got == sorted(got)
     assert 16 in got and 25 in got and 27 in got and 32 in got
     assert 6 not in got and 12 not in got
+
+
+def test_prime_power_triples_upto_carries_parts():
+    triples = prime_power_triples_upto(5000)
+    assert [q for q, _, _ in triples] == [q for q in range(5001) if prime_power_parts(q)]
+    for q, p, f in triples:
+        assert prime_power_parts(q) == (p, f)
+    assert prime_power_triples_upto(1) == []
+    assert prime_powers_upto(5000) == [q for q, _, _ in triples]
+
+
+def test_prime_power_triples_stream_crosses_doublings():
+    # The stream re-sieves at 64, 128, ...; no prime power is lost or
+    # repeated where one sieve hands over to the next.
+    stream = prime_power_triples()
+    expected = prime_power_triples_upto(3000)
+    assert [next(stream) for _ in expected] == expected
 
 
 def test_divisors():
