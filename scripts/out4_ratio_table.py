@@ -2,7 +2,8 @@
 """Print a per-family table of max |Out(T)|^4 / |T| ratios at the scan
 boundary, to eyeball how much headroom the default bounds leave.
 
-Usage: out4_ratio_table.py [n_max] [q_max]
+Usage: out4_ratio_table.py [n_max] [q_max]; the bounds default to those
+of `reduce`.
 """
 
 import sys
@@ -10,11 +11,12 @@ import sys
 sys.path.insert(0, "src")
 
 from symreduce.atlas import display_name, out4_scan  # noqa: E402
+from symreduce.report import ReduceConfig  # noqa: E402
 
 
 def main() -> int:
-    n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 12
-    q_max = int(sys.argv[2]) if len(sys.argv) > 2 else 1024
+    n_max = int(sys.argv[1]) if len(sys.argv) > 1 else ReduceConfig.out4_n_max
+    q_max = int(sys.argv[2]) if len(sys.argv) > 2 else ReduceConfig.out4_q_max
     result = out4_scan(n_max, q_max)
     print(f"scan bounds: n_max={n_max}, q_max={q_max}")
     print(f"candidates: {[display_name(g) for g in result.candidates] or 'none'}")

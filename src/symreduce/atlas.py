@@ -135,11 +135,6 @@ def load_sporadic_table(path: str | None = None) -> dict[str, GroupFacts]:
     return table
 
 
-def sporadic_names(path: str | None = None) -> list[str]:
-    """Sporadic names from the active table, Tits excluded."""
-    return [name for name in load_sporadic_table(path) if name != _TITS_NAME]
-
-
 # -- constructors (validate, then canonicalize) ----------------------------
 
 
@@ -668,6 +663,10 @@ class TailCheck:
     def ok(self) -> bool:
         return self.bounded and self.decreasing is not False
 
+    @property
+    def label(self) -> str:
+        return f"{self.family.value}/{self.axis}@{self.boundary}"
+
 
 @dataclass(frozen=True)
 class Out4ScanResult:
@@ -709,6 +708,11 @@ def _axis_checks(fam: Family, axis: str, ratios: dict[int, tuple[int, int]]) -> 
         bounded=boundary_ratio < 1,
         decreasing=None if interior_ratio is None else boundary_ratio < interior_ratio,
     )
+
+
+# The reference outcome of the scan at (12, 1024) and larger boxes, by
+# display name; `reduce` and `atlas scan` compare their candidates to it.
+REFERENCE_OUT4_CANDIDATES = ("L3(4)",)
 
 
 def out4_scan(
@@ -803,9 +807,7 @@ def out4_candidates(
     emptiness claim."""
     result = out4_scan(n_max, q_max, sporadic, families, sporadic_table)
     if not result.ok:
-        failing = ", ".join(
-            f"{check.family.value}/{check.axis}@{check.boundary}" for check in result.failing_checks()
-        )
+        failing = ", ".join(check.label for check in result.failing_checks())
         raise TailCheckFailed(f"tail checks failed at: {failing}", result=result)
     return list(result.candidates)
 

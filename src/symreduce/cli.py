@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import atlas, design, diagonal, imprimitive, product, report
 from .errors import DomainError, NonIntegralError, TailCheckFailed
@@ -21,8 +22,32 @@ EXIT_AGREES = 0
 EXIT_ERROR = 1
 EXIT_DISAGREES = 2
 
-_REFERENCE_OUT4 = ("L3(4)",)
-_REFERENCE_M4_CANDIDATES = {5: (243, 256), 6: (400, 405, 432)}
+# Each setting's argparse dest and the environment variable an unset flag
+# falls back to.  With neither, the ReduceConfig default applies, and
+# _DEFAULT_FORMAT for --format.
+_SETTINGS = {
+    "catalog_bound": "SYMREDUCE_CATALOG_BOUND",
+    "out4_n_max": "SYMREDUCE_OUT4_NMAX",
+    "out4_q_max": "SYMREDUCE_OUT4_QMAX",
+    "v0_min": "SYMREDUCE_V0_MIN",
+    "sporadic_table": "SYMREDUCE_SPORADIC_TABLE",
+    "format": "SYMREDUCE_FORMAT",
+}
+_FORMATS = ("json", "md")
+_DEFAULT_FORMAT = "json"
+
+# Every option flag, by name; a subcommand lists the ones it takes.
+_OPTIONS = {
+    "--catalog-bound": {"type": int},
+    "--out4-nmax": {"dest": "out4_n_max", "metavar": "OUT4_NMAX", "type": int},
+    "--out4-qmax": {"dest": "out4_q_max", "metavar": "OUT4_QMAX", "type": int},
+    "--v0-min": {"type": int, "choices": (2, 5)},
+    "--no-sporadic": {"dest": "include_sporadic", "action": "store_false"},
+    "--families": {"help": "comma-separated family names"},
+    "--sporadic-table": {},
+    "--format": {"choices": _FORMATS},
+    "--output": {"help": "write the report to a file"},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,73 +62,85 @@ class _UsageError(Exception):
     pass
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"{name} must be an integer, got {raw!r}") from exc
+def _resolve_settings(args: argparse.Namespace) -> None:
+    """Fill every setting the chosen subcommand takes but was not given
+    (an empty --sporadic-table counts as not given)."""
+    for dest, env in _SETTINGS.items():
+        if not hasattr(args, dest) or getattr(args, dest) not in (None, ""):
+            continue
+        default = _DEFAULT_FORMAT if dest == "format" else getattr(report.ReduceConfig, dest)
+        raw = os.environ.get(env)
+        if raw is None:
+            value = default
+        elif isinstance(default, int):
+            try:
+                value = int(raw)
+            except ValueError as exc:
+                raise _UsageError(f"{env} must be an integer, got {raw!r}") from exc
+        else:
+            value = raw
+        setattr(args, dest, value)
 
 
-def _env_str(name: str, default: str | None) -> str | None:
-    return os.environ.get(name, default)
+def _group(sub, name: str, help_text: str):
+    return sub.add_parser(name, help=help_text).add_subparsers(
+        dest=f"{name}_command", required=True
+    )
+
+
+def _leaf(sub, name: str, help_text: str, func, *options: str) -> _Parser:
+    parser = sub.add_parser(name, help=help_text)
+    parser.set_defaults(func=func)
+    for flag in options:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    return parser
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="symreduce", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="symmetric design admissibility for a (v, k, lambda)")
+    check = _leaf(sub, "check", "symmetric design admissibility for a (v, k, lambda)", _cmd_check)
     check.add_argument("v", type=int)
     check.add_argument("k", type=int)
     check.add_argument("lam", metavar="lambda", type=int)
 
-    atlas_cmd = sub.add_parser("atlas", help="simple group orders and scans")
-    atlas_sub = atlas_cmd.add_subparsers(dest="atlas_command", required=True)
+    atlas_sub = _group(sub, "atlas", "simple group orders and scans")
     for name, help_text in (("order", "exact |T|"), ("out", "exact |Out(T)|")):
-        one = atlas_sub.add_parser(name, help=help_text)
+        one = _leaf(atlas_sub, name, help_text, _cmd_atlas_lookup, "--sporadic-table")
         one.add_argument("group", help="e.g. A7, L3(4), O+8(2), 2B2(8), M11")
-        one.add_argument("--sporadic-table", default=None)
-    scan = atlas_sub.add_parser("scan", help="scan for |T| < |Out(T)|^4")
-    scan.add_argument("--out4-nmax", type=int, default=None)
-    scan.add_argument("--out4-qmax", type=int, default=None)
-    scan.add_argument("--no-sporadic", action="store_true")
-    scan.add_argument("--families", default=None, help="comma-separated family names")
-    scan.add_argument("--sporadic-table", default=None)
-    catalog = atlas_sub.add_parser("catalog", help="list all simple groups up to a bound")
-    catalog.add_argument("--catalog-bound", type=int, default=None)
-    catalog.add_argument("--sporadic-table", default=None)
+    _leaf(
+        atlas_sub, "scan", "scan for |T| < |Out(T)|^4", _cmd_atlas_scan,
+        "--out4-nmax", "--out4-qmax", "--no-sporadic", "--families", "--sporadic-table",
+    )
+    _leaf(
+        atlas_sub, "catalog", "list all simple groups up to a bound", _cmd_atlas_catalog,
+        "--catalog-bound", "--sporadic-table",
+    )
 
-    diag = sub.add_parser("diagonal", help="simple-diagonal elimination")
-    diag_sub = diag.add_subparsers(dest="diagonal_command", required=True)
-    diag_scan = diag_sub.add_parser("scan", help="odd-part scan over the catalog")
-    diag_scan.add_argument("--catalog-bound", type=int, default=None)
-    diag_scan.add_argument("--sporadic-table", default=None)
+    diag_sub = _group(sub, "diagonal", "simple-diagonal elimination")
+    _leaf(
+        diag_sub, "scan", "odd-part scan over the catalog", _cmd_diagonal_scan,
+        "--catalog-bound", "--sporadic-table",
+    )
 
-    prod = sub.add_parser("product", help="product-type elimination")
-    prod_sub = prod.add_subparsers(dest="product_command", required=True)
-    enum = prod_sub.add_parser("enumerate", help="enumerate surviving (v, k, lambda)")
-    enum.add_argument("--v0-min", type=int, choices=(2, 5), default=None)
-    m4 = prod_sub.add_parser("m4", help="the m = 4 interval analysis")
+    prod_sub = _group(sub, "product", "product-type elimination")
+    _leaf(
+        prod_sub, "enumerate", "enumerate surviving (v, k, lambda)", _cmd_product_enumerate,
+        "--v0-min",
+    )
+    m4 = _leaf(prod_sub, "m4", "the m = 4 interval analysis", _cmd_product_m4)
     m4.add_argument("v0", type=int)
 
-    imp = sub.add_parser("imprimitive", help="point-imprimitive parameter family")
-    imp_sub = imp.add_subparsers(dest="imprimitive_command", required=True)
-    fam = imp_sub.add_parser("family", help="instantiate the family at lambda")
+    imp_sub = _group(sub, "imprimitive", "point-imprimitive parameter family")
+    fam = _leaf(imp_sub, "family", "instantiate the family at lambda", _cmd_imprimitive_family)
     fam.add_argument("lam", metavar="lambda", type=int)
 
-    reduce_cmd = sub.add_parser("reduce", help="full pipeline and report")
-    reduce_cmd.add_argument("--catalog-bound", type=int, default=None)
-    reduce_cmd.add_argument("--out4-nmax", type=int, default=None)
-    reduce_cmd.add_argument("--out4-qmax", type=int, default=None)
-    reduce_cmd.add_argument("--v0-min", type=int, choices=(2, 5), default=None)
-    reduce_cmd.add_argument("--no-sporadic", action="store_true")
-    reduce_cmd.add_argument("--sporadic-table", default=None)
-    reduce_cmd.add_argument("--format", choices=("json", "md"), default=None)
-    reduce_cmd.add_argument("--output", default=None, help="write the report to a file")
-
+    _leaf(
+        sub, "reduce", "full pipeline and report", _cmd_reduce,
+        "--catalog-bound", "--out4-nmax", "--out4-qmax", "--v0-min", "--no-sporadic",
+        "--sporadic-table", "--format", "--output",
+    )
     return parser
 
 
@@ -125,15 +162,10 @@ def _cmd_check(args) -> int:
     return EXIT_AGREES if admissible else EXIT_DISAGREES
 
 
-def _cmd_atlas_order(args) -> int:
+def _cmd_atlas_lookup(args) -> int:
     gid = atlas.parse_group(args.group, args.sporadic_table)
-    print(atlas.order(gid, args.sporadic_table))
-    return EXIT_AGREES
-
-
-def _cmd_atlas_out(args) -> int:
-    gid = atlas.parse_group(args.group, args.sporadic_table)
-    print(atlas.out_order(gid, args.sporadic_table))
+    lookup = atlas.order if args.atlas_command == "order" else atlas.out_order
+    print(lookup(gid, args.sporadic_table))
     return EXIT_AGREES
 
 
@@ -153,50 +185,27 @@ def _parse_families(raw: str | None) -> frozenset[atlas.Family] | None:
 
 
 def _cmd_atlas_scan(args) -> int:
-    n_max = args.out4_nmax if args.out4_nmax is not None else _env_int("SYMREDUCE_OUT4_NMAX", 12)
-    q_max = args.out4_qmax if args.out4_qmax is not None else _env_int("SYMREDUCE_OUT4_QMAX", 1024)
-    table = args.sporadic_table or _env_str("SYMREDUCE_SPORADIC_TABLE", None)
     families = _parse_families(args.families)
     result = atlas.out4_scan(
-        n_max,
-        q_max,
-        include_sporadic=not args.no_sporadic,
+        args.out4_n_max,
+        args.out4_q_max,
+        include_sporadic=args.include_sporadic,
         families=families,
-        sporadic_table=table,
+        sporadic_table=args.sporadic_table,
     )
-    names = [atlas.display_name(g) for g in result.candidates]
-    expected = (
-        list(_REFERENCE_OUT4)
-        if families is None or atlas.Family.LINEAR in families
-        else []
-    )
-    _print_json(
-        {
-            "n_max": n_max,
-            "q_max": q_max,
-            "include_sporadic": not args.no_sporadic,
-            "candidates": names,
-            "expected": expected,
-            "tail_ok": result.ok,
-            "failing_checks": [
-                f"{c.family.value}/{c.axis}@{c.boundary}" for c in result.failing_checks()
-            ],
-            "label": f"verified within bounds [n_max={n_max}, q_max={q_max}]",
-        }
-    )
+    # The reference outcome holds only when the linear groups are scanned.
+    linear = families is None or atlas.Family.LINEAR in families
+    payload = report.out4_scan_payload(result)
+    payload["expected"] = list(atlas.REFERENCE_OUT4_CANDIDATES) if linear else []
+    payload["failing_checks"] = [check.label for check in result.failing_checks()]
+    _print_json(payload)
     if not result.ok:
         print("tail checks failed: bounds too small to trust the scan", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_AGREES if names == expected else EXIT_DISAGREES
+    return EXIT_AGREES if payload["candidates"] == payload["expected"] else EXIT_DISAGREES
 
 
 def _cmd_atlas_catalog(args) -> int:
-    bound = (
-        args.catalog_bound
-        if args.catalog_bound is not None
-        else _env_int("SYMREDUCE_CATALOG_BOUND", 10_000_000)
-    )
-    table = args.sporadic_table or _env_str("SYMREDUCE_SPORADIC_TABLE", None)
     records = [
         {
             "name": atlas.display_name(gid),
@@ -207,116 +216,53 @@ def _cmd_atlas_catalog(args) -> int:
             "order": facts.order,
             "out_order": facts.out_order,
         }
-        for gid, facts in atlas.enumerate_catalog(bound, table)
+        for gid, facts in atlas.enumerate_catalog(args.catalog_bound, args.sporadic_table)
     ]
-    _print_json({"max_order": bound, "count": len(records), "groups": records})
+    _print_json({"max_order": args.catalog_bound, "count": len(records), "groups": records})
     return EXIT_AGREES
 
 
 def _cmd_diagonal_scan(args) -> int:
-    bound = (
-        args.catalog_bound
-        if args.catalog_bound is not None
-        else _env_int("SYMREDUCE_CATALOG_BOUND", 10_000_000)
-    )
-    table = args.sporadic_table or _env_str("SYMREDUCE_SPORADIC_TABLE", None)
-    result = diagonal.diagonal_scan(bound, table)
-    _print_json(
-        {
-            "catalog_bound": bound,
-            "catalog_size": result.catalog_size,
-            "m_range": [2, 6],
-            "survivors": [
-                {"group": atlas.display_name(c.group), "m": c.m} for c in result.survivors
-            ],
-            "near_misses": [atlas.display_name(g) for g in result.near_misses],
-        }
-    )
+    result = diagonal.diagonal_scan(args.catalog_bound, args.sporadic_table)
+    _print_json(report.diagonal_scan_payload(result))
     return EXIT_AGREES if not result.survivors else EXIT_DISAGREES
 
 
 def _cmd_product_enumerate(args) -> int:
-    v0_min = args.v0_min if args.v0_min is not None else _env_int("SYMREDUCE_V0_MIN", 2)
-    triples = product.enumerate_product_cases(v0_min)
-    reference = product.reference_triples(v0_min)
-    got = tuple(t.triple for t in triples)
+    triples = product.enumerate_product_cases(args.v0_min)
+    reference = product.reference_triples(args.v0_min)
+    matches = tuple(t.triple for t in triples) == reference
     _print_json(
         {
-            "v0_min": v0_min,
-            "m_values": [2, 3],
-            "triples": [
-                {
-                    "v": t.v,
-                    "k": t.k,
-                    "lambda": t.lam,
-                    "witnesses": [
-                        {"m": w.m, "a": w.a, "v0": w.v0, "v0_below_5": w.v0 < 5}
-                        for w in t.witnesses
-                    ],
-                }
-                for t in triples
-            ],
+            "v0_min": args.v0_min,
+            "m_values": list(product.M_VALUES),
+            "triples": [report.product_triple_payload(t) for t in triples],
             "reference": [list(t) for t in reference],
-            "matches_reference": got == reference,
+            "matches_reference": matches,
         }
     )
-    return EXIT_AGREES if got == reference else EXIT_DISAGREES
+    return EXIT_AGREES if matches else EXIT_DISAGREES
 
 
 def _cmd_product_m4(args) -> int:
     rep = product.m4_case(args.v0)
-    _print_json(
-        {
-            "v0": rep.v0,
-            "k_interval_open": list(rep.k_interval),
-            "k_min_exact": rep.k_min_exact,
-            "stabilizer_order": rep.stabilizer_order,
-            "candidates": list(rep.candidates),
-            "rejections": [{"k": r.k, "reason": r.reason} for r in rep.rejections],
-            "survivors": list(rep.survivors),
-        }
-    )
-    agrees = (
-        rep.candidates == _REFERENCE_M4_CANDIDATES[rep.v0] and not rep.survivors
-    )
+    _print_json(report.m4_payload(rep))
+    agrees = rep.candidates == product.REFERENCE_M4_CANDIDATES[rep.v0] and not rep.survivors
     return EXIT_AGREES if agrees else EXIT_DISAGREES
 
 
 def _cmd_imprimitive_family(args) -> int:
-    fam = imprimitive.imprimitive_family(args.lam)
-    _print_json(
-        {
-            "lambda": fam.lam,
-            "v": fam.v,
-            "k": fam.k,
-            "options": [[opt.c, opt.d, opt.l] for opt in fam.options],
-        }
-    )
+    _print_json(report.imprimitive_family_payload(imprimitive.imprimitive_family(args.lam)))
     return EXIT_AGREES
 
 
 def _cmd_reduce(args) -> int:
-    config = report.ReduceConfig(
-        catalog_bound=(
-            args.catalog_bound
-            if args.catalog_bound is not None
-            else _env_int("SYMREDUCE_CATALOG_BOUND", 10_000_000)
-        ),
-        out4_n_max=(
-            args.out4_nmax if args.out4_nmax is not None else _env_int("SYMREDUCE_OUT4_NMAX", 12)
-        ),
-        out4_q_max=(
-            args.out4_qmax if args.out4_qmax is not None else _env_int("SYMREDUCE_OUT4_QMAX", 1024)
-        ),
-        v0_min=args.v0_min if args.v0_min is not None else _env_int("SYMREDUCE_V0_MIN", 2),
-        include_sporadic=not args.no_sporadic,
-        sporadic_table=args.sporadic_table or _env_str("SYMREDUCE_SPORADIC_TABLE", None),
-    )
-    fmt = args.format or _env_str("SYMREDUCE_FORMAT", "json")
-    if fmt not in ("json", "md"):
-        raise _UsageError(f"unsupported format {fmt!r}")
+    if args.format not in _FORMATS:
+        raise _UsageError(f"unsupported format {args.format!r}")
+    given = [f.name for f in fields(report.ReduceConfig) if hasattr(args, f.name)]
+    config = report.ReduceConfig(**{name: getattr(args, name) for name in given})
     result = report.run_reduce(config)
-    document = report.emit(result, fmt)
+    document = report.emit(result, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(document)
@@ -329,29 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "atlas":
-            if args.atlas_command == "order":
-                return _cmd_atlas_order(args)
-            if args.atlas_command == "out":
-                return _cmd_atlas_out(args)
-            if args.atlas_command == "scan":
-                return _cmd_atlas_scan(args)
-            return _cmd_atlas_catalog(args)
-        if args.command == "diagonal":
-            return _cmd_diagonal_scan(args)
-        if args.command == "product":
-            if args.product_command == "enumerate":
-                return _cmd_product_enumerate(args)
-            return _cmd_product_m4(args)
-        if args.command == "imprimitive":
-            return _cmd_imprimitive_family(args)
-        return _cmd_reduce(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (DomainError, NonIntegralError, TailCheckFailed, OSError, ValueError) as exc:
+        _resolve_settings(args)
+        return args.func(args)
+    except (_UsageError, DomainError, NonIntegralError, TailCheckFailed, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

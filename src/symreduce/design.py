@@ -127,11 +127,3 @@ def max_fixed_points(k: int, lam: int) -> int:
         raise DomainError(f"bound requires k > lambda, got k={k}, lambda={lam}")
     return k + isqrt(k - lam)
 
-
-def r_squared_exceeds_lambda_v(r: int, lam: int, v: int) -> bool:
-    """r^2 > lambda*v, the general (not necessarily symmetric) form.  The
-    pipeline only ever uses the symmetric specialization k^2 > lambda*v,
-    but the general predicate is exposed for completeness."""
-    if min(r, lam, v) < 1:
-        raise DomainError("inputs must be positive")
-    return r * r > lam * v

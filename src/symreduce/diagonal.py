@@ -15,6 +15,16 @@ from . import atlas
 from .errors import DomainError
 from .intmath import odd_part
 
+# The multiplicities m of the diagonal action the odd-part chain covers,
+# as an inclusive range.
+M_RANGE = (2, 6)
+
+
+def _require_m(m: int, what: str) -> None:
+    lo, hi = M_RANGE
+    if not lo <= m <= hi:
+        raise DomainError(f"{what} defined for {lo} <= m <= {hi}, got m={m}")
+
 
 @dataclass(frozen=True)
 class DiagonalCase:
@@ -49,8 +59,7 @@ def diag_divisibility_gate(k: int, lam: int, m: int, order_t: int) -> bool:
 
 def diag_oddpart_test(g: atlas.SimpleGroupId, m: int, sporadic_table: str | None = None) -> bool:
     """|T|^(m-1) < odd_part(m!^4 * |Out(T)|^4)."""
-    if not 2 <= m <= 6:
-        raise DomainError(f"odd-part test defined for 2 <= m <= 6, got m={m}")
+    _require_m(m, "odd-part test")
     return _oddpart_holds(atlas.facts(g, sporadic_table), m)
 
 
@@ -81,8 +90,7 @@ def implication_check(
     """The generic route compares the constant odd_part(m!)^4 against
     |T|^(m-2); when that fails (only A5 at m=3, where 81 > 60) the
     implication is settled by evaluating the premise directly."""
-    if not 2 <= m <= 6:
-        raise DomainError(f"implication check defined for 2 <= m <= 6, got m={m}")
+    _require_m(m, "implication check")
     fct = atlas.facts(g, sporadic_table)
     constant = odd_part(factorial(m)) ** 4
     # constant < |T|^(m-2) lets the m! factor be absorbed into |T| powers.
@@ -99,12 +107,6 @@ def implication_check(
     )
 
 
-def diag_implies_out4(g: atlas.SimpleGroupId, m: int, sporadic_table: str | None = None) -> bool:
-    """True iff the odd-part premise implies |T| < odd_part(|Out(T)|^4)
-    for this particular (g, m), as exact arithmetic."""
-    return implication_check(g, m, sporadic_table).valid
-
-
 @dataclass(frozen=True)
 class DiagonalScanResult:
     survivors: tuple[DiagonalCase, ...]
@@ -114,7 +116,7 @@ class DiagonalScanResult:
 
 
 def diagonal_scan(catalog_bound: int, sporadic_table: str | None = None) -> DiagonalScanResult:
-    """Run the odd-part test for every cataloged T and every m in [2,6].
+    """Run the odd-part test for every cataloged T and every m in M_RANGE.
 
     survivors: (T, m) pairs passing the test (expected none).
     near_misses: groups with |T| < |Out|^4 that still fail the odd-part
@@ -126,7 +128,7 @@ def diagonal_scan(catalog_bound: int, sporadic_table: str | None = None) -> Diag
     near_misses: list[atlas.SimpleGroupId] = []
     entries = atlas.enumerate_catalog(catalog_bound, sporadic_table)
     for gid, fct in entries:
-        for m in range(2, 7):
+        for m in range(M_RANGE[0], M_RANGE[1] + 1):
             if _oddpart_holds(fct, m):
                 survivors.append(DiagonalCase(gid, m))
         if fct.order < fct.out_order**4 and fct.order >= odd_part(fct.out_order**4):

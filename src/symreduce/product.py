@@ -98,6 +98,11 @@ def power_gap_feasible(m: int, v0: int) -> bool:
     return s <= 0 or s * s < 4 * x
 
 
+# The component counts m the enumeration walks; m >= 4 is settled by the
+# power-gap inequality and the separate m = 4 analysis.
+M_VALUES = (2, 3)
+
+
 @dataclass(frozen=True)
 class ProductCase:
     m: int
@@ -133,7 +138,7 @@ class ProductTriple:
 
 
 def enumerate_product_cases(
-    v0_min: int = 2, m_values: tuple[int, ...] = (2, 3)
+    v0_min: int = 2, m_values: tuple[int, ...] = M_VALUES
 ) -> list[ProductTriple]:
     """Walk a <= a_upper_bound(m), v0 over the divisor candidates, then the
     exact lambda and k, keeping triples that survive every stated filter:
@@ -188,6 +193,11 @@ def reference_triples(v0_min: int = 2) -> tuple[tuple[int, int, int], ...]:
     return tuple(
         t for t in REFERENCE_PRODUCT_TRIPLES if _REFERENCE_WITNESS_V0[t] >= v0_min
     )
+
+
+# The divisors of the point stabilizer each m = 4 case leaves in its
+# k-interval, all of which the lambda integrality test must reject.
+REFERENCE_M4_CANDIDATES = {5: (243, 256), 6: (400, 405, 432)}
 
 
 @dataclass(frozen=True)

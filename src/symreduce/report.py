@@ -9,7 +9,7 @@ point-imprimitive parameter family is attached as its own section.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from . import atlas, diagonal, imprimitive, product
@@ -59,15 +59,7 @@ class ReduceConfig:
     imprimitive_samples: tuple[int, ...] = (2, 3, 4)
 
     def as_payload(self) -> dict:
-        return {
-            "catalog_bound": self.catalog_bound,
-            "out4_n_max": self.out4_n_max,
-            "out4_q_max": self.out4_q_max,
-            "v0_min": self.v0_min,
-            "include_sporadic": self.include_sporadic,
-            "sporadic_table": self.sporadic_table,
-            "imprimitive_samples": list(self.imprimitive_samples),
-        }
+        return {**asdict(self), "imprimitive_samples": list(self.imprimitive_samples)}
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,8 @@ class ReductionReport:
     def agrees_with_reference(self) -> bool:
         return (
             not self.diagonal_result.survivors
-            and [atlas.display_name(g) for g in self.out4_result.candidates] == ["L3(4)"]
+            and tuple(map(atlas.display_name, self.out4_result.candidates))
+            == atlas.REFERENCE_OUT4_CANDIDATES
             and self.out4_result.ok
             and self.product_matches_reference
             and all(not rep.survivors for rep in self.m4_reports)
@@ -116,10 +109,7 @@ def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
         sporadic_table=config.sporadic_table,
     )
     if not out4_result.ok:
-        failing = ", ".join(
-            f"{check.family.value}/{check.axis}@{check.boundary}"
-            for check in out4_result.failing_checks()
-        )
+        failing = ", ".join(check.label for check in out4_result.failing_checks())
         out4_warnings.append(
             f"tail checks failed at: {failing}; the scan bounds are too "
             "small to trust emptiness beyond them"
@@ -171,7 +161,31 @@ def _tail_check_payload(check: atlas.TailCheck) -> dict:
     }
 
 
-def _product_triple_payload(triple: product.ProductTriple) -> dict:
+def diagonal_scan_payload(result: diagonal.DiagonalScanResult) -> dict:
+    return {
+        "catalog_bound": result.catalog_bound,
+        "catalog_size": result.catalog_size,
+        "m_range": list(diagonal.M_RANGE),
+        "survivors": [
+            {"group": atlas.display_name(case.group), "m": case.m}
+            for case in result.survivors
+        ],
+        "near_misses": [atlas.display_name(g) for g in result.near_misses],
+    }
+
+
+def out4_scan_payload(result: atlas.Out4ScanResult) -> dict:
+    return {
+        "n_max": result.n_max,
+        "q_max": result.q_max,
+        "include_sporadic": result.include_sporadic,
+        "candidates": [atlas.display_name(g) for g in result.candidates],
+        "tail_ok": result.ok,
+        "label": f"verified within bounds [n_max={result.n_max}, q_max={result.q_max}]",
+    }
+
+
+def product_triple_payload(triple: product.ProductTriple) -> dict:
     return {
         "v": triple.v,
         "k": triple.k,
@@ -188,7 +202,7 @@ def _product_triple_payload(triple: product.ProductTriple) -> dict:
     }
 
 
-def _m4_payload(rep: product.M4Report) -> dict:
+def m4_payload(rep: product.M4Report) -> dict:
     return {
         "v0": rep.v0,
         "k_interval_open": list(rep.k_interval),
@@ -202,6 +216,15 @@ def _m4_payload(rep: product.M4Report) -> dict:
     }
 
 
+def imprimitive_family_payload(fam: imprimitive.ImprimitiveFamily) -> dict:
+    return {
+        "lambda": fam.lam,
+        "v": fam.v,
+        "k": fam.k,
+        "options": [[opt.c, opt.d, opt.l] for opt in fam.options],
+    }
+
+
 def report_payload(report: ReductionReport) -> dict:
     """The canonical machine structure: verdicts, evidence, hypotheses,
     config, version.  Everything below is decimal integers, strings, bools
@@ -211,34 +234,22 @@ def report_payload(report: ReductionReport) -> dict:
     reference = product.reference_triples(report.config.v0_min)
     evidence = {
         "simple_diagonal": {
-            "catalog_bound": diag.catalog_bound,
-            "catalog_size": diag.catalog_size,
-            "survivors": [
-                {"group": atlas.display_name(case.group), "m": case.m}
-                for case in diag.survivors
-            ],
-            "near_misses": [atlas.display_name(g) for g in diag.near_misses],
-            "m_range": [2, 6],
+            **diagonal_scan_payload(diag),
             "label": f"verified within catalog bound {diag.catalog_bound}",
             "out4_scan": {
-                "n_max": out4.n_max,
-                "q_max": out4.q_max,
-                "include_sporadic": out4.include_sporadic,
-                "candidates": [atlas.display_name(g) for g in out4.candidates],
+                **out4_scan_payload(out4),
                 "tail_checks": [_tail_check_payload(c) for c in out4.checks],
-                "tail_ok": out4.ok,
-                "label": f"verified within bounds [n_max={out4.n_max}, q_max={out4.q_max}]",
                 "warnings": list(report.out4_warnings),
             },
             "warnings": list(report.diagonal_warnings),
         },
         "product": {
             "v0_min": report.config.v0_min,
-            "m_values": [2, 3],
-            "triples": [_product_triple_payload(t) for t in report.product_triples],
+            "m_values": list(product.M_VALUES),
+            "triples": [product_triple_payload(t) for t in report.product_triples],
             "reference_triples": [list(t) for t in reference],
             "matches_reference": report.product_matches_reference,
-            "m4_cases": [_m4_payload(rep) for rep in report.m4_reports],
+            "m4_cases": [m4_payload(rep) for rep in report.m4_reports],
             "surviving_triples_note": (
                 "surviving triples are dismissed by external citation, not "
                 "by this computation"
@@ -248,15 +259,7 @@ def report_payload(report: ReductionReport) -> dict:
         "point_imprimitive": {
             "family": "(v, k, lambda) = (lambda^2*(lambda+2), lambda*(lambda+1), lambda)",
             "class_options": "(c, d, l) = (lambda^2, lambda+2, lambda) or (lambda+2, lambda^2, 2)",
-            "samples": [
-                {
-                    "lambda": fam.lam,
-                    "v": fam.v,
-                    "k": fam.k,
-                    "options": [[opt.c, opt.d, opt.l] for opt in fam.options],
-                }
-                for fam in report.imprimitive_families
-            ],
+            "samples": [imprimitive_family_payload(fam) for fam in report.imprimitive_families],
         },
     }
     return {
@@ -295,7 +298,7 @@ def _markdown(report: ReductionReport) -> str:
             section = payload["evidence"]["simple_diagonal"]
             lines.append(
                 f"Odd-part scan over {section['catalog_size']} groups with "
-                f"|T| <= {section['catalog_bound']}, m in [2, 6]: "
+                f"|T| <= {section['catalog_bound']}, m in {section['m_range']}: "
                 f"{len(section['survivors'])} survivors."
             )
             lines.append(f"Near misses: {', '.join(section['near_misses']) or 'none'}.")

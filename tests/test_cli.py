@@ -3,6 +3,7 @@ import json
 import pytest
 
 from symreduce.cli import main
+from symreduce.report import ReduceConfig, emit, report_payload, run_reduce
 
 
 def run(capsys, *argv):
@@ -123,11 +124,47 @@ def test_diagonal_scan_flag_beats_env(capsys, monkeypatch):
     assert json.loads(out)["catalog_bound"] == 200
 
 
-def test_diagonal_scan_env_not_integer(capsys, monkeypatch):
-    monkeypatch.setenv("SYMREDUCE_CATALOG_BOUND", "ten")
-    code, _, err = run(capsys, "diagonal", "scan")
+# Each integer variable with a command that takes its flag.
+_INT_ENV_COMMANDS = {
+    "SYMREDUCE_CATALOG_BOUND": ("diagonal", "scan"),
+    "SYMREDUCE_OUT4_NMAX": ("atlas", "scan"),
+    "SYMREDUCE_OUT4_QMAX": ("atlas", "scan"),
+    "SYMREDUCE_V0_MIN": ("product", "enumerate"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INT_ENV_COMMANDS))
+def test_env_not_integer(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "ten")
+    code, out, err = run(capsys, *_INT_ENV_COMMANDS[name])
     assert code == 1
-    assert "SYMREDUCE_CATALOG_BOUND" in err
+    assert out == ""
+    assert name in err
+
+
+def test_env_v0_min(capsys, monkeypatch):
+    monkeypatch.setenv("SYMREDUCE_V0_MIN", "5")
+    code, out, _ = run(capsys, "product", "enumerate")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["v0_min"] == 5
+    assert [16, 6, 2] not in payload["reference"]
+    _, out, _ = run(capsys, "product", "enumerate", "--v0-min", "2")
+    assert json.loads(out)["v0_min"] == 2
+
+
+def test_env_out4_box(capsys, monkeypatch):
+    monkeypatch.setenv("SYMREDUCE_OUT4_NMAX", "6")
+    monkeypatch.setenv("SYMREDUCE_OUT4_QMAX", "3")
+    code, out, err = run(capsys, "atlas", "scan", "--no-sporadic")
+    payload = json.loads(out)
+    assert (payload["n_max"], payload["q_max"]) == (6, 3)
+    assert payload["label"] == "verified within bounds [n_max=6, q_max=3]"
+    assert code == 1 and "too small" in err
+    code, out, _ = run(capsys, "atlas", "scan", "--out4-nmax", "12", "--out4-qmax", "1024")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["n_max"], payload["q_max"]) == (12, 1024)
 
 
 def test_product_enumerate_disagrees(capsys):
@@ -226,6 +263,16 @@ def test_sporadic_table_flag(capsys, tmp_path):
     assert json.loads(out)["candidates"] == ["L3(4)"]
 
 
+def test_sporadic_table_env_for_lookups(capsys, monkeypatch, tmp_path):
+    custom = tmp_path / "table.txt"
+    custom.write_text("Q1, 6000000, 9\n")
+    monkeypatch.setenv("SYMREDUCE_SPORADIC_TABLE", str(custom))
+    assert run(capsys, "atlas", "order", "Q1") == (0, "6000000\n", "")
+    assert run(capsys, "atlas", "out", "Q1") == (0, "9\n", "")
+    # an empty flag counts as not given, as for every other command
+    assert run(capsys, "atlas", "order", "Q1", "--sporadic-table", "") == (0, "6000000\n", "")
+
+
 def test_sporadic_table_candidate_injection(capsys, tmp_path):
     # a fake group with huge out-order must surface as a candidate and
     # flip the scan's exit code to "disagree"
@@ -244,3 +291,27 @@ def test_no_arguments_usage(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 1
+
+
+def test_outputs_match_report_sections(capsys):
+    evidence = report_payload(run_reduce())["evidence"]
+    diag = json.loads(run(capsys, "diagonal", "scan")[1])
+    assert diag == {key: evidence["simple_diagonal"][key] for key in diag}
+    scan = json.loads(run(capsys, "atlas", "scan")[1])
+    section = evidence["simple_diagonal"]["out4_scan"]
+    shared = scan.keys() & section.keys()
+    assert shared == {"n_max", "q_max", "include_sporadic", "candidates", "tail_ok", "label"}
+    assert {key: scan[key] for key in shared} == {key: section[key] for key in shared}
+    m4 = json.loads(run(capsys, "product", "m4", "5")[1])
+    assert m4 == evidence["product"]["m4_cases"][0]
+    family = json.loads(run(capsys, "imprimitive", "family", "3")[1])
+    assert family == evidence["point_imprimitive"]["samples"][1]
+    enum = json.loads(run(capsys, "product", "enumerate")[1])
+    assert enum["triples"] == evidence["product"]["triples"]
+    assert enum["m_values"] == evidence["product"]["m_values"]
+
+
+def test_reduce_defaults_are_reduce_config(capsys):
+    code, out, _ = run(capsys, "reduce")
+    assert code == 2
+    assert out == emit(run_reduce(ReduceConfig()), "json")

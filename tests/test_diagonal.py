@@ -6,7 +6,6 @@ from symreduce.atlas import alternating, display_name, linear, parse_group, spor
 from symreduce.diagonal import (
     DiagonalCase,
     diag_divisibility_gate,
-    diag_implies_out4,
     diag_m_admissible,
     diag_oddpart_test,
     diagonal_scan,
@@ -116,7 +115,7 @@ def test_scan_implication_everywhere():
 
     for gid, _ in enumerate_catalog(100_000):
         for m in range(2, 7):
-            assert diag_implies_out4(gid, m), (display_name(gid), m)
+            assert implication_check(gid, m).valid, (display_name(gid), m)
 
 
 def test_scan_keeps_survivors_of_a_custom_sporadic_row(tmp_path):
