@@ -14,38 +14,25 @@ from .atlas import (
     enumerate_catalog,
     facts,
     order,
-    out4_candidates,
     out4_scan,
     out_order,
     parse_group,
 )
-from .design import (
-    DesignParams,
-    SymmetricParams,
-    derive_replication,
-    is_symmetric_admissible,
-    k_lambda_ratio_exceeds_sqrt,
-    max_fixed_points,
-    satisfies_focus_condition,
-    suborbit_divisibility,
-    symmetric_lambda,
-)
+from .design import is_symmetric_admissible, k_lambda_ratio_exceeds_sqrt, satisfies_focus_condition
 from .diagonal import (
     DiagonalScanResult,
-    diag_divisibility_gate,
     diag_m_admissible,
     diag_oddpart_test,
     diagonal_scan,
     implication_check,
 )
-from .errors import DomainError, NonIntegralError, TailCheckFailed
+from .errors import DomainError
 from .imprimitive import ImprimitiveFamily, imprimitive_family
 from .product import (
     ProductCase,
     ProductTriple,
     a_upper_bound,
     enumerate_product_cases,
-    fixed_point_bound_holds,
     k_from,
     lambda_from,
     m4_case,
@@ -58,25 +45,19 @@ from .report import VERSION, OnanScottType, ReduceConfig, Verdict, emit, report_
 __version__ = VERSION
 
 __all__ = [
-    "DesignParams",
     "DiagonalScanResult",
     "DomainError",
     "Family",
     "GroupFacts",
     "ImprimitiveFamily",
-    "NonIntegralError",
     "OnanScottType",
     "ProductCase",
     "ProductTriple",
     "ReduceConfig",
     "SimpleGroupId",
-    "SymmetricParams",
-    "TailCheckFailed",
     "VERSION",
     "Verdict",
     "a_upper_bound",
-    "derive_replication",
-    "diag_divisibility_gate",
     "diag_m_admissible",
     "diag_oddpart_test",
     "diagonal_scan",
@@ -85,7 +66,6 @@ __all__ = [
     "enumerate_catalog",
     "enumerate_product_cases",
     "facts",
-    "fixed_point_bound_holds",
     "implication_check",
     "imprimitive_family",
     "is_symmetric_admissible",
@@ -93,10 +73,8 @@ __all__ = [
     "k_lambda_ratio_exceeds_sqrt",
     "lambda_from",
     "m4_case",
-    "max_fixed_points",
     "multiplier_bound_holds",
     "order",
-    "out4_candidates",
     "out4_scan",
     "out_order",
     "parse_group",
@@ -104,7 +82,5 @@ __all__ = [
     "report_payload",
     "run_reduce",
     "satisfies_focus_condition",
-    "suborbit_divisibility",
-    "symmetric_lambda",
     "v0_candidates",
 ]

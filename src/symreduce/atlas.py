@@ -19,7 +19,7 @@ from itertools import count
 from math import factorial, gcd
 from pathlib import Path
 
-from .errors import DomainError, TailCheckFailed
+from .errors import DomainError
 from .intmath import is_prime, prime_power_parts, prime_power_triples, prime_power_triples_upto
 
 
@@ -65,6 +65,9 @@ _CLASSICAL_FAMILIES = frozenset(
         Family.ORTHOGONAL_MINUS,
     )
 )
+
+# |A5|, the smallest order of a non-abelian simple group.
+MIN_SIMPLE_ORDER = 60
 
 
 @dataclass(frozen=True)
@@ -614,7 +617,7 @@ def enumerate_catalog(
 ) -> list[tuple[SimpleGroupId, GroupFacts]]:
     """Every finite simple group of order <= max_order, once per isomorphism
     class, in nondecreasing order of |T| (ties broken by identifier)."""
-    if max_order < 60:
+    if max_order < MIN_SIMPLE_ORDER:
         return []
     found: dict[SimpleGroupId, GroupFacts] = {}
 
@@ -793,23 +796,6 @@ def out4_scan(
         q_max=q_max,
         include_sporadic=include_sporadic,
     )
-
-
-def out4_candidates(
-    n_max: int,
-    q_max: int,
-    sporadic: bool = True,
-    families: frozenset[Family] | None = None,
-    sporadic_table: str | None = None,
-) -> list[SimpleGroupId]:
-    """Candidates with |T| < |Out(T)|^4; raises TailCheckFailed when any
-    boundary check fails, since then the bounds are too small to trust an
-    emptiness claim."""
-    result = out4_scan(n_max, q_max, sporadic, families, sporadic_table)
-    if not result.ok:
-        failing = ", ".join(check.label for check in result.failing_checks())
-        raise TailCheckFailed(f"tail checks failed at: {failing}", result=result)
-    return list(result.candidates)
 
 
 # -- cited bounds as predicates ---------------------------------------------

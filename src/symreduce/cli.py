@@ -16,36 +16,31 @@ import sys
 from dataclasses import fields
 
 from . import atlas, design, diagonal, imprimitive, product, report
-from .errors import DomainError, NonIntegralError, TailCheckFailed
+from .errors import DomainError
 
 EXIT_AGREES = 0
 EXIT_ERROR = 1
 EXIT_DISAGREES = 2
 
-# Each setting's argparse dest and the environment variable an unset flag
-# falls back to.  With neither, the ReduceConfig default applies, and
-# _DEFAULT_FORMAT for --format.
-_SETTINGS = {
-    "catalog_bound": "SYMREDUCE_CATALOG_BOUND",
-    "out4_n_max": "SYMREDUCE_OUT4_NMAX",
-    "out4_q_max": "SYMREDUCE_OUT4_QMAX",
-    "v0_min": "SYMREDUCE_V0_MIN",
-    "sporadic_table": "SYMREDUCE_SPORADIC_TABLE",
-    "format": "SYMREDUCE_FORMAT",
-}
 _FORMATS = ("json", "md")
 _DEFAULT_FORMAT = "json"
 
-# Every option flag, by name; a subcommand lists the ones it takes.
+# Every option flag, by name; a subcommand lists the ones it takes.  A flag
+# with an "env" entry falls back to that variable when it is not given, and
+# with neither, to the ReduceConfig default (_DEFAULT_FORMAT for --format).
 _OPTIONS = {
-    "--catalog-bound": {"type": int},
-    "--out4-nmax": {"dest": "out4_n_max", "metavar": "OUT4_NMAX", "type": int},
-    "--out4-qmax": {"dest": "out4_q_max", "metavar": "OUT4_QMAX", "type": int},
-    "--v0-min": {"type": int, "choices": (2, 5)},
+    "--catalog-bound": {"env": "SYMREDUCE_CATALOG_BOUND", "type": int},
+    "--out4-nmax": {
+        "env": "SYMREDUCE_OUT4_NMAX", "dest": "out4_n_max", "metavar": "OUT4_NMAX", "type": int,
+    },
+    "--out4-qmax": {
+        "env": "SYMREDUCE_OUT4_QMAX", "dest": "out4_q_max", "metavar": "OUT4_QMAX", "type": int,
+    },
+    "--v0-min": {"env": "SYMREDUCE_V0_MIN", "type": int, "choices": product.V0_MIN_CHOICES},
     "--no-sporadic": {"dest": "include_sporadic", "action": "store_false"},
     "--families": {"help": "comma-separated family names"},
-    "--sporadic-table": {},
-    "--format": {"choices": _FORMATS},
+    "--sporadic-table": {"env": "SYMREDUCE_SPORADIC_TABLE"},
+    "--format": {"env": "SYMREDUCE_FORMAT", "choices": _FORMATS},
     "--output": {"help": "write the report to a file"},
 }
 
@@ -62,23 +57,33 @@ class _UsageError(Exception):
     pass
 
 
+def _from_env(spec: dict):
+    """The value of the flag's variable after the flag's own type and choices
+    checks, or None when it is unset."""
+    env = spec["env"]
+    raw = os.environ.get(env)
+    if raw is None:
+        return None
+    try:
+        value = spec.get("type", str)(raw)
+    except ValueError as exc:
+        raise _UsageError(f"{env} must be an integer, got {raw!r}") from exc
+    if "choices" in spec and value not in spec["choices"]:
+        choices = ", ".join(map(str, spec["choices"]))
+        raise _UsageError(f"{env} must be one of {choices}, got {raw!r}")
+    return value
+
+
 def _resolve_settings(args: argparse.Namespace) -> None:
-    """Fill every setting the chosen subcommand takes but was not given
-    (an empty --sporadic-table counts as not given)."""
-    for dest, env in _SETTINGS.items():
-        if not hasattr(args, dest) or getattr(args, dest) not in (None, ""):
+    """Fill every setting the chosen subcommand takes but was not given.  An
+    empty value counts as not given, from the flag and the variable alike."""
+    for flag, spec in _OPTIONS.items():
+        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        if "env" not in spec or not hasattr(args, dest) or getattr(args, dest) not in (None, ""):
             continue
-        default = _DEFAULT_FORMAT if dest == "format" else getattr(report.ReduceConfig, dest)
-        raw = os.environ.get(env)
-        if raw is None:
-            value = default
-        elif isinstance(default, int):
-            try:
-                value = int(raw)
-            except ValueError as exc:
-                raise _UsageError(f"{env} must be an integer, got {raw!r}") from exc
-        else:
-            value = raw
+        value = _from_env(spec)
+        if value in (None, ""):
+            value = _DEFAULT_FORMAT if dest == "format" else getattr(report.ReduceConfig, dest)
         setattr(args, dest, value)
 
 
@@ -92,7 +97,8 @@ def _leaf(sub, name: str, help_text: str, func, *options: str) -> _Parser:
     parser = sub.add_parser(name, help=help_text)
     parser.set_defaults(func=func)
     for flag in options:
-        parser.add_argument(flag, **_OPTIONS[flag])
+        spec = {key: value for key, value in _OPTIONS[flag].items() if key != "env"}
+        parser.add_argument(flag, **spec)
     return parser
 
 
@@ -257,8 +263,6 @@ def _cmd_imprimitive_family(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    if args.format not in _FORMATS:
-        raise _UsageError(f"unsupported format {args.format!r}")
     given = [f.name for f in fields(report.ReduceConfig) if hasattr(args, f.name)]
     config = report.ReduceConfig(**{name: getattr(args, name) for name in given})
     result = report.run_reduce(config)
@@ -277,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _resolve_settings(args)
         return args.func(args)
-    except (_UsageError, DomainError, NonIntegralError, TailCheckFailed, OSError,
-            ValueError) as exc:
+    except (_UsageError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

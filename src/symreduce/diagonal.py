@@ -3,27 +3,18 @@
 For a diagonal action on |T|^(m-1) points the block size is pinned between
 a divisibility gate and an odd-part inequality chain; under lambda > 100
 the chain forces |T| < odd_part(|Out(T)|^4), which no simple group
-satisfies.  This module mechanizes each link and the catalog-wide scan.
+satisfies.  This module mechanizes the bound on m, the odd-part chain and
+the catalog-wide scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial
 
 from . import atlas
 from .errors import DomainError
 from .intmath import odd_part
-
-# The multiplicities m of the diagonal action the odd-part chain covers,
-# as an inclusive range.
-M_RANGE = (2, 6)
-
-
-def _require_m(m: int, what: str) -> None:
-    lo, hi = M_RANGE
-    if not lo <= m <= hi:
-        raise DomainError(f"{what} defined for {lo} <= m <= {hi}, got m={m}")
 
 
 @dataclass(frozen=True)
@@ -38,23 +29,36 @@ class DiagonalCase:
 
 def diag_m_admissible(order_t: int, m: int) -> bool:
     """|T|^(m-5) < m^4.  For m <= 5 the left side is a non-positive power,
-    so the inequality is automatic; from |T| >= 60 it fails for all m >= 7.
-    """
-    if order_t < 60 or m < 3:
-        raise DomainError(f"need order >= 60 and m >= 3, got {order_t}, {m}")
+    so the inequality is automatic."""
+    if order_t < atlas.MIN_SIMPLE_ORDER or m < 3:
+        raise DomainError(
+            f"need order >= {atlas.MIN_SIMPLE_ORDER} and m >= 3, got {order_t}, {m}"
+        )
     if m <= 5:
         return True
     return order_t ** (m - 5) < m**4
 
 
-def diag_divisibility_gate(k: int, lam: int, m: int, order_t: int) -> bool:
-    """k/gcd(k,lambda) divides m(|T|-1).  Valid only for m >= 3, where the
-    diagonal suborbit union of size m(|T|-1) exists."""
-    if m < 3:
-        raise DomainError(f"divisibility gate needs m >= 3, got m={m}")
-    if min(k, lam, order_t) < 1:
-        raise DomainError("k, lambda, |T| must be positive")
-    return (m * (order_t - 1)) % (k // gcd(k, lam)) == 0
+def _last_admissible_m() -> int:
+    """The last m at which diag_m_admissible holds at the smallest simple
+    order.  It bounds m for every T, since |T|^(m-5) grows with |T|, and the
+    first failure is final: from there each step multiplies the left side by
+    |T| and the right side by (1 + 1/m)^4 < 2."""
+    m = 3
+    while diag_m_admissible(atlas.MIN_SIMPLE_ORDER, m + 1):
+        m += 1
+    return m
+
+
+# The multiplicities m of the diagonal action the odd-part chain covers,
+# as an inclusive range.
+M_RANGE = (2, _last_admissible_m())
+
+
+def _require_m(m: int, what: str) -> None:
+    lo, hi = M_RANGE
+    if not lo <= m <= hi:
+        raise DomainError(f"{what} defined for {lo} <= m <= {hi}, got m={m}")
 
 
 def diag_oddpart_test(g: atlas.SimpleGroupId, m: int, sporadic_table: str | None = None) -> bool:

@@ -5,20 +5,3 @@ from __future__ import annotations
 
 class DomainError(ValueError):
     """A parameter lies outside the domain an operation supports."""
-
-
-class NonIntegralError(ValueError):
-    """An exact integer result was required but none exists."""
-
-
-class TailCheckFailed(RuntimeError):
-    """Scan boundary confidence checks failed: the configured bounds are too
-    small to trust the scan's emptiness claims.
-
-    The exception carries the scan result so callers can still inspect the
-    candidates and the failing checks.
-    """
-
-    def __init__(self, message: str, result=None):
-        super().__init__(message)
-        self.result = result

@@ -16,15 +16,6 @@ from .errors import DomainError
 from .intmath import divisors
 
 
-def fixed_point_bound_holds(v0: int, m: int, k: int) -> bool:
-    """2*v0^(m-1) < k + sqrt(k), exactly: with t = 2*v0^(m-1) - k, this is
-    t <= 0 or t^2 < k."""
-    if v0 < 2 or m < 2 or k < 2:
-        raise DomainError(f"need v0 >= 2, m >= 2, k >= 2; got {v0}, {m}, {k}")
-    t = 2 * v0 ** (m - 1) - k
-    return t <= 0 or t * t < k
-
-
 def a_upper_bound(m: int) -> int:
     """Largest integer a strictly below
     (m^4 + m*sqrt(m^6 + (20m-36)(m^2+2))) / (10m-18).
@@ -85,7 +76,8 @@ def multiplier_bound_holds(m: int, a: int, lam: int) -> bool:
 
 def power_gap_feasible(m: int, v0: int) -> bool:
     """sqrt(2*v0^(m-1) - 2*sqrt(2*v0^(m-1)) + 2) - 1 < m*(v0-1), the
-    inequality that kills all m >= 4 (except v0 in {5,6} at m=4).
+    inequality that kills all m >= 4 for v0 >= 5, except at m = 4 and v0 in
+    M4_V0.
 
     With X = 2*v0^(m-1) and R = m*(v0-1)+1 the condition is
     X + 2 - R^2 < 2*sqrt(X): true when S = X + 2 - R^2 <= 0, else S^2 < 4X.
@@ -98,9 +90,38 @@ def power_gap_feasible(m: int, v0: int) -> bool:
     return s <= 0 or s * s < 4 * x
 
 
+# The choices of v0_min.  2 keeps every arithmetic survivor; 5 is the least
+# degree of a component with a non-abelian simple socle (A5 on 5 points).
+COMPONENT_V0_MIN = 5
+V0_MIN_CHOICES = (2, COMPONENT_V0_MIN)
+
+
+def _require_v0_min(v0_min: int) -> None:
+    if v0_min not in V0_MIN_CHOICES:
+        choices = " or ".join(map(str, V0_MIN_CHOICES))
+        raise DomainError(f"v0_min must be {choices}, got {v0_min}")
+
+
 # The component counts m the enumeration walks; m >= 4 is settled by the
 # power-gap inequality and the separate m = 4 analysis.
 M_VALUES = (2, 3)
+
+
+def _m4_v0() -> tuple[int, ...]:
+    """The component degrees v0 >= COMPONENT_V0_MIN at which
+    power_gap_feasible(4, v0) holds.
+
+    Only v0 with v0^(m-3) < m^2 need a check.  In power_gap_feasible's
+    terms, v0^(m-3) >= m^2 gives v0^(m-1) >= (m*v0)^2 >= R^2, so X >= 2R^2,
+    S > X/2 > 0 and S^2 > X^2/4 >= 4X: the inequality fails.  The same bound
+    holds at every m >= 5 from v0 = 5 on, which is why M_VALUES stops at 3.
+    """
+    m = 4  # v0^(m-3) < m^2 is v0 < 16
+    return tuple(v0 for v0 in range(COMPONENT_V0_MIN, m * m) if power_gap_feasible(m, v0))
+
+
+# The component degrees the m = 4 analysis splits on.
+M4_V0 = _m4_v0()
 
 
 @dataclass(frozen=True)
@@ -144,8 +165,7 @@ def enumerate_product_cases(
     exact lambda and k, keeping triples that survive every stated filter:
     the focus condition, the symmetric identity, the multiplier bound, and
     plain admissibility."""
-    if v0_min not in (2, 5):
-        raise DomainError(f"v0_min must be 2 or 5, got {v0_min}")
+    _require_v0_min(v0_min)
     by_triple: dict[tuple[int, int, int], list[ProductCase]] = {}
     for m in m_values:
         for a in range(1, a_upper_bound(m) + 1):
@@ -178,21 +198,16 @@ def enumerate_product_cases(
     return triples
 
 
-# The enumeration as printed elsewhere reports exactly these three; the
-# CLI compares its own run against this reference outcome.
-REFERENCE_PRODUCT_TRIPLES = ((16, 6, 2), (121, 25, 5), (441, 56, 7))
-
-# The witness v0 for each reference triple; (16,6,2) needs v0 = 4 and so
-# drops out when the component point set must have at least 5 points.
-_REFERENCE_WITNESS_V0 = {(16, 6, 2): 4, (121, 25, 5): 11, (441, 56, 7): 21}
+# The enumeration as printed elsewhere reports exactly these three, each
+# with the v0 of its witness; (16,6,2) needs v0 = 4 and so drops out when
+# the component point set must have at least 5 points.  The CLI compares its
+# own run against this reference outcome.
+REFERENCE_PRODUCT_TRIPLES = {(16, 6, 2): 4, (121, 25, 5): 11, (441, 56, 7): 21}
 
 
 def reference_triples(v0_min: int = 2) -> tuple[tuple[int, int, int], ...]:
-    if v0_min not in (2, 5):
-        raise DomainError(f"v0_min must be 2 or 5, got {v0_min}")
-    return tuple(
-        t for t in REFERENCE_PRODUCT_TRIPLES if _REFERENCE_WITNESS_V0[t] >= v0_min
-    )
+    _require_v0_min(v0_min)
+    return tuple(t for t, v0 in REFERENCE_PRODUCT_TRIPLES.items() if v0 >= v0_min)
 
 
 # The divisors of the point stabilizer each m = 4 case leaves in its
@@ -258,14 +273,15 @@ def _exact_lower_bound(x: int) -> int:
 
 
 def m4_case(v0: int) -> M4Report:
-    """The two m = 4 interval cases.
+    """The m = 4 interval case at a component degree v0 in M4_V0.
 
     The k-interval endpoints reproduce the one-decimal truncation used in
     the derivation (218 and 391); the sharp exact minima (220 and 392) are
     reported alongside and admit the same candidate sets.
     """
-    if v0 not in (5, 6):
-        raise DomainError(f"the m=4 analysis splits on v0 in {{5, 6}}, got {v0}")
+    if v0 not in M4_V0:
+        split = ", ".join(map(str, M4_V0))
+        raise DomainError(f"the m=4 analysis splits on v0 in {{{split}}}, got {v0}")
     m = 4
     x = 2 * v0 ** (m - 1)
     lower_open = _truncated_lower_bound(x)

@@ -116,7 +116,7 @@ def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
         )
 
     triples = tuple(product.enumerate_product_cases(config.v0_min))
-    m4_reports = (product.m4_case(5), product.m4_case(6))
+    m4_reports = tuple(product.m4_case(v0) for v0 in product.M4_V0)
     families = tuple(imprimitive.imprimitive_family(lam) for lam in config.imprimitive_samples)
 
     verdicts = {
@@ -195,7 +195,7 @@ def product_triple_payload(triple: product.ProductTriple) -> dict:
                 "m": case.m,
                 "a": case.a,
                 "v0": case.v0,
-                "v0_below_5": case.v0 < 5,
+                "v0_below_5": case.v0 < product.COMPONENT_V0_MIN,
             }
             for case in triple.witnesses
         ],

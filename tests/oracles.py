@@ -42,25 +42,6 @@ def lambda_by_scan(m: int, a: int, v0: int, cap: int = 10**6) -> int | None:
     return None
 
 
-def replication_by_count(v: int, k: int, lam: int) -> int | None:
-    """r with r*(k-1) = lambda*(v-1), by trial count rather than division."""
-    target = lam * (v - 1)
-    r = 0
-    acc = 0
-    while acc < target:
-        acc += k - 1
-        r += 1
-    return r if acc == target else None
-
-
-def max_fixed_points_by_search(k: int, lam: int) -> int:
-    """Largest x with (x - k)**2 <= k - lam, by downward search from 2k."""
-    x = 2 * k
-    while (x - k) ** 2 > k - lam:
-        x -= 1
-    return x
-
-
 def truncated_sqrt_bound(x: int) -> int:
     """Largest integer whose square stays within x at one-decimal precision.
 

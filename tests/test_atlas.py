@@ -18,7 +18,6 @@ from symreduce.atlas import (
     orthogonal_minus,
     orthogonal_odd,
     orthogonal_plus,
-    out4_candidates,
     out4_scan,
     out_order,
     out_order_bound_holds,
@@ -32,7 +31,7 @@ from symreduce.atlas import (
     tits,
     unitary,
 )
-from symreduce.errors import DomainError, TailCheckFailed
+from symreduce.errors import DomainError
 from symreduce.intmath import prime_power_triples
 
 from . import oracles
@@ -366,21 +365,6 @@ def test_out4_scan_small_box_fails_tails():
     # families whose smallest admissible q exceeds 3 contribute no checks,
     # hence no failures
     assert not failing & {Family.SUZUKI, Family.REE_G2, Family.REE_F4}
-
-
-def test_out4_candidates_raises_on_small_box():
-    with pytest.raises(TailCheckFailed) as exc_info:
-        out4_candidates(6, 3, sporadic=False)
-    assert exc_info.value.result is not None
-    assert not exc_info.value.result.ok
-    # the scan itself found nothing: emptiness holds, the box just cannot
-    # vouch for anything beyond itself
-    assert exc_info.value.result.candidates == ()
-
-
-def test_out4_candidates_reference():
-    got = out4_candidates(12, 1024)
-    assert [display_name(g) for g in got] == ["L3(4)"]
 
 
 def test_out4_scan_rejects_tiny_bounds():

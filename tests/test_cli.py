@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from symreduce import atlas, diagonal
 from symreduce.cli import main
 from symreduce.report import ReduceConfig, emit, report_payload, run_reduce
 
@@ -140,6 +141,35 @@ def test_env_not_integer(capsys, monkeypatch, name):
     assert code == 1
     assert out == ""
     assert name in err
+
+
+# Variables whose value the flag's `choices` reject, with a command that
+# takes the flag.  The check comes before any scan runs.
+_BAD_CHOICE_ENV = {
+    "SYMREDUCE_V0_MIN": "3",
+    "SYMREDUCE_FORMAT": "xml",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CHOICE_ENV))
+def test_env_bad_choice(capsys, monkeypatch, name):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran before the settings were checked")
+
+    monkeypatch.setattr(diagonal, "diagonal_scan", no_scan)
+    monkeypatch.setattr(atlas, "out4_scan", no_scan)
+    monkeypatch.setenv(name, _BAD_CHOICE_ENV[name])
+    code, out, err = run(capsys, "reduce")
+    assert code == 1
+    assert out == ""
+    assert name in err
+
+
+def test_env_empty_sporadic_table(capsys, monkeypatch):
+    expected = run(capsys, "diagonal", "scan")
+    monkeypatch.setenv("SYMREDUCE_SPORADIC_TABLE", "")
+    assert run(capsys, "diagonal", "scan") == expected
+    assert run(capsys, "atlas", "order", "L3(4)") == (0, "20160\n", "")
 
 
 def test_env_v0_min(capsys, monkeypatch):

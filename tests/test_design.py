@@ -1,47 +1,13 @@
 import math
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from symreduce.design import (
-    DesignParams,
-    SymmetricParams,
-    derive_replication,
     is_symmetric_admissible,
     k_lambda_ratio_exceeds_sqrt,
-    max_fixed_points,
     satisfies_focus_condition,
-    suborbit_divisibility,
-    symmetric_lambda,
 )
-from symreduce.errors import DomainError, NonIntegralError
-
-from .oracles import max_fixed_points_by_search, replication_by_count
-
-
-def test_derive_replication_examples():
-    assert derive_replication(7, 3, 1) == 3
-    assert derive_replication(16, 6, 2) == 6
-    with pytest.raises(NonIntegralError):
-        derive_replication(8, 3, 1)
-
-
-def test_derive_replication_domain():
-    with pytest.raises(DomainError):
-        derive_replication(3, 3, 1)  # k = v
-    with pytest.raises(DomainError):
-        derive_replication(7, 1, 1)  # k < 2
-    with pytest.raises(DomainError):
-        derive_replication(7, 3, 0)
-
-
-def test_symmetric_lambda():
-    assert symmetric_lambda(7, 3) == 1
-    assert symmetric_lambda(16, 6) == 2
-    assert symmetric_lambda(121, 25) == 5
-    with pytest.raises(NonIntegralError):
-        symmetric_lambda(625, 243)  # 243*242/624 is not an integer
 
 
 def test_is_symmetric_admissible():
@@ -61,28 +27,6 @@ def test_admissible_requires_fisher():
     assert ok  # complete design boundary: 9 > 8
 
 
-def test_symmetric_params_properties():
-    s = SymmetricParams(121, 25, 5)
-    assert s.r == 25 and s.b == 121
-    with pytest.raises(DomainError):
-        SymmetricParams(8, 3, 1)
-
-
-def test_design_params_validation():
-    d = DesignParams(v=7, k=3, lam=1, r=3, b=7)
-    assert d.v == 7
-    with pytest.raises(DomainError):
-        DesignParams(v=7, k=3, lam=1, r=4, b=7)
-    with pytest.raises(DomainError):
-        DesignParams(v=7, k=3, lam=1, r=3, b=8)
-
-
-def test_suborbit_divisibility_examples():
-    assert suborbit_divisibility(25, 5, 20) is True
-    assert suborbit_divisibility(6, 2, 3) is True
-    assert suborbit_divisibility(7, 2, 3) is False
-
-
 def test_focus_condition():
     assert satisfies_focus_condition(6, 2)
     assert satisfies_focus_condition(25, 5)
@@ -97,30 +41,6 @@ def test_ratio_examples():
     assert k_lambda_ratio_exceeds_sqrt(56, 7) is True  # 3969 > 2793
 
 
-def test_max_fixed_points_examples():
-    assert max_fixed_points(6, 2) == 8
-    assert max_fixed_points(25, 5) == 29
-    with pytest.raises(DomainError):
-        max_fixed_points(5, 5)
-
-
-@given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=400),
-       st.integers(min_value=1, max_value=400))
-def test_suborbit_divisibility_matches_reduced_form(r, lam, s):
-    # r | lambda*s is equivalent to (r / gcd(r, lambda)) | s
-    expected = s % (r // math.gcd(r, lam)) == 0
-    assert suborbit_divisibility(r, lam, s) == expected
-
-
-@given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=1, max_value=10**4))
-def test_max_fixed_points_matches_search(k, lam):
-    if k <= lam:
-        with pytest.raises(DomainError):
-            max_fixed_points(k, lam)
-    else:
-        assert max_fixed_points(k, lam) == max_fixed_points_by_search(k, lam)
-
-
 @given(st.integers(min_value=2, max_value=2000), st.integers(min_value=1, max_value=2000))
 def test_ratio_matches_float_when_safe(k, lam):
     # (k + lam)/lam > sqrt(k + 1); in this range floats are an adequate
@@ -129,19 +49,6 @@ def test_ratio_matches_float_when_safe(k, lam):
     approx = (k + lam) / lam > math.sqrt(k + 1)
     if abs((k + lam) / lam - math.sqrt(k + 1)) > 1e-9:
         assert exact == approx
-
-
-@given(st.integers(min_value=3, max_value=300), st.integers(min_value=2, max_value=60),
-       st.integers(min_value=1, max_value=12))
-def test_derive_replication_matches_count(v, k, lam):
-    if not 2 <= k < v:
-        return
-    try:
-        r = derive_replication(v, k, lam)
-    except NonIntegralError:
-        assert replication_by_count(v, k, lam) is None
-    else:
-        assert replication_by_count(v, k, lam) == r
 
 
 def test_ratio_boundary_exact():

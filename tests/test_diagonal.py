@@ -2,10 +2,17 @@ import math
 
 import pytest
 
-from symreduce.atlas import alternating, display_name, linear, parse_group, sporadic
+from symreduce.atlas import (
+    MIN_SIMPLE_ORDER,
+    alternating,
+    display_name,
+    linear,
+    parse_group,
+    sporadic,
+)
 from symreduce.diagonal import (
+    M_RANGE,
     DiagonalCase,
-    diag_divisibility_gate,
     diag_m_admissible,
     diag_oddpart_test,
     diagonal_scan,
@@ -29,16 +36,13 @@ def test_m_admissible_domain():
 
 
 def test_m_admissible_tail():
-    # 60**(m-5) < m**4 already fails at m = 7 and keeps failing
-    for m in range(7, 21):
-        assert diag_m_admissible(60, m) is False
-
-
-def test_divisibility_gate_examples():
-    assert diag_divisibility_gate(100, 20, 3, 60) is False  # 5 does not divide 177
-    assert diag_divisibility_gate(59, 1, 3, 60) is True
-    with pytest.raises(DomainError):
-        diag_divisibility_gate(100, 20, 2, 60)
+    # 60**(m-5) < m**4 already fails at m = 7 and keeps failing, for every
+    # order from 60 up, so M_RANGE ends at 6
+    assert M_RANGE == (2, 6)
+    assert diag_m_admissible(MIN_SIMPLE_ORDER, 6)
+    for order_t in (MIN_SIMPLE_ORDER, 168, 20160, 10**12):
+        for m in range(7, 40):
+            assert diag_m_admissible(order_t, m) is False, (order_t, m)
 
 
 def test_oddpart_constants():

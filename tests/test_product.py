@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +5,11 @@ from hypothesis import strategies as st
 from symreduce.design import is_symmetric_admissible
 from symreduce.errors import DomainError
 from symreduce.product import (
+    COMPONENT_V0_MIN,
+    M4_V0,
     ProductCase,
     a_upper_bound,
     enumerate_product_cases,
-    fixed_point_bound_holds,
     k_from,
     lambda_from,
     m4_case,
@@ -94,12 +93,6 @@ def test_multiplier_bound_examples():
     assert multiplier_bound_holds(2, 5, 7) is True  # 25 < 28
 
 
-def test_fixed_point_bound_examples():
-    assert fixed_point_bound_holds(11, 2, 25) is True
-    assert fixed_point_bound_holds(5, 4, 219) is False  # t = 31, 961 >= 219
-    assert fixed_point_bound_holds(2, 2, 4) is True
-
-
 def test_power_gap_examples():
     assert power_gap_feasible(2, 25) is True
     assert power_gap_feasible(4, 5) is True
@@ -109,12 +102,29 @@ def test_power_gap_examples():
 
 def test_power_gap_pattern():
     # m = 2, 3: feasible for every v0; m = 4: only v0 in {5, 6}; m >= 5: never
+    assert M4_V0 == (5, 6)
     for v0 in range(5, 2000):
         assert power_gap_feasible(2, v0)
         assert power_gap_feasible(3, v0)
-        assert power_gap_feasible(4, v0) == (v0 in (5, 6))
+        assert power_gap_feasible(4, v0) == (v0 in M4_V0)
         for m in range(5, 9):
             assert not power_gap_feasible(m, v0)
+
+
+def test_power_gap_tail_lemma():
+    # v0 >= 5, m >= 4 and v0^(m-3) >= m^2 make the power gap infeasible;
+    # M4_V0 checks only the v0 below that bound.
+    for m in range(4, 12):
+        for v0 in range(COMPONENT_V0_MIN, 400):
+            if v0 ** (m - 3) >= m * m:
+                assert not power_gap_feasible(m, v0), (m, v0)
+
+
+def test_power_gap_below_component_floor():
+    # The floor of M4_V0 is the component degree 5, not v0_min: below it the
+    # power gap is feasible at m = 4 and at m = 5.
+    assert [v0 for v0 in range(2, 5) if power_gap_feasible(4, v0)] == [2, 3, 4]
+    assert [v0 for v0 in range(2, 5) if power_gap_feasible(5, v0)] == [2]
 
 
 def test_product_case_validates():
@@ -202,7 +212,7 @@ def test_m4_case_v0_6():
 
 
 def test_m4_case_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"splits on v0 in \{5, 6\}, got 7"):
         m4_case(7)
     with pytest.raises(DomainError):
         m4_case(4)
@@ -224,13 +234,3 @@ def test_lambda_from_matches_oracle_random(a, v0):
     lam = lambda_from(2, a, v0)
     scanned = lambda_by_scan(2, a, v0)
     assert lam == scanned
-
-
-def test_fixed_point_bound_matches_float():
-    # t = 2*v0**(m-1) - k; bound holds iff t <= 0 or t**2 < k
-    for m in (2, 3):
-        for v0 in range(2, 40):
-            for k in range(2, 400):
-                expected = 2 * v0 ** (m - 1) < k + math.sqrt(k)
-                if abs(2 * v0 ** (m - 1) - k - math.sqrt(k)) > 1e-6:
-                    assert fixed_point_bound_holds(v0, m, k) == expected, (m, v0, k)

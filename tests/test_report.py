@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,22 @@ def test_json_determinism():
     assert a == b
     parsed = json.loads(a)
     assert parsed["version"] == "0.1.0"
+
+
+# sha256 of the report bytes.  A change that means to alter the report
+# updates these and records why in CHANGES.md.
+_REPORT_SHA256 = {
+    ("json", 2): "06e45619e826796df502eed8c5e063257b06827402d48201bf6363bcbf77d915",
+    ("json", 5): "218e2d37d72da91bb23346d9977a3ce2fa072869c55afeb3d7cf5b9c5f6a6b6c",
+    ("md", 2): "467aaad60c3e58f1327f3b8b7a716b9cde2e6c6a2ad52d382dcc795218433ea8",
+}
+
+
+@pytest.mark.parametrize("fmt, v0_min", sorted(_REPORT_SHA256))
+def test_report_bytes_pinned(default_report, fmt, v0_min):
+    rep = default_report if v0_min == 2 else run_reduce(ReduceConfig(v0_min=v0_min))
+    digest = hashlib.sha256(emit(rep, fmt).encode()).hexdigest()
+    assert digest == _REPORT_SHA256[fmt, v0_min]
 
 
 def test_markdown_sections(default_report):
