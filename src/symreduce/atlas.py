@@ -2,9 +2,9 @@
 orders, a bounded catalog, and the scan for |T| < |Out(T)|^4.
 
 Identifiers carry (family, n, p, f) with q = p^f, or a name for sporadic
-groups.  Orders come from the standard closed formulas; the classical
-lower bounds (q^(n^2-2) < |PSL_n(q)| and friends) are kept only as
-cross-check predicates, never as substitutes for exact values.
+groups.  Orders come from the standard closed formulas; the cited lower
+bounds (q^(n^2-2) < |PSL_n(q)| and friends) and |Out| caps only decide
+where an exact value is needed, never substitute for one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import count
+from itertools import count, takewhile
 from math import factorial, gcd
 from pathlib import Path
 
@@ -552,18 +552,6 @@ def _rank_values(fam: Family):
     return (n for n in count(2) if _in_domain(fam, n, 5, 1))
 
 
-def _classical_bound(fam: Family, n: int, q: int) -> tuple[int, int]:
-    """(c, value) such that c*|T| > value is the cited lower bound; the
-    bound is monotone in q and n, which justifies iteration cutoffs."""
-    if fam is Family.LINEAR:
-        return 1, q ** (n * n - 2)
-    if fam is Family.UNITARY:
-        return 1, (q - 1) * q ** (n * n - 3)
-    if fam is Family.SYMPLECTIC:
-        return 4, q ** (n * (n + 1) // 2)
-    return 8, q ** (n * (n - 1) // 2)
-
-
 _EXCEPTIONAL_BOUND_EXPONENT = {
     Family.G2: 12,
     Family.F4: 20,
@@ -576,6 +564,41 @@ _EXCEPTIONAL_BOUND_EXPONENT = {
     Family.STEINBERG_3D4: 20,
     Family.STEINBERG_2E6: 20,
 }
+
+
+def _order_floor(fam: Family, n: int) -> tuple[int, int, int]:
+    """(c, e, u) such that c*|T| > (q - 1)^u * q^e is the cited lower bound
+    on the order of a Lie-type group; u is 1 for the unitary family and 0
+    otherwise, so c*|T| > q^e holds throughout.  The bound is monotone in q
+    and n, which justifies the catalog's cutoff in n, and the scan prunes
+    with it."""
+    if fam is Family.LINEAR:
+        return 1, n * n - 2, 0
+    if fam is Family.UNITARY:
+        return 1, n * n - 3, 1
+    if fam is Family.SYMPLECTIC:
+        return 4, n * (n + 1) // 2, 0
+    if fam in (Family.ORTHOGONAL_ODD, Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
+        return 8, n * (n - 1) // 2, 0
+    if fam in _EXCEPTIONAL_BOUND_EXPONENT:
+        return 1, _EXCEPTIONAL_BOUND_EXPONENT[fam], 0
+    raise DomainError(f"no cited lower bound for family {fam.value}")
+
+
+def _out_cap(fam: Family, n: int) -> int:
+    """K such that |Out(T)| <= K*f, with q = p^f, is the cited cap on the
+    outer automorphism group of a Lie-type group; the scan prunes with it."""
+    if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
+        return 24
+    if fam in (Family.LINEAR, Family.UNITARY):
+        return 2 * n
+    if fam in (Family.SYMPLECTIC, Family.ORTHOGONAL_ODD, Family.G2):
+        return 2
+    if fam in (Family.SUZUKI, Family.REE_G2, Family.REE_F4):
+        return 1
+    if fam in _LIE_FAMILIES:
+        return 6
+    raise DomainError(f"no cited out bound for family {fam.value}")
 
 
 def _walk_q(fam: Family, n: int, max_order: int):
@@ -606,8 +629,8 @@ def _iter_family_raw(fam: Family, max_order: int):
         return
     for n in _rank_values(fam):
         min_q = next(q for q, p, f in prime_power_triples() if _in_domain(fam, n, p, f))
-        c, bound = _classical_bound(fam, n, min_q)
-        if bound > c * max_order:
+        c, e, u = _order_floor(fam, n)
+        if (min_q - 1) ** u * min_q**e > c * max_order:
             return
         yield from _walk_q(fam, n, max_order)
 
@@ -692,25 +715,59 @@ def _exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] > b[0] * a[1]
 
 
-def _axis_checks(fam: Family, axis: str, ratios: dict[int, tuple[int, int]]) -> TailCheck | None:
-    if not ratios:
-        return None
-    boundary = max(ratios)
-    interior = None
-    for value, ratio in ratios.items():
-        if value != boundary and (interior is None or _exceeds(ratio, interior)):
-            interior = ratio
-    boundary_ratio = Fraction(*ratios[boundary])
-    interior_ratio = None if interior is None else Fraction(*interior)
-    return TailCheck(
-        family=fam,
-        axis=axis,
-        boundary=boundary,
-        boundary_ratio=boundary_ratio,
-        interior_ratio=interior_ratio,
-        bounded=boundary_ratio < 1,
-        decreasing=None if interior_ratio is None else boundary_ratio < interior_ratio,
-    )
+class _AxisMaxima:
+    """What a TailCheck keeps of one family/axis, as running maxima of
+    ratios held as int pairs: the boundary key (the largest n or q with a
+    grid point), the largest ratio at that key, and the largest ratio at
+    every other key.  A maximum is None until a ratio reaches it."""
+
+    def __init__(self, boundary: int) -> None:
+        self.boundary = boundary
+        self.at_boundary: tuple[int, int] | None = None
+        self.interior: tuple[int, int] | None = None
+
+    def current(self, key: int) -> tuple[int, int] | None:
+        return self.at_boundary if key == self.boundary else self.interior
+
+    def add(self, key: int, ratio: tuple[int, int]) -> None:
+        best = self.current(key)
+        if best is None or _exceeds(ratio, best):
+            if key == self.boundary:
+                self.at_boundary = ratio
+            else:
+                self.interior = ratio
+
+    def check(self, fam: Family, axis: str) -> TailCheck:
+        boundary_ratio = Fraction(*self.at_boundary)
+        interior_ratio = None if self.interior is None else Fraction(*self.interior)
+        return TailCheck(
+            family=fam,
+            axis=axis,
+            boundary=self.boundary,
+            boundary_ratio=boundary_ratio,
+            interior_ratio=interior_ratio,
+            bounded=boundary_ratio < 1,
+            decreasing=None if interior_ratio is None else boundary_ratio < interior_ratio,
+        )
+
+
+def _settled(bound: tuple[int, int], maxima) -> bool:
+    """Whether a ratio strictly below `bound` leaves the scan's result as it
+    is: it is no candidate (bound <= 1) and no new maximum (bound <= each
+    running maximum it could update; an unset one can always move)."""
+    return bound[0] <= bound[1] and all(m is not None and not _exceeds(bound, m) for m in maxima)
+
+
+def _row_settled(floor: tuple[int, int, int], cap: int, q: int, maxima) -> bool:
+    """Whether the row bound settles every point of a (family, n) row from q
+    on.  With b = bit_length(q) - 1, each such q' has q' >= 2^b and f <= b,
+    so its ratio is below U(b) = c*(K*b)^4 / 2^(b*e) by the cited floor
+    c*|T| > q^e and cap |Out| <= K*f.  U(b+1) <= U(b) exactly when
+    (b+1)^4 <= 2^e * b^4, and that holds for every larger b once it holds
+    at b, so U(b) bounds the rest of the row."""
+    c, e, _ = floor
+    b = q.bit_length() - 1
+    return (b + 1) ** 4 <= b**4 << e and _settled((c * (cap * b) ** 4, 1 << b * e), maxima)
 
 
 # The reference outcome of the scan at (12, 1024) and larger boxes, by
@@ -729,7 +786,15 @@ def out4_scan(
     tail checks.  The grid is scanned with raw identifiers so that each
     family's own order formula feeds its tail statistics; candidate ids are
     canonicalized before reporting.  Ratios |Out|^4/|T| stay int pairs;
-    only the per-axis maxima a TailCheck keeps become Fractions."""
+    only the per-axis maxima a TailCheck keeps become Fractions.
+
+    The result depends on the candidates and, per family and axis, on the
+    exact maximum ratio at the boundary key and at every other key
+    (_AxisMaxima).  A Lie-type point is skipped without its exact order
+    when its cited bound settles it, and a (family, n) row, walked in
+    ascending q, stops once _row_settled holds; the row's point at the
+    boundary q is still visited.  out_order is called once per point whose
+    order is computed."""
     # The reference outcome is only claimed for boxes at least as large as
     # (12, 1024); smaller boxes still scan, and the tail checks say whether
     # the bounds carried any evidence.
@@ -742,7 +807,7 @@ def out4_scan(
     checks: list[TailCheck] = []
 
     def _ratio(g: SimpleGroupId) -> tuple[int, int]:
-        # One out_order call per grid point; it validates g for _order.
+        # out_order validates g for _order.
         o4 = out_order(g, sporadic_table) ** 4
         t = _order(g, sporadic_table)
         if t < o4:
@@ -751,42 +816,58 @@ def out4_scan(
         return o4, t
 
     if Family.ALTERNATING in selected:
-        ratios = {n: _ratio(alternating(n)) for n in range(5, n_max + 1)}
-        check = _axis_checks(Family.ALTERNATING, "n", ratios)
-        if check is not None:
-            checks.append(check)
+        by_n = _AxisMaxima(n_max)
+        for n in range(5, n_max + 1):
+            by_n.add(n, _ratio(alternating(n)))
+        checks.append(by_n.check(Family.ALTERNATING, "n"))
     if include_sporadic:
         for name in load_sporadic_table(sporadic_table):
             g = tits() if name == _TITS_NAME else SimpleGroupId(Family.SPORADIC, name=name)
             if g.family in selected:
                 _ratio(g)
+
+    def _visit(g: SimpleGroupId, floor: tuple[int, int, int], by_n: _AxisMaxima, by_q: _AxisMaxima) -> None:
+        # A point that its cited bound c*|Out|^4/floor settles gets no exact order.
+        c, e, u = floor
+        q = g.q
+        if _settled((c * _out_order(g) ** 4, (q - 1) ** u * q**e), (by_n.current(g.n), by_q.current(q))):
+            return
+        ratio = _ratio(g)
+        by_n.add(g.n, ratio)
+        by_q.add(q, ratio)
+
+    descending = prime_powers[::-1]
     for fam in sorted(_LIE_FAMILIES, key=_FAMILY_INDEX.get):
         if fam not in selected:
             continue
-        by_n: dict[int, tuple[int, int]] = {}
-        by_q: dict[int, tuple[int, int]] = {}
-        if fam in _CLASSICAL_FAMILIES:
-            for n in _rank_values(fam):
-                if n > n_max:
-                    break
-                for q, p, f in prime_powers:
-                    if not _in_domain(fam, n, p, f):
-                        continue
-                    ratio = _ratio(SimpleGroupId(fam, n=n, p=p, f=f))
-                    if n not in by_n or _exceeds(ratio, by_n[n]):
-                        by_n[n] = ratio
-                    if q not in by_q or _exceeds(ratio, by_q[q]):
-                        by_q[q] = ratio
-            check = _axis_checks(fam, "n", by_n)
-            if check is not None:
-                checks.append(check)
-        else:
+        # Exceptional families have the one row n = 0, and no n axis.
+        classical = fam in _CLASSICAL_FAMILIES
+        ranks = list(takewhile(lambda n: n <= n_max, _rank_values(fam))) if classical else [0]
+        top = next(
+            ((q, p, f) for q, p, f in descending if any(_in_domain(fam, n, p, f) for n in ranks)),
+            None,
+        )
+        if top is None:
+            continue
+        by_q = _AxisMaxima(top[0])
+        by_n = _AxisMaxima(
+            next(n for n in reversed(ranks) if any(_in_domain(fam, n, p, f) for _, p, f in descending))
+        )
+        for n in ranks:
+            floor = _order_floor(fam, n)
+            cap = _out_cap(fam, n)
             for q, p, f in prime_powers:
-                if _in_domain(fam, 0, p, f):
-                    by_q[q] = _ratio(SimpleGroupId(fam, p=p, f=f))
-        check = _axis_checks(fam, "q", by_q)
-        if check is not None:
-            checks.append(check)
+                if not _in_domain(fam, n, p, f):
+                    continue
+                if q != by_q.boundary and _row_settled(floor, cap, q, (by_n.current(n), by_q.interior)):
+                    # The rest of the row is settled, bar its point at the boundary q.
+                    if _in_domain(fam, n, *top[1:]):
+                        _visit(SimpleGroupId(fam, n=n, p=top[1], f=top[2]), floor, by_n, by_q)
+                    break
+                _visit(SimpleGroupId(fam, n=n, p=p, f=f), floor, by_n, by_q)
+        if classical:
+            checks.append(by_n.check(fam, "n"))
+        checks.append(by_q.check(fam, "q"))
 
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
     return Out4ScanResult(
@@ -802,29 +883,19 @@ def out4_scan(
 
 
 def order_lower_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None) -> bool:
-    """Strict form of the per-family order lower bound used to cut off the
-    scans.  Only defined for Lie-type families."""
+    """Whether |T| passes the cited order floor of _order_floor, which cuts
+    off the catalog walk and prunes the out4 scan.  Only defined for
+    Lie-type families."""
     if g.family not in _LIE_FAMILIES:
         raise DomainError(f"no cited lower bound for family {g.family.value}")
-    t = order(g, sporadic_table)
-    if g.family in _CLASSICAL_FAMILIES:
-        c, bound = _classical_bound(g.family, g.n, g.q)
-        return c * t > bound
-    return t > g.q ** _EXCEPTIONAL_BOUND_EXPONENT[g.family]
+    c, e, u = _order_floor(g.family, g.n)
+    q = g.q
+    return c * order(g, sporadic_table) > (q - 1) ** u * q**e
 
 
 def out_order_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None) -> bool:
-    """Per-family cap on |Out(T)| in terms of f, as cited in the scan."""
-    o, f, n = out_order(g, sporadic_table), g.f, g.n
-    fam = g.family
-    if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
-        return o <= 24 * f
-    if fam in (Family.LINEAR, Family.UNITARY):
-        return o <= 2 * f * max(n, 2)
-    if fam in (Family.SYMPLECTIC, Family.ORTHOGONAL_ODD, Family.G2):
-        return o <= 2 * f
-    if fam in (Family.SUZUKI, Family.REE_G2, Family.REE_F4):
-        return o == f
-    if fam in _LIE_FAMILIES:
-        return o <= 6 * f
-    raise DomainError(f"no cited out bound for family {fam.value}")
+    """Whether |Out(T)| is within the cited cap of _out_cap, which prunes
+    the out4 scan."""
+    if g.family not in _LIE_FAMILIES:
+        raise DomainError(f"no cited out bound for family {g.family.value}")
+    return out_order(g, sporadic_table) <= _out_cap(g.family, g.n) * g.f

@@ -62,6 +62,11 @@ class ReduceConfig:
         return {**asdict(self), "imprimitive_samples": list(self.imprimitive_samples)}
 
 
+def _out4_matches_reference(result: atlas.Out4ScanResult) -> bool:
+    """Passing tail checks and exactly the reference candidates."""
+    return result.ok and tuple(map(atlas.display_name, result.candidates)) == atlas.REFERENCE_OUT4_CANDIDATES
+
+
 @dataclass(frozen=True)
 class ReductionReport:
     config: ReduceConfig
@@ -83,12 +88,24 @@ class ReductionReport:
     def agrees_with_reference(self) -> bool:
         return (
             not self.diagonal_result.survivors
-            and tuple(map(atlas.display_name, self.out4_result.candidates))
-            == atlas.REFERENCE_OUT4_CANDIDATES
-            and self.out4_result.ok
+            and _out4_matches_reference(self.out4_result)
             and self.product_matches_reference
             and all(not rep.survivors for rep in self.m4_reports)
         )
+
+
+def simple_diagonal_verdict(
+    diag_result: diagonal.DiagonalScanResult, out4_result: atlas.Out4ScanResult
+) -> Verdict:
+    """eliminated_by_computation only when the evidence carries it: a
+    non-empty catalog, no survivor of the odd-part scan, passing tail checks
+    and exactly the reference out4 candidates; open otherwise."""
+    eliminated = (
+        diag_result.catalog_size > 0
+        and not diag_result.survivors
+        and _out4_matches_reference(out4_result)
+    )
+    return Verdict.ELIMINATED_BY_COMPUTATION if eliminated else Verdict.OPEN
 
 
 def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
@@ -122,7 +139,9 @@ def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
     verdicts = {
         OnanScottType.AFFINE: Verdict.OPEN,
         OnanScottType.ALMOST_SIMPLE: Verdict.OPEN,
-        OnanScottType.SIMPLE_DIAGONAL: Verdict.ELIMINATED_BY_COMPUTATION,
+        OnanScottType.SIMPLE_DIAGONAL: simple_diagonal_verdict(diag_result, out4_result),
+        # Still written out: the surviving product triples are dismissed by
+        # citation, not by this computation (see the evidence note).
         OnanScottType.PRODUCT: Verdict.ELIMINATED_BY_COMPUTATION,
         OnanScottType.TWISTED_WREATH: Verdict.ELIMINATED_BY_CITATION,
     }

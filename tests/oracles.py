@@ -42,19 +42,6 @@ def lambda_by_scan(m: int, a: int, v0: int, cap: int = 10**6) -> int | None:
     return None
 
 
-def truncated_sqrt_bound(x: int) -> int:
-    """Largest integer whose square stays within x at one-decimal precision.
-
-    Mirrors checking "d.e < sqrt(x)" digit by digit: find the largest
-    one-decimal value t = n/10 with t*t <= x, then report floor stats.
-    Used to cross-check the interval arithmetic in the m = 4 analysis.
-    """
-    n = 0
-    while (n + 1) * (n + 1) <= 100 * x:
-        n += 1
-    return n  # n/10 is the truncation of sqrt(x) to one decimal
-
-
 # -- atlas: the catalog and the |T| < |Out(T)|^4 scan -----------------------
 #
 # Both walk q with prime_power_parts over plain ranges and learn each
@@ -176,11 +163,35 @@ def _tail_check(fam: Family, axis: str, ratios: dict):
     )
 
 
-def out4_scan_by_fractions(n_max: int, q_max: int, include_sporadic: bool = True) -> tuple:
+def out4_grid(n_max: int, q_max: int):
+    """(family, n, q, raw id) for every Lie-type point of the out4 scan grid:
+    each (family, n <= n_max, q <= q_max) that the family's constructor
+    accepts, with the raw (n, p, f) id even where the constructor
+    canonicalizes it (L2(4), L3(2), S4(3), ...)."""
+    prime_powers = _prime_powers_by_parts(q_max)
+    for fam in Family:
+        if fam in _CLASSICAL_BUILDERS:
+            rows = range(2, n_max + 1)
+        elif fam in _EXCEPTIONAL_BUILDERS:
+            rows = (0,)
+        else:
+            continue
+        for n in rows:
+            for q in prime_powers:
+                if _build(fam, n, q) is not None:
+                    p, f = prime_power_parts(q)
+                    yield fam, n, q, atlas.SimpleGroupId(fam, n=n, p=p, f=f)
+
+
+def out4_scan_by_fractions(
+    n_max: int, q_max: int, include_sporadic: bool = True, families: frozenset | None = None
+) -> tuple:
     """(candidates, checks) of out4_scan over the same grid, with every ratio
-    |Out|^4/|T| a Fraction and every axis maximum taken by Fraction
-    comparison.  Grid ids stay raw, as in out4_scan; candidates are
-    canonicalized by parsing their display names."""
+    |Out|^4/|T| a Fraction, computed at every grid point, and every axis
+    maximum taken by Fraction comparison.  Grid ids stay raw, as in
+    out4_scan; candidates are canonicalized by parsing their display
+    names."""
+    selected = set(Family) if families is None else set(families)
     candidates = {}
 
     def ratio(g):
@@ -190,30 +201,28 @@ def out4_scan_by_fractions(n_max: int, q_max: int, include_sporadic: bool = True
             candidates[canonical] = atlas.order(canonical)
         return Fraction(o**4, t)
 
-    checks = [_tail_check(Family.ALTERNATING, "n", {n: ratio(atlas.alternating(n)) for n in range(5, n_max + 1)})]
+    checks = []
+    if Family.ALTERNATING in selected:
+        checks.append(
+            _tail_check(Family.ALTERNATING, "n", {n: ratio(atlas.alternating(n)) for n in range(5, n_max + 1)})
+        )
     if include_sporadic:
         for name in atlas.load_sporadic_table():
-            ratio(atlas.parse_group(name))
-    prime_powers = _prime_powers_by_parts(q_max)
-    for fam in Family:
-        by_n, by_q = {}, {}
-        if fam in _CLASSICAL_BUILDERS:
-            for n in range(2, n_max + 1):
-                for q in prime_powers:
-                    if _build(fam, n, q) is None:
-                        continue
-                    p, f = prime_power_parts(q)
-                    r = ratio(atlas.SimpleGroupId(fam, n=n, p=p, f=f))
-                    by_n[n] = max(by_n.get(n, r), r)
-                    by_q[q] = max(by_q.get(q, r), r)
-            checks.append(_tail_check(fam, "n", by_n))
-        elif fam in _EXCEPTIONAL_BUILDERS:
-            for q in prime_powers:
-                if _build(fam, 0, q) is not None:
-                    p, f = prime_power_parts(q)
-                    by_q[q] = ratio(atlas.SimpleGroupId(fam, p=p, f=f))
-        else:
+            g = atlas.parse_group(name)
+            if g.family in selected:
+                ratio(g)
+    by_n, by_q = {}, {}
+    for fam, n, q, g in out4_grid(n_max, q_max):
+        if fam not in selected:
             continue
-        checks.append(_tail_check(fam, "q", by_q))
+        r = ratio(g)
+        row, column = by_n.setdefault(fam, {}), by_q.setdefault(fam, {})
+        row[n] = max(row.get(n, r), r)
+        column[q] = max(column.get(q, r), r)
+    for fam in Family:
+        if fam in by_q:
+            if fam in _CLASSICAL_BUILDERS:
+                checks.append(_tail_check(fam, "n", by_n[fam]))
+            checks.append(_tail_check(fam, "q", by_q[fam]))
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
     return tuple(ordered), tuple(check for check in checks if check is not None)

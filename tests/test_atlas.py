@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
@@ -318,19 +320,79 @@ def _lie_grid(n_max, q_max):
     return out
 
 
+# Every raw Lie-type id of the out4 scan grid at the default box, the ids
+# that canonicalize elsewhere (L2(4) to A5, S4(3) to U4(2), ...) included.
+# The scan prunes its grid with these two bounds, so they must hold at each.
+OUT4_GRID = [g for _, _, _, g in oracles.out4_grid(12, 1024)]
+
+
+def test_out4_grid_covers_every_lie_family():
+    assert len(OUT4_GRID) == 8291
+    assert {g.family for g in OUT4_GRID} == atlas._LIE_FAMILIES
+    assert len(atlas._LIE_FAMILIES) == 16
+    raw = {(g.family, g.n, g.q) for g in OUT4_GRID}
+    for fam, n, q in [
+        (Family.LINEAR, 2, 4),
+        (Family.LINEAR, 2, 5),
+        (Family.LINEAR, 2, 9),
+        (Family.LINEAR, 3, 2),
+        (Family.LINEAR, 4, 2),
+        (Family.SYMPLECTIC, 4, 3),
+    ]:
+        assert (fam, n, q) in raw
+
+
 def test_order_lower_bounds_sweep():
-    # |T| exceeds the per-family bound used to cut off catalog iteration,
-    # for every group in a sizeable box.
-    checked = 0
-    for gid in _lie_grid(12, 64):
+    # |T| exceeds the cited floor that cuts off the catalog walk and prunes
+    # the out4 scan, at every raw id of the scan grid.
+    for gid in OUT4_GRID:
         assert order_lower_bound_holds(gid), display_name(gid)
-        checked += 1
-    assert checked > 400
 
 
 def test_out_order_bounds_sweep():
-    for gid in _lie_grid(12, 64):
+    for gid in OUT4_GRID:
         assert out_order_bound_holds(gid), display_name(gid)
+
+
+@pytest.mark.parametrize("fam", sorted(atlas._LIE_FAMILIES, key=lambda fam: fam.value))
+def test_row_bound_lemma(fam):
+    # The scan stops a (family, n) row at b = bit_length(q) - 1 once
+    # (b+1)^4 <= 2^e * b^4, taking U(b) = c*(K*b)^4 / 2^(b*e) to bound the
+    # rest of the row.  Once the condition holds it holds at every larger b,
+    # since (b+1)/b decreases, and from there on U does not increase.
+    ranks = [0]
+    if fam in atlas._CLASSICAL_FAMILIES:
+        ranks = list(takewhile(lambda n: n <= 24, atlas._rank_values(fam)))
+    for n in ranks:
+        c, e, _ = atlas._order_floor(fam, n)
+        cap = atlas._out_cap(fam, n)
+        holds = [(b + 1) ** 4 <= b**4 << e for b in range(1, 65)]
+        first = holds.index(True) + 1
+        assert all(holds[first - 1 :]), (fam, n)
+        for b in range(first, 65):
+            assert (b + 2) * b < (b + 1) ** 2
+            assert c * (cap * (b + 1)) ** 4 << b * e <= c * (cap * b) ** 4 << (b + 1) * e, (fam, n, b)
+
+
+def test_row_settled_needs_the_monotone_condition():
+    # Floor q^2 and cap f: at b = 2, U = 16/16 is <= 1 and below the maximum,
+    # but U can still grow ((b+1)^4 > 2^2 * b^4), so the row goes on.
+    floor, cap, maxima = (1, 2, 0), 1, [(2, 1)]
+    assert not atlas._row_settled(floor, cap, 4, maxima)
+    assert not atlas._row_settled(floor, cap, 8, maxima)  # U(3) = 81/64 > 1
+    assert atlas._row_settled(floor, cap, 16, maxima)  # U(4) = 1, and U falls from here
+    assert not atlas._row_settled(floor, cap, 16, [(1, 2)])  # U(4) is above the maximum
+    assert not atlas._row_settled(floor, cap, 16, [None])
+
+
+def test_row_bound_bounds_every_ratio():
+    # U(b) bounds |Out|^4/|T| at each point of the grid: q >= 2^b, f <= b.
+    for gid in OUT4_GRID:
+        c, e, _ = atlas._order_floor(gid.family, gid.n)
+        b = gid.q.bit_length() - 1
+        assert gid.f <= b and gid.q >= 1 << b
+        o4, t = out_order(gid) ** 4, order(gid)
+        assert o4 << b * e < c * (atlas._out_cap(gid.family, gid.n) * b) ** 4 * t, display_name(gid)
 
 
 def test_out4_scan_reference_bounds():
@@ -415,8 +477,8 @@ def _reached_ranks(fam, max_order):
     ranks = []
     for n in atlas._rank_values(fam):
         min_q = next(q for q, p, f in prime_power_triples() if atlas._in_domain(fam, n, p, f))
-        c, bound = atlas._classical_bound(fam, n, min_q)
-        if bound > c * max_order:
+        c, e, u = atlas._order_floor(fam, n)
+        if (min_q - 1) ** u * min_q**e > c * max_order:
             return ranks
         ranks.append(n)
 
@@ -471,12 +533,69 @@ def test_catalog_size_at_1e12():
     assert len(enumerate_catalog(10**12)) == 1650
 
 
-@pytest.mark.parametrize("n_max,q_max", [(5, 2), (12, 1024)])
-def test_out4_scan_matches_fraction_oracle(n_max, q_max):
-    scan = out4_scan(n_max, q_max)
-    candidates, checks = oracles.out4_scan_by_fractions(n_max, q_max)
+OUT4_ORACLE_BOXES = [(5, 2), (5, 3), (6, 3), (7, 9), (9, 8), (11, 2), (12, 1024)]
+
+
+def _matches_fraction_oracle(n_max, q_max, include_sporadic):
+    # The oracle computes every ratio exactly, so this also checks that the
+    # pruned walk skips no point that could change the result.
+    scan = out4_scan(n_max, q_max, include_sporadic=include_sporadic)
+    candidates, checks = oracles.out4_scan_by_fractions(n_max, q_max, include_sporadic)
     assert scan.candidates == candidates
     assert scan.checks == checks
     for check in scan.checks:
         assert type(check.boundary_ratio) is Fraction
         assert check.interior_ratio is None or type(check.interior_ratio) is Fraction
+
+
+@pytest.mark.parametrize("n_max,q_max", OUT4_ORACLE_BOXES)
+def test_out4_scan_matches_fraction_oracle(n_max, q_max):
+    _matches_fraction_oracle(n_max, q_max, include_sporadic=True)
+
+
+@pytest.mark.parametrize("n_max,q_max", OUT4_ORACLE_BOXES)
+def test_out4_scan_without_sporadics_matches_fraction_oracle(n_max, q_max):
+    _matches_fraction_oracle(n_max, q_max, include_sporadic=False)
+
+
+@pytest.mark.parametrize(
+    "families",
+    [
+        frozenset({Family.E8, Family.LINEAR, Family.SPORADIC}),
+        frozenset({Family.UNITARY, Family.SUZUKI, Family.ORTHOGONAL_ODD, Family.ALTERNATING}),
+    ],
+)
+def test_out4_scan_family_subset_matches_fraction_oracle(families):
+    scan = out4_scan(9, 128, families=families)
+    assert (scan.candidates, scan.checks) == oracles.out4_scan_by_fractions(9, 128, families=families)
+
+
+# sha256 of repr(out4_scan(n_max, q_max)) from the unpruned scan, for boxes
+# too large for the oracle in the suite.
+OUT4_REPR_SHA256 = {
+    (16, 2048): "4a784a13ae986e92b03b2d58e43443e4215879036885d39a193439b4af08dc0a",
+    (24, 4096): "a1cf186661f9ed884dfbc2c8ff2e8d9f4e33bb4a3c26c3b253e47cbbc8469dd1",
+}
+
+
+@pytest.mark.parametrize("box", sorted(OUT4_REPR_SHA256))
+def test_out4_scan_repr_pinned(box):
+    digest = hashlib.sha256(repr(out4_scan(*box)).encode()).hexdigest()
+    assert digest == OUT4_REPR_SHA256[box]
+
+
+def test_out4_scan_computes_few_exact_orders(monkeypatch):
+    # out4_scan calls out_order once per point whose exact order it
+    # computes; the unpruned scan made 8,326 such calls at this box.
+    calls = 0
+    real = atlas.out_order
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(atlas, "out_order", counting)
+    scan = out4_scan(12, 1024)
+    assert [display_name(g) for g in scan.candidates] == ["L3(4)"]
+    assert 0 < calls < 1000

@@ -255,6 +255,24 @@ def test_reduce_disagrees_by_default(capsys):
     assert set(payload) == {"verdicts", "evidence", "hypotheses", "config", "version"}
 
 
+def _simple_diagonal_verdict(capsys, *flags):
+    code, out, _ = run(capsys, "reduce", *flags)
+    assert code == 2
+    return json.loads(out)["verdicts"]["simple_diagonal"]
+
+
+def test_simple_diagonal_verdict_from_evidence(capsys, tmp_path):
+    assert _simple_diagonal_verdict(capsys) == "eliminated_by_computation"
+    # A survivor of the odd-part scan: the FAKE group of order 100.
+    fake = tmp_path / "table.txt"
+    fake.write_text("FAKE, 100, 50\n")
+    assert _simple_diagonal_verdict(capsys, "--sporadic-table", str(fake)) == "open"
+    # An empty catalog carries no evidence.
+    assert _simple_diagonal_verdict(capsys, "--catalog-bound", "10") == "open"
+    # A box that misses L3(4) finds no candidate, which is not the reference.
+    assert _simple_diagonal_verdict(capsys, "--out4-nmax", "5", "--out4-qmax", "2") == "open"
+
+
 def test_reduce_markdown(capsys):
     code, out, _ = run(capsys, "reduce", "--format", "md")
     assert code == 2

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from symreduce import atlas
 from symreduce.report import (
     OnanScottType,
     ReduceConfig,
@@ -10,6 +11,7 @@ from symreduce.report import (
     emit,
     report_payload,
     run_reduce,
+    simple_diagonal_verdict,
 )
 
 
@@ -34,6 +36,15 @@ def test_verdicts(default_report):
     }
     assert set(payload["verdicts"]) == {t.value for t in OnanScottType}
     assert all(v in {m.value for m in Verdict} for v in payload["verdicts"].values())
+
+
+def test_simple_diagonal_verdict_needs_passing_tail_checks(default_report):
+    diag = default_report.diagonal_result
+    assert simple_diagonal_verdict(diag, default_report.out4_result) is Verdict.ELIMINATED_BY_COMPUTATION
+    # This box finds L3(4), the reference candidate, but its tail checks fail.
+    small = atlas.out4_scan(5, 4)
+    assert [atlas.display_name(g) for g in small.candidates] == ["L3(4)"] and not small.ok
+    assert simple_diagonal_verdict(diag, small) is Verdict.OPEN
 
 
 def test_evidence_sections(default_report):
