@@ -7,8 +7,9 @@ of `reduce`.
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from symreduce.atlas import display_name, out4_scan  # noqa: E402
 from symreduce.report import ReduceConfig  # noqa: E402

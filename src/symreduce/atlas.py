@@ -47,12 +47,29 @@ class Family(Enum):
 
 _FAMILY_INDEX = {fam: i for i, fam in enumerate(Family)}
 
-# Families parameterized by q = p^f.
-_LIE_FAMILIES = frozenset(
-    fam
-    for fam in Family
-    if fam not in (Family.ALTERNATING, Family.SPORADIC, Family.TITS)
-)
+# The display symbol of each family parameterized by q = p^f: a classical
+# group is written symbol, n, (q), as O+8(2), and an exceptional one symbol,
+# (q), as 2B2(8).  Display, parse and error texts all read this table.
+_SYMBOL = {
+    Family.LINEAR: "L",
+    Family.UNITARY: "U",
+    Family.SYMPLECTIC: "S",
+    Family.ORTHOGONAL_ODD: "O",
+    Family.ORTHOGONAL_PLUS: "O+",
+    Family.ORTHOGONAL_MINUS: "O-",
+    Family.G2: "G2",
+    Family.F4: "F4",
+    Family.E6: "E6",
+    Family.E7: "E7",
+    Family.E8: "E8",
+    Family.SUZUKI: "2B2",
+    Family.REE_G2: "2G2",
+    Family.REE_F4: "2F4",
+    Family.STEINBERG_3D4: "3D4",
+    Family.STEINBERG_2E6: "2E6",
+}
+
+_LIE_FAMILIES = frozenset(_SYMBOL)
 
 # Classical families carry a dimension parameter n as well.
 _CLASSICAL_FAMILIES = frozenset(
@@ -146,14 +163,6 @@ def _require(cond: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _lie(fam: Family, n: int, q: int) -> SimpleGroupId:
-    """Raw id of a Lie-type group given q as an integer."""
-    parts = prime_power_parts(q)
-    _require(parts is not None, f"{_lie_name(fam, n, q)}: q={q} is not a prime power")
-    _require(_in_domain(fam, n, *parts), f"{_lie_name(fam, n, q)} is outside its family's domain")
-    return SimpleGroupId(fam, n=n, p=parts[0], f=parts[1])
-
-
 def alternating(n: int) -> SimpleGroupId:
     _require(n >= 5, f"alternating degree must be >= 5, got {n}")
     return SimpleGroupId(Family.ALTERNATING, n=n)
@@ -170,68 +179,14 @@ def tits() -> SimpleGroupId:
     return SimpleGroupId(Family.TITS, name=_TITS_NAME)
 
 
-def linear(n: int, q: int) -> SimpleGroupId:
-    return _canonicalize(_lie(Family.LINEAR, n, q))
-
-
-def unitary(n: int, q: int) -> SimpleGroupId:
-    return _lie(Family.UNITARY, n, q)
-
-
-def symplectic(n: int, q: int) -> SimpleGroupId:
-    return _canonicalize(_lie(Family.SYMPLECTIC, n, q))
-
-
-def orthogonal_odd(n: int, q: int) -> SimpleGroupId:
-    return _lie(Family.ORTHOGONAL_ODD, n, q)
-
-
-def orthogonal_plus(n: int, q: int) -> SimpleGroupId:
-    return _lie(Family.ORTHOGONAL_PLUS, n, q)
-
-
-def orthogonal_minus(n: int, q: int) -> SimpleGroupId:
-    return _lie(Family.ORTHOGONAL_MINUS, n, q)
-
-
-def g2(q: int) -> SimpleGroupId:
-    return _lie(Family.G2, 0, q)
-
-
-def f4(q: int) -> SimpleGroupId:
-    return _lie(Family.F4, 0, q)
-
-
-def e6(q: int) -> SimpleGroupId:
-    return _lie(Family.E6, 0, q)
-
-
-def e7(q: int) -> SimpleGroupId:
-    return _lie(Family.E7, 0, q)
-
-
-def e8(q: int) -> SimpleGroupId:
-    return _lie(Family.E8, 0, q)
-
-
-def suzuki(q: int) -> SimpleGroupId:
-    return _lie(Family.SUZUKI, 0, q)
-
-
-def ree_g2(q: int) -> SimpleGroupId:
-    return _lie(Family.REE_G2, 0, q)
-
-
-def ree_f4(q: int) -> SimpleGroupId:
-    return _lie(Family.REE_F4, 0, q)
-
-
-def steinberg_3d4(q: int) -> SimpleGroupId:
-    return _lie(Family.STEINBERG_3D4, 0, q)
-
-
-def steinberg_2e6(q: int) -> SimpleGroupId:
-    return _lie(Family.STEINBERG_2E6, 0, q)
+def lie(fam: Family, n: int, q: int) -> SimpleGroupId:
+    """The id of the Lie-type group of the family at dimension n and field
+    size q, canonicalized; n is 0 for the exceptional families."""
+    _require(fam in _SYMBOL, f"{fam.value} is not a Lie-type family")
+    parts = prime_power_parts(q)
+    _require(parts is not None, f"{_lie_name(fam, n, q)}: q={q} is not a prime power")
+    _require(_in_domain(fam, n, *parts), f"{_lie_name(fam, n, q)} is outside its family's domain")
+    return _canonicalize(SimpleGroupId(fam, n=n, p=parts[0], f=parts[1]))
 
 
 def _canonicalize(g: SimpleGroupId) -> SimpleGroupId:
@@ -246,9 +201,9 @@ def _canonicalize(g: SimpleGroupId) -> SimpleGroupId:
         if key == (4, 2):
             return alternating(8)
         if key == (3, 2):
-            return linear(2, 7)
+            return lie(Family.LINEAR, 2, 7)
     if g.family is Family.SYMPLECTIC and (g.n, g.q) == (4, 3):
-        return unitary(4, 2)
+        return lie(Family.UNITARY, 4, 2)
     return g
 
 
@@ -258,7 +213,7 @@ def _canonicalize(g: SimpleGroupId) -> SimpleGroupId:
 def _in_domain(fam: Family, n: int, p: int, f: int) -> bool:
     """Whether (n, q = p^f), with p prime and f >= 1, names a simple group of
     the Lie-type family.  This is the one statement of the family domains:
-    the constructors, _validate, the catalog walk and the scan all ask it.
+    lie, _validate, the catalog walk and the scan all ask it.
     Exceptional families carry no dimension, so they need n = 0."""
     q = p**f
     if fam is Family.LINEAR:
@@ -457,33 +412,9 @@ def facts(g: SimpleGroupId, sporadic_table: str | None = None) -> GroupFacts:
 
 # -- display / parse --------------------------------------------------------
 
-_DISPLAY_PREFIX = {
-    Family.LINEAR: "L",
-    Family.UNITARY: "U",
-    Family.SYMPLECTIC: "S",
-    Family.ORTHOGONAL_ODD: "O",
-    Family.ORTHOGONAL_PLUS: "O+",
-    Family.ORTHOGONAL_MINUS: "O-",
-}
-
-_DISPLAY_EXCEPTIONAL = {
-    Family.G2: "G2",
-    Family.F4: "F4",
-    Family.E6: "E6",
-    Family.E7: "E7",
-    Family.E8: "E8",
-    Family.SUZUKI: "2B2",
-    Family.REE_G2: "2G2",
-    Family.REE_F4: "2F4",
-    Family.STEINBERG_3D4: "3D4",
-    Family.STEINBERG_2E6: "2E6",
-}
-
 
 def _lie_name(fam: Family, n: int, q: int) -> str:
-    if fam in _DISPLAY_PREFIX:
-        return f"{_DISPLAY_PREFIX[fam]}{n}({q})"
-    return f"{_DISPLAY_EXCEPTIONAL[fam]}({q})"
+    return f"{_SYMBOL[fam]}{n if fam in _CLASSICAL_FAMILIES else ''}({q})"
 
 
 def display_name(g: SimpleGroupId) -> str:
@@ -495,36 +426,16 @@ def display_name(g: SimpleGroupId) -> str:
     return _lie_name(fam, g.n, g.q)
 
 
-_CLASSICAL_PATTERN = re.compile(r"^(L|U|S|O\+|O-|O)(\d+)\((\d+)\)$")
-_EXCEPTIONAL_PATTERN = re.compile(r"^(G2|F4|E6|E7|E8|2B2|2G2|2F4|3D4|2E6)\((\d+)\)$")
 _ALTERNATING_PATTERN = re.compile(r"^A(\d+)$")
-
-_CLASSICAL_BUILDER = {
-    "L": linear,
-    "U": unitary,
-    "S": symplectic,
-    "O": orthogonal_odd,
-    "O+": orthogonal_plus,
-    "O-": orthogonal_minus,
-}
-
-_EXCEPTIONAL_BUILDER = {
-    "G2": g2,
-    "F4": f4,
-    "E6": e6,
-    "E7": e7,
-    "E8": e8,
-    "2B2": suzuki,
-    "2G2": ree_g2,
-    "2F4": ree_f4,
-    "3D4": steinberg_3d4,
-    "2E6": steinberg_2e6,
-}
+_FAMILY_OF_SYMBOL = {symbol: fam for fam, symbol in _SYMBOL.items()}
+# No symbol is another symbol followed by digits, so a name splits one way.
+_LIE_PATTERN = re.compile(rf"^({'|'.join(map(re.escape, _FAMILY_OF_SYMBOL))})(\d*)\((\d+)\)$")
 
 
 def parse_group(text: str, sporadic_table: str | None = None) -> SimpleGroupId:
     """Inverse of display_name.  Sporadic names are matched first, so the
-    one-letter groups B and M stay reachable."""
+    one-letter groups B and M stay reachable.  A classical symbol takes the
+    digits of n, and an exceptional symbol none."""
     token = text.strip()
     if token in ("Tits", _TITS_NAME):
         return tits()
@@ -533,12 +444,11 @@ def parse_group(text: str, sporadic_table: str | None = None) -> SimpleGroupId:
     match = _ALTERNATING_PATTERN.match(token)
     if match:
         return alternating(int(match.group(1)))
-    match = _EXCEPTIONAL_PATTERN.match(token)
+    match = _LIE_PATTERN.match(token)
     if match:
-        return _EXCEPTIONAL_BUILDER[match.group(1)](int(match.group(2)))
-    match = _CLASSICAL_PATTERN.match(token)
-    if match:
-        return _CLASSICAL_BUILDER[match.group(1)](int(match.group(2)), int(match.group(3)))
+        fam = _FAMILY_OF_SYMBOL[match.group(1)]
+        if (fam in _CLASSICAL_FAMILIES) == bool(match.group(2)):
+            return lie(fam, int(match.group(2) or 0), int(match.group(3)))
     raise DomainError(f"cannot parse group name {token!r}")
 
 
@@ -552,26 +462,34 @@ def _rank_values(fam: Family):
     return (n for n in count(2) if _in_domain(fam, n, 5, 1))
 
 
-_EXCEPTIONAL_BOUND_EXPONENT = {
-    Family.G2: 12,
-    Family.F4: 20,
-    Family.E6: 20,
-    Family.E7: 20,
-    Family.E8: 20,
-    Family.SUZUKI: 4,
-    Family.REE_G2: 4,
-    Family.REE_F4: 20,
-    Family.STEINBERG_3D4: 20,
-    Family.STEINBERG_2E6: 20,
+# The degree e of each exceptional family's undivided order in _order_parts.
+_EXCEPTIONAL_DEGREE = {
+    Family.G2: 14,
+    Family.F4: 52,
+    Family.E6: 78,
+    Family.E7: 133,
+    Family.E8: 248,
+    Family.SUZUKI: 5,
+    Family.REE_G2: 7,
+    Family.REE_F4: 26,
+    Family.STEINBERG_3D4: 28,
+    Family.STEINBERG_2E6: 78,
 }
 
 
 def _order_floor(fam: Family, n: int) -> tuple[int, int, int]:
-    """(c, e, u) such that c*|T| > (q - 1)^u * q^e is the cited lower bound
-    on the order of a Lie-type group; u is 1 for the unitary family and 0
-    otherwise, so c*|T| > q^e holds throughout.  The bound is monotone in q
-    and n, which justifies the catalog's cutoff in n, and the scan prunes
-    with it."""
+    """(c, e, u) such that c*|T| > (q - 1)^u * q^e, the _floor_value, is a
+    lower bound on the order of a Lie-type group; u is 1 for the unitary
+    family and 0 otherwise, so c*|T| > q^e holds throughout.  The bound is
+    monotone in q and n, which justifies the catalog's cutoff in n, and the
+    scan prunes with it.  The classical bounds are cited ones.
+
+    An exceptional group has |T| = q^e * P(q) / d with d <= d_max =
+    _max_centre, where P(q) is a product of factors (1 - q^-d_i) and of
+    factors at least 1, such as (q^8 + q^4 + 1)/q^8 for 3D4.  The product
+    of the factors (1 - q^-d_i) grows with q and exceeds 1/2 at the
+    smallest q of the domain (0.73 at E8(2)), so P(q) > 1/2 and
+    2*d_max*|T| > q^e at every q."""
     if fam is Family.LINEAR:
         return 1, n * n - 2, 0
     if fam is Family.UNITARY:
@@ -580,9 +498,15 @@ def _order_floor(fam: Family, n: int) -> tuple[int, int, int]:
         return 4, n * (n + 1) // 2, 0
     if fam in (Family.ORTHOGONAL_ODD, Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
         return 8, n * (n - 1) // 2, 0
-    if fam in _EXCEPTIONAL_BOUND_EXPONENT:
-        return 1, _EXCEPTIONAL_BOUND_EXPONENT[fam], 0
+    if fam in _EXCEPTIONAL_DEGREE:
+        return 2 * _max_centre(fam, 0), _EXCEPTIONAL_DEGREE[fam], 0
     raise DomainError(f"no cited lower bound for family {fam.value}")
+
+
+def _floor_value(floor: tuple[int, int, int], q: int) -> int:
+    """(q - 1)^u * q^e for the floor (c, e, u), which c*|T| exceeds."""
+    _, e, u = floor
+    return (q - 1) ** u * q**e
 
 
 def _out_cap(fam: Family, n: int) -> int:
@@ -629,8 +553,8 @@ def _iter_family_raw(fam: Family, max_order: int):
         return
     for n in _rank_values(fam):
         min_q = next(q for q, p, f in prime_power_triples() if _in_domain(fam, n, p, f))
-        c, e, u = _order_floor(fam, n)
-        if (min_q - 1) ** u * min_q**e > c * max_order:
+        floor = _order_floor(fam, n)
+        if _floor_value(floor, min_q) > floor[0] * max_order:
             return
         yield from _walk_q(fam, n, max_order)
 
@@ -656,7 +580,7 @@ def enumerate_catalog(
         _admit(alternating(n))
         n += 1
     for name in load_sporadic_table(sporadic_table):
-        _admit(tits() if name == _TITS_NAME else sporadic(name, sporadic_table))
+        _admit(sporadic(name, sporadic_table))
     for fam in _LIE_FAMILIES:
         for raw, t in _iter_family_raw(fam, max_order):
             g = _canonicalize(raw)
@@ -811,7 +735,7 @@ def out4_scan(
         o4 = out_order(g, sporadic_table) ** 4
         t = _order(g, sporadic_table)
         if t < o4:
-            canonical = _canonicalize(g) if g.family in _CLASSICAL_FAMILIES else g
+            canonical = _canonicalize(g)
             candidates[canonical] = _order(canonical, sporadic_table)
         return o4, t
 
@@ -822,22 +746,21 @@ def out4_scan(
         checks.append(by_n.check(Family.ALTERNATING, "n"))
     if include_sporadic:
         for name in load_sporadic_table(sporadic_table):
-            g = tits() if name == _TITS_NAME else SimpleGroupId(Family.SPORADIC, name=name)
+            g = sporadic(name, sporadic_table)
             if g.family in selected:
                 _ratio(g)
 
     def _visit(g: SimpleGroupId, floor: tuple[int, int, int], by_n: _AxisMaxima, by_q: _AxisMaxima) -> None:
         # A point that its cited bound c*|Out|^4/floor settles gets no exact order.
-        c, e, u = floor
         q = g.q
-        if _settled((c * _out_order(g) ** 4, (q - 1) ** u * q**e), (by_n.current(g.n), by_q.current(q))):
+        if _settled((floor[0] * _out_order(g) ** 4, _floor_value(floor, q)), (by_n.current(g.n), by_q.current(q))):
             return
         ratio = _ratio(g)
         by_n.add(g.n, ratio)
         by_q.add(q, ratio)
 
     descending = prime_powers[::-1]
-    for fam in sorted(_LIE_FAMILIES, key=_FAMILY_INDEX.get):
+    for fam in _SYMBOL:  # in Family order
         if fam not in selected:
             continue
         # Exceptional families have the one row n = 0, and no n axis.
@@ -886,16 +809,11 @@ def order_lower_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None)
     """Whether |T| passes the cited order floor of _order_floor, which cuts
     off the catalog walk and prunes the out4 scan.  Only defined for
     Lie-type families."""
-    if g.family not in _LIE_FAMILIES:
-        raise DomainError(f"no cited lower bound for family {g.family.value}")
-    c, e, u = _order_floor(g.family, g.n)
-    q = g.q
-    return c * order(g, sporadic_table) > (q - 1) ** u * q**e
+    floor = _order_floor(g.family, g.n)
+    return floor[0] * order(g, sporadic_table) > _floor_value(floor, g.q)
 
 
 def out_order_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None) -> bool:
     """Whether |Out(T)| is within the cited cap of _out_cap, which prunes
     the out4 scan."""
-    if g.family not in _LIE_FAMILIES:
-        raise DomainError(f"no cited out bound for family {g.family.value}")
-    return out_order(g, sporadic_table) <= _out_cap(g.family, g.n) * g.f
+    return _out_cap(g.family, g.n) * g.f >= out_order(g, sporadic_table)

@@ -237,7 +237,7 @@ def _cmd_diagonal_scan(args) -> int:
 def _cmd_product_enumerate(args) -> int:
     triples = product.enumerate_product_cases(args.v0_min)
     reference = product.reference_triples(args.v0_min)
-    matches = tuple(t.triple for t in triples) == reference
+    matches = product.triples_match_reference(triples, args.v0_min)
     _print_json(
         {
             "v0_min": args.v0_min,
@@ -253,8 +253,7 @@ def _cmd_product_enumerate(args) -> int:
 def _cmd_product_m4(args) -> int:
     rep = product.m4_case(args.v0)
     _print_json(report.m4_payload(rep))
-    agrees = rep.candidates == product.REFERENCE_M4_CANDIDATES[rep.v0] and not rep.survivors
-    return EXIT_AGREES if agrees else EXIT_DISAGREES
+    return EXIT_AGREES if product.m4_matches_reference(rep) else EXIT_DISAGREES
 
 
 def _cmd_imprimitive_family(args) -> int:

@@ -8,6 +8,7 @@ and handles the m = 4 interval cases separately.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial, isqrt
 
@@ -210,9 +211,19 @@ def reference_triples(v0_min: int = 2) -> tuple[tuple[int, int, int], ...]:
     return tuple(t for t, v0 in REFERENCE_PRODUCT_TRIPLES.items() if v0 >= v0_min)
 
 
+def triples_match_reference(triples: Sequence[ProductTriple], v0_min: int) -> bool:
+    """Whether an enumeration at v0_min found exactly the reference triples."""
+    return tuple(t.triple for t in triples) == reference_triples(v0_min)
+
+
 # The divisors of the point stabilizer each m = 4 case leaves in its
 # k-interval, all of which the lambda integrality test must reject.
 REFERENCE_M4_CANDIDATES = {5: (243, 256), 6: (400, 405, 432)}
+
+
+def m4_matches_reference(rep: M4Report) -> bool:
+    """Whether an m = 4 case left exactly the reference candidates, all rejected."""
+    return rep.candidates == REFERENCE_M4_CANDIDATES[rep.v0] and not rep.survivors
 
 
 @dataclass(frozen=True)

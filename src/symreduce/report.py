@@ -81,8 +81,7 @@ class ReductionReport:
 
     @property
     def product_matches_reference(self) -> bool:
-        got = tuple(t.triple for t in self.product_triples)
-        return got == product.reference_triples(self.config.v0_min)
+        return product.triples_match_reference(self.product_triples, self.config.v0_min)
 
     @property
     def agrees_with_reference(self) -> bool:
@@ -90,7 +89,7 @@ class ReductionReport:
             not self.diagonal_result.survivors
             and _out4_matches_reference(self.out4_result)
             and self.product_matches_reference
-            and all(not rep.survivors for rep in self.m4_reports)
+            and all(map(product.m4_matches_reference, self.m4_reports))
         )
 
 

@@ -13,7 +13,6 @@ from math import factorial, gcd
 
 from symreduce import atlas
 from symreduce.atlas import Family
-from symreduce.errors import DomainError
 from symreduce.intmath import int_nth_root, prime_power_parts
 
 
@@ -44,31 +43,57 @@ def lambda_by_scan(m: int, a: int, v0: int, cap: int = 10**6) -> int | None:
 
 # -- atlas: the catalog and the |T| < |Out(T)|^4 scan -----------------------
 #
-# Both walk q with prime_power_parts over plain ranges and learn each
-# family's domain from its public constructor, so neither shares the sieve,
-# the domain predicate or the stop rule of the package.
+# Both walk q with prime_power_parts over plain ranges and take each Lie
+# family's domain from the textbook conditions in _TEXTBOOK_DOMAIN, so
+# neither shares the sieve, the domain predicate or the stop rule of the
+# package; atlas.lie is only asked for the canonical id of a member.
 
-_CLASSICAL_BUILDERS = {
-    Family.LINEAR: atlas.linear,
-    Family.UNITARY: atlas.unitary,
-    Family.SYMPLECTIC: atlas.symplectic,
-    Family.ORTHOGONAL_ODD: atlas.orthogonal_odd,
-    Family.ORTHOGONAL_PLUS: atlas.orthogonal_plus,
-    Family.ORTHOGONAL_MINUS: atlas.orthogonal_minus,
+_CLASSICAL = (
+    Family.LINEAR,
+    Family.UNITARY,
+    Family.SYMPLECTIC,
+    Family.ORTHOGONAL_ODD,
+    Family.ORTHOGONAL_PLUS,
+    Family.ORTHOGONAL_MINUS,
+)
+
+# Whether (n, q = p^f) names a simple group of the family, as the standard
+# lists of finite simple groups state it: the least dimension, the parity
+# of n, the characteristic and the small exceptions that are not simple or
+# are counted elsewhere.  n is 0 for exceptional families.
+_TEXTBOOK_DOMAIN = {
+    # L2(2) and L2(3) are soluble.
+    Family.LINEAR: lambda n, p, f: n >= 2 and (n, p**f) not in ((2, 2), (2, 3)),
+    # U3(2) is soluble; U2(q) is L2(q).
+    Family.UNITARY: lambda n, p, f: n >= 3 and (n, p**f) != (3, 2),
+    # S4(2) is S6, not simple; S2(q) is L2(q).
+    Family.SYMPLECTIC: lambda n, p, f: n >= 4 and n % 2 == 0 and (n, p**f) != (4, 2),
+    # O(2m+1, 2^f) is S2m(2^f); O5 is S4 and O3 is L2.
+    Family.ORTHOGONAL_ODD: lambda n, p, f: n >= 7 and n % 2 == 1 and p % 2 == 1,
+    # O+6 is L4, O-6 is U4, and below that the groups are not new.
+    Family.ORTHOGONAL_PLUS: lambda n, p, f: n >= 8 and n % 2 == 0,
+    Family.ORTHOGONAL_MINUS: lambda n, p, f: n >= 8 and n % 2 == 0,
+    # G2(2)' is U3(3).
+    Family.G2: lambda n, p, f: n == 0 and p**f > 2,
+    Family.F4: lambda n, p, f: n == 0,
+    Family.E6: lambda n, p, f: n == 0,
+    Family.E7: lambda n, p, f: n == 0,
+    Family.E8: lambda n, p, f: n == 0,
+    # 2B2(q), 2F4(q) with q = 2^(2m+1) and 2G2(q) with q = 3^(2m+1), m >= 1;
+    # 2B2(2) is soluble, 2G2(3)' is L2(8) and 2F4(2)' is the Tits group.
+    Family.SUZUKI: lambda n, p, f: n == 0 and p == 2 and f % 2 == 1 and f > 1,
+    Family.REE_G2: lambda n, p, f: n == 0 and p == 3 and f % 2 == 1 and f > 1,
+    Family.REE_F4: lambda n, p, f: n == 0 and p == 2 and f % 2 == 1 and f > 1,
+    Family.STEINBERG_3D4: lambda n, p, f: n == 0,
+    Family.STEINBERG_2E6: lambda n, p, f: n == 0,
 }
 
-_EXCEPTIONAL_BUILDERS = {
-    Family.G2: atlas.g2,
-    Family.F4: atlas.f4,
-    Family.E6: atlas.e6,
-    Family.E7: atlas.e7,
-    Family.E8: atlas.e8,
-    Family.SUZUKI: atlas.suzuki,
-    Family.REE_G2: atlas.ree_g2,
-    Family.REE_F4: atlas.ree_f4,
-    Family.STEINBERG_3D4: atlas.steinberg_3d4,
-    Family.STEINBERG_2E6: atlas.steinberg_2e6,
-}
+
+def textbook_domain(fam: Family, n: int, q: int) -> bool:
+    """Whether (fam, n, q) names a simple group of the Lie-type family."""
+    parts = prime_power_parts(q)
+    return parts is not None and _TEXTBOOK_DOMAIN[fam](n, *parts)
+
 
 # Cited lower bounds c*|T| > q**e: (smallest dimension, c, e(n)) per
 # classical family, e per exceptional family.
@@ -100,14 +125,8 @@ def _prime_powers_by_parts(limit: int) -> list[int]:
 
 
 def _build(fam: Family, n: int, q: int):
-    """The constructor's (canonical) id for (fam, n, q), or None when the
-    constructor rejects it."""
-    try:
-        if fam in _CLASSICAL_BUILDERS:
-            return _CLASSICAL_BUILDERS[fam](n, q)
-        return _EXCEPTIONAL_BUILDERS[fam](q)
-    except DomainError:
-        return None
+    """The canonical id of (fam, n, q), or None outside the textbook domain."""
+    return atlas.lie(fam, n, q) if textbook_domain(fam, n, q) else None
 
 
 def catalog_by_cited_bounds(max_order: int, sporadic_table: str | None = None) -> list:
@@ -165,20 +184,14 @@ def _tail_check(fam: Family, axis: str, ratios: dict):
 
 def out4_grid(n_max: int, q_max: int):
     """(family, n, q, raw id) for every Lie-type point of the out4 scan grid:
-    each (family, n <= n_max, q <= q_max) that the family's constructor
-    accepts, with the raw (n, p, f) id even where the constructor
-    canonicalizes it (L2(4), L3(2), S4(3), ...)."""
+    each (family, n <= n_max, q <= q_max) in the textbook domain, with the
+    raw (n, p, f) id even where atlas.lie canonicalizes it (L2(4), L3(2),
+    S4(3), ...)."""
     prime_powers = _prime_powers_by_parts(q_max)
-    for fam in Family:
-        if fam in _CLASSICAL_BUILDERS:
-            rows = range(2, n_max + 1)
-        elif fam in _EXCEPTIONAL_BUILDERS:
-            rows = (0,)
-        else:
-            continue
-        for n in rows:
+    for fam in _TEXTBOOK_DOMAIN:
+        for n in range(2, n_max + 1) if fam in _CLASSICAL else (0,):
             for q in prime_powers:
-                if _build(fam, n, q) is not None:
+                if textbook_domain(fam, n, q):
                     p, f = prime_power_parts(q)
                     yield fam, n, q, atlas.SimpleGroupId(fam, n=n, p=p, f=f)
 
@@ -221,7 +234,7 @@ def out4_scan_by_fractions(
         column[q] = max(column.get(q, r), r)
     for fam in Family:
         if fam in by_q:
-            if fam in _CLASSICAL_BUILDERS:
+            if fam in _CLASSICAL:
                 checks.append(_tail_check(fam, "n", by_n[fam]))
             checks.append(_tail_check(fam, "q", by_q[fam]))
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())

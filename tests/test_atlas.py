@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import takewhile
 
@@ -12,26 +13,16 @@ from symreduce.atlas import (
     display_name,
     enumerate_catalog,
     facts,
-    g2,
-    linear,
+    lie,
     load_sporadic_table,
     order,
     order_lower_bound_holds,
-    orthogonal_minus,
-    orthogonal_odd,
-    orthogonal_plus,
     out4_scan,
     out_order,
     out_order_bound_holds,
     parse_group,
-    ree_f4,
-    ree_g2,
     sporadic,
-    steinberg_3d4,
-    suzuki,
-    symplectic,
     tits,
-    unitary,
 )
 from symreduce.errors import DomainError
 from symreduce.intmath import prime_power_triples
@@ -129,18 +120,18 @@ def test_aliases_canonicalize():
     assert parse_group("L4(2)") == parse_group("A8")
     assert parse_group("L3(2)") == parse_group("L2(7)")
     assert parse_group("S4(3)") == parse_group("U4(2)")
-    assert linear(2, 4) == alternating(5)
-    assert symplectic(4, 3) == unitary(4, 2)
+    assert lie(Family.LINEAR, 2, 4) == alternating(5)
+    assert lie(Family.SYMPLECTIC, 4, 3) == lie(Family.UNITARY, 4, 2)
 
 
 def test_display_names():
     assert display_name(alternating(5)) == "A5"
-    assert display_name(linear(3, 4)) == "L3(4)"
-    assert display_name(orthogonal_plus(8, 2)) == "O+8(2)"
-    assert display_name(orthogonal_minus(8, 2)) == "O-8(2)"
-    assert display_name(suzuki(8)) == "2B2(8)"
-    assert display_name(ree_g2(27)) == "2G2(27)"
-    assert display_name(steinberg_3d4(2)) == "3D4(2)"
+    assert display_name(lie(Family.LINEAR, 3, 4)) == "L3(4)"
+    assert display_name(lie(Family.ORTHOGONAL_PLUS, 8, 2)) == "O+8(2)"
+    assert display_name(lie(Family.ORTHOGONAL_MINUS, 8, 2)) == "O-8(2)"
+    assert display_name(lie(Family.SUZUKI, 0, 8)) == "2B2(8)"
+    assert display_name(lie(Family.REE_G2, 0, 27)) == "2G2(27)"
+    assert display_name(lie(Family.STEINBERG_3D4, 0, 2)) == "3D4(2)"
     assert display_name(tits()) == "2F4(2)'"
     assert display_name(sporadic("M11")) == "M11"
 
@@ -158,49 +149,64 @@ def test_parse_rejects_junk():
     for bad in ["A4", "L1(5)", "L2(2)", "L2(3)", "L2(6)", "U2(3)", "U3(2)",
                 "S4(2)", "S3(3)", "O5(3)", "O6(3)", "O+6(2)", "O-7(3)",
                 "G2(2)", "2B2(4)", "2B2(16)", "2G2(3)", "2G2(9)", "2F4(4)",
-                "X3(2)", "A", "", "L3", "M99"]:
+                "X3(2)", "A", "", "L3", "M99", "E62(3)", "L(4)", "G23(4)", "2B23(8)"]:
         with pytest.raises(DomainError):
             parse_group(bad)
+
+
+def test_lie_display_parse_roundtrip():
+    # Over every Lie family of the grid, raw cells such as L2(4) included.
+    families = set()
+    for fam, n, q, _ in oracles.out4_grid(12, 64):
+        gid = lie(fam, n, q)
+        assert parse_group(display_name(gid)) == gid, (fam, n, q)
+        families.add(fam)
+    assert families == atlas._LIE_FAMILIES
+
+
+def test_lie_rejects_other_families():
+    with pytest.raises(DomainError, match="not a Lie-type family"):
+        lie(Family.ALTERNATING, 5, 2)
 
 
 def test_constructor_domains():
     with pytest.raises(DomainError):
         alternating(4)
     with pytest.raises(DomainError):
-        linear(2, 2)
+        lie(Family.LINEAR, 2, 2)
     with pytest.raises(DomainError):
-        linear(2, 3)
+        lie(Family.LINEAR, 2, 3)
     with pytest.raises(DomainError):
-        linear(2, 6)  # not a prime power
+        lie(Family.LINEAR, 2, 6)  # not a prime power
     with pytest.raises(DomainError):
-        unitary(3, 2)
+        lie(Family.UNITARY, 3, 2)
     with pytest.raises(DomainError):
-        symplectic(4, 2)
+        lie(Family.SYMPLECTIC, 4, 2)
     with pytest.raises(DomainError):
-        symplectic(5, 3)  # odd dimension
+        lie(Family.SYMPLECTIC, 5, 3)  # odd dimension
     with pytest.raises(DomainError):
-        orthogonal_odd(7, 2)  # q must be odd
+        lie(Family.ORTHOGONAL_ODD, 7, 2)  # q must be odd
     with pytest.raises(DomainError):
-        orthogonal_odd(5, 3)
+        lie(Family.ORTHOGONAL_ODD, 5, 3)
     with pytest.raises(DomainError):
-        orthogonal_plus(6, 2)
+        lie(Family.ORTHOGONAL_PLUS, 6, 2)
     with pytest.raises(DomainError):
-        g2(2)  # has a normal subgroup of index 2
+        lie(Family.G2, 0, 2)  # has a normal subgroup of index 2
     with pytest.raises(DomainError):
-        suzuki(2)
+        lie(Family.SUZUKI, 0, 2)
     with pytest.raises(DomainError):
-        suzuki(16)  # even exponent
+        lie(Family.SUZUKI, 0, 16)  # even exponent
     with pytest.raises(DomainError):
-        ree_g2(3)
+        lie(Family.REE_G2, 0, 3)
     with pytest.raises(DomainError):
-        ree_f4(2)
+        lie(Family.REE_F4, 0, 2)
     with pytest.raises(DomainError):
         sporadic("Zz")
 
 
 def test_g2_smallest_is_3():
-    assert order(g2(3)) == 4245696
-    assert order_lower_bound_holds(g2(3))
+    assert order(lie(Family.G2, 0, 3)) == 4245696
+    assert order_lower_bound_holds(lie(Family.G2, 0, 3))
 
 
 def test_sporadic_table_contents():
@@ -292,27 +298,27 @@ def test_facts_consistency():
 # and the bound predicate is only defined for Lie identifiers.
 @pytest.mark.parametrize("q", [7, 8, 11, 13, 16, 25, 27, 32, 64])
 def test_linear2_lower_bound(q):
-    assert order_lower_bound_holds(linear(2, q))
+    assert order_lower_bound_holds(lie(Family.LINEAR, 2, q))
 
 
 def _lie_grid(n_max, q_max):
-    # Cells whose constructor canonicalizes them into the alternating
-    # family (L2(4), L2(5), L2(9), L4(2)) drop out: the cited bounds are
-    # stated for Lie identifiers only.
+    # Cells that lie canonicalizes into the alternating family (L2(4),
+    # L2(5), L2(9), L4(2)) drop out: the cited bounds are stated for Lie
+    # identifiers only.
     from symreduce.intmath import prime_powers_upto
 
     out = []
     for q in prime_powers_upto(q_max):
-        for ctor in (suzuki, ree_g2, ree_f4, g2, steinberg_3d4):
+        for fam in (Family.SUZUKI, Family.REE_G2, Family.REE_F4, Family.G2, Family.STEINBERG_3D4):
             try:
-                out.append(ctor(q))
+                out.append(lie(fam, 0, q))
             except DomainError:
                 pass
         for n in range(2, n_max + 1):
-            for ctor in (linear, unitary, symplectic, orthogonal_odd,
-                         orthogonal_plus, orthogonal_minus):
+            for fam in (Family.LINEAR, Family.UNITARY, Family.SYMPLECTIC, Family.ORTHOGONAL_ODD,
+                        Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
                 try:
-                    gid = ctor(n, q)
+                    gid = lie(fam, n, q)
                 except DomainError:
                     continue
                 if gid.family is not Family.ALTERNATING:
@@ -347,6 +353,68 @@ def test_order_lower_bounds_sweep():
     # the out4 scan, at every raw id of the scan grid.
     for gid in OUT4_GRID:
         assert order_lower_bound_holds(gid), display_name(gid)
+
+
+# The degrees d_i of the factors (1 - q^-d_i) of P(q) = d*|T| / q^e for each
+# exceptional family, read off the textbook order formulas; the other
+# factors of P(q), such as (q^9 + 1)/q^9, are at least 1.
+EXCEPTIONAL_FALLING_FACTORS = {
+    Family.G2: (6, 2),
+    Family.F4: (12, 8, 6, 2),
+    Family.E6: (12, 9, 8, 6, 5, 2),
+    Family.E7: (18, 14, 12, 10, 8, 6, 2),
+    Family.E8: (30, 24, 20, 18, 14, 12, 8, 2),
+    Family.SUZUKI: (1,),
+    Family.REE_G2: (1,),
+    Family.REE_F4: (4, 1),
+    Family.STEINBERG_3D4: (6, 2),
+    Family.STEINBERG_2E6: (12, 8, 6, 2),
+}
+
+
+def _falling_product(degrees, q):
+    # prod(1 - q^-d) as (numerator, denominator).
+    return math.prod(q**d - 1 for d in degrees), q ** sum(degrees)
+
+
+def test_exceptional_floor_lemma():
+    # The floor 2*d_max*|T| > q^e of _order_floor holds once P(q) > 1/2.
+    # P(q) is at least the product of its falling factors, which grows
+    # with q; that product exceeds 1/2 at the smallest q of the domain.
+    assert set(EXCEPTIONAL_FALLING_FACTORS) == atlas._LIE_FAMILIES - atlas._CLASSICAL_FAMILIES
+    for fam, degrees in EXCEPTIONAL_FALLING_FACTORS.items():
+        c, e, u = atlas._order_floor(fam, 0)
+        assert (c, u) == (2 * atlas._max_centre(fam, 0), 0)
+        # e is the degree of the undivided order: q^e/2 < N(q) < 2*q^e at q = 2^32.
+        num, _ = atlas._order_parts(fam, 0, 1 << 32)
+        assert 1 << 32 * e < 2 * num < 1 << 32 * e + 2, fam
+        q0 = min(q for q in range(2, 64) if oracles.textbook_domain(fam, 0, q))
+        low, high = _falling_product(degrees, q0)
+        assert 2 * low > high, fam
+
+
+def test_exceptional_floor_sweep():
+    # Every exceptional point with q <= 4096: P(q) is at least the product
+    # of its falling factors, and the floor holds.
+    points = 0
+    for fam, n, q, gid in oracles.out4_grid(2, 4096):
+        if fam in atlas._CLASSICAL_FAMILIES:
+            continue
+        _, e, _ = atlas._order_floor(fam, 0)
+        num, _ = atlas._order_parts(fam, 0, q)
+        low, high = _falling_product(EXCEPTIONAL_FALLING_FACTORS[fam], q)
+        assert num * high >= q**e * low, display_name(gid)
+        assert order_lower_bound_holds(gid), display_name(gid)
+        points += 1
+    assert points == 4240
+
+
+def test_bound_predicates_reject_other_families():
+    for gid in (alternating(5), sporadic("M11"), tits()):
+        with pytest.raises(DomainError, match="no cited lower bound"):
+            order_lower_bound_holds(gid)
+        with pytest.raises(DomainError, match="no cited out bound"):
+            out_order_bound_holds(gid)
 
 
 def test_out_order_bounds_sweep():
@@ -513,8 +581,8 @@ def test_undivided_order_strictly_increases_along_each_walk(fam):
 
 
 def test_exact_order_is_not_monotone_in_q():
-    l2_8 = linear(2, 8)
-    l2_9 = SimpleGroupId(Family.LINEAR, n=2, p=3, f=2)  # raw; linear(2, 9) is A6
+    l2_8 = lie(Family.LINEAR, 2, 8)
+    l2_9 = SimpleGroupId(Family.LINEAR, n=2, p=3, f=2)  # raw; lie(Family.LINEAR, 2, 9) is A6
     assert order(l2_8) == 504 > order(l2_9) == 360
     # The undivided orders, which stop the walk, keep q's order.
     assert atlas._order_parts(Family.LINEAR, 2, 8) == (504, 1)
@@ -598,4 +666,4 @@ def test_out4_scan_computes_few_exact_orders(monkeypatch):
     monkeypatch.setattr(atlas, "out_order", counting)
     scan = out4_scan(12, 1024)
     assert [display_name(g) for g in scan.candidates] == ["L3(4)"]
-    assert 0 < calls < 1000
+    assert 0 < calls < 100

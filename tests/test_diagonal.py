@@ -4,9 +4,10 @@ import pytest
 
 from symreduce.atlas import (
     MIN_SIMPLE_ORDER,
+    Family,
     alternating,
     display_name,
-    linear,
+    lie,
     parse_group,
     sporadic,
 )
@@ -71,7 +72,7 @@ def test_oddpart_test_domain():
 def test_oddpart_never_passes_in_catalog():
     # the elimination rests on this being False everywhere
     for m in range(2, 7):
-        assert diag_oddpart_test(linear(3, 4), m) is False
+        assert diag_oddpart_test(lie(Family.LINEAR, 3, 4), m) is False
         assert diag_oddpart_test(sporadic("M11"), m) is False
 
 

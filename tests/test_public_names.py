@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import symreduce
+from symreduce import atlas
 
 PACKAGE = Path(symreduce.__file__).resolve().parent
 
@@ -71,3 +72,12 @@ def test_cuts_are_derived_not_written():
     literal = re.compile(r"[({]\s*(2|5)\s*,\s*6\s*[)}]")
     for path in PACKAGE.glob("*.py"):
         assert not literal.search(path.read_text()), path.name
+
+
+def test_each_family_symbol_is_written_once():
+    # atlas._SYMBOL is the one statement of the Lie family symbols: display,
+    # parse and error texts all read it.
+    tree = ast.parse((PACKAGE / "atlas.py").read_text())
+    literals = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    for symbol in atlas._SYMBOL.values():
+        assert literals.count(symbol) == 1, symbol

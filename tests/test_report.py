@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from symreduce import atlas
+from symreduce import atlas, cli, product
 from symreduce.report import (
     OnanScottType,
     ReduceConfig,
@@ -153,6 +153,18 @@ def test_agreement_flag(default_report):
     # the fourth product triple keeps full agreement out of reach
     assert default_report.product_matches_reference is False
     assert default_report.agrees_with_reference is False
+
+
+def test_agreement_compares_the_m4_candidates(default_report, monkeypatch):
+    # With the enumeration taken as the reference, only the m = 4 cases can
+    # disagree; their candidates are compared, not just their survivors.
+    found = {t.triple: t.witnesses[0].v0 for t in default_report.product_triples}
+    monkeypatch.setattr(product, "REFERENCE_PRODUCT_TRIPLES", found)
+    assert default_report.agrees_with_reference is True
+    monkeypatch.setattr(product, "REFERENCE_M4_CANDIDATES", {5: (243,), 6: (400, 405, 432)})
+    assert all(not rep.survivors for rep in default_report.m4_reports)
+    assert default_report.agrees_with_reference is False
+    assert cli.main(["product", "m4", "5"]) == cli.EXIT_DISAGREES
 
 
 def test_config_payload(default_report):
