@@ -414,7 +414,9 @@ def facts(g: SimpleGroupId, sporadic_table: str | None = None) -> GroupFacts:
 
 
 def _lie_name(fam: Family, n: int, q: int) -> str:
-    return f"{_SYMBOL[fam]}{n if fam in _CLASSICAL_FAMILIES else ''}({q})"
+    # An exceptional id is valid only with n = 0.  Any other n is written, so
+    # an invalid id is never shown under the name of a valid group.
+    return f"{_SYMBOL[fam]}{n if n or fam in _CLASSICAL_FAMILIES else ''}({q})"
 
 
 def display_name(g: SimpleGroupId) -> str:

@@ -36,8 +36,6 @@ def imprimitive_family(lam: int) -> ImprimitiveFamily:
     v = lam * lam * (lam + 2)
     k = lam * (lam + 1)
     options = (ClassOption(lam * lam, lam + 2, lam), ClassOption(lam + 2, lam * lam, 2))
-    if lam * (v - 1) != k * (k - 1):
-        raise DomainError("symmetric identity fails, family formula broken")
     admissible, violations = is_symmetric_admissible(v, k, lam)
     if not admissible:
         raise DomainError("; ".join(violations))

@@ -164,8 +164,8 @@ def enumerate_product_cases(
 ) -> list[ProductTriple]:
     """Walk a <= a_upper_bound(m), v0 over the divisor candidates, then the
     exact lambda and k, keeping triples that survive every stated filter:
-    the focus condition, the symmetric identity, the multiplier bound, and
-    plain admissibility."""
+    the focus condition, the multiplier bound, and admissibility, which
+    includes the symmetric identity."""
     _require_v0_min(v0_min)
     by_triple: dict[tuple[int, int, int], list[ProductCase]] = {}
     for m in m_values:
@@ -182,8 +182,6 @@ def enumerate_product_cases(
                 if not satisfies_focus_condition(k, lam):
                     continue
                 v = v0**m
-                if lam * (v - 1) != k * (k - 1):
-                    continue
                 if not multiplier_bound_holds(m, a, lam):
                     continue
                 admissible, _ = is_symmetric_admissible(v, k, lam)

@@ -12,9 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from . import atlas, diagonal, imprimitive, product
-
-VERSION = "0.1.0"
+from . import __version__, atlas, diagonal, imprimitive, product
 
 # Assumed wherever the odd-part chain is used; smaller lambda is settled by
 # cited prior work, not by this tool.
@@ -48,6 +46,10 @@ class Verdict(Enum):
     ELIMINATED_BY_CITATION = "eliminated_by_citation"
 
 
+# The lambda values at which the report instantiates the imprimitive family.
+IMPRIMITIVE_SAMPLES = (2, 3, 4)
+
+
 @dataclass(frozen=True)
 class ReduceConfig:
     catalog_bound: int = 10_000_000
@@ -56,10 +58,9 @@ class ReduceConfig:
     v0_min: int = 2
     include_sporadic: bool = True
     sporadic_table: str | None = None
-    imprimitive_samples: tuple[int, ...] = (2, 3, 4)
 
     def as_payload(self) -> dict:
-        return {**asdict(self), "imprimitive_samples": list(self.imprimitive_samples)}
+        return {**asdict(self), "imprimitive_samples": list(IMPRIMITIVE_SAMPLES)}
 
 
 def _out4_matches_reference(result: atlas.Out4ScanResult) -> bool:
@@ -69,15 +70,45 @@ def _out4_matches_reference(result: atlas.Out4ScanResult) -> bool:
 
 @dataclass(frozen=True)
 class ReductionReport:
+    """The evidence of one run; verdicts and warnings are read off it."""
+
     config: ReduceConfig
-    verdicts: dict[OnanScottType, Verdict]
     diagonal_result: diagonal.DiagonalScanResult
     out4_result: atlas.Out4ScanResult
     product_triples: tuple[product.ProductTriple, ...]
     m4_reports: tuple[product.M4Report, ...]
     imprimitive_families: tuple[imprimitive.ImprimitiveFamily, ...]
-    diagonal_warnings: tuple[str, ...] = ()
-    out4_warnings: tuple[str, ...] = ()
+
+    @property
+    def verdicts(self) -> dict[OnanScottType, Verdict]:
+        return {
+            OnanScottType.AFFINE: Verdict.OPEN,
+            OnanScottType.ALMOST_SIMPLE: Verdict.OPEN,
+            OnanScottType.SIMPLE_DIAGONAL: simple_diagonal_verdict(self.diagonal_result, self.out4_result),
+            # Still written out: the surviving product triples are dismissed
+            # by citation, not by this computation (see the evidence note).
+            OnanScottType.PRODUCT: Verdict.ELIMINATED_BY_COMPUTATION,
+            OnanScottType.TWISTED_WREATH: Verdict.ELIMINATED_BY_CITATION,
+        }
+
+    @property
+    def diagonal_warnings(self) -> tuple[str, ...]:
+        if self.diagonal_result.catalog_size > 0:
+            return ()
+        return (
+            f"catalog bound {self.config.catalog_bound} admits no simple group at "
+            "all: bounds too small for the scan to carry evidence",
+        )
+
+    @property
+    def out4_warnings(self) -> tuple[str, ...]:
+        if self.out4_result.ok:
+            return ()
+        failing = ", ".join(check.label for check in self.out4_result.failing_checks())
+        return (
+            f"tail checks failed at: {failing}; the scan bounds are too "
+            "small to trust emptiness beyond them",
+        )
 
     @property
     def product_matches_reference(self) -> bool:
@@ -108,52 +139,18 @@ def simple_diagonal_verdict(
 
 
 def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
-    diagonal_warnings: list[str] = []
-    out4_warnings: list[str] = []
-
-    diag_result = diagonal.diagonal_scan(config.catalog_bound, config.sporadic_table)
-    if diag_result.catalog_size == 0:
-        diagonal_warnings.append(
-            f"catalog bound {config.catalog_bound} admits no simple group at "
-            "all: bounds too small for the scan to carry evidence"
-        )
-
-    out4_result = atlas.out4_scan(
-        config.out4_n_max,
-        config.out4_q_max,
-        include_sporadic=config.include_sporadic,
-        sporadic_table=config.sporadic_table,
-    )
-    if not out4_result.ok:
-        failing = ", ".join(check.label for check in out4_result.failing_checks())
-        out4_warnings.append(
-            f"tail checks failed at: {failing}; the scan bounds are too "
-            "small to trust emptiness beyond them"
-        )
-
-    triples = tuple(product.enumerate_product_cases(config.v0_min))
-    m4_reports = tuple(product.m4_case(v0) for v0 in product.M4_V0)
-    families = tuple(imprimitive.imprimitive_family(lam) for lam in config.imprimitive_samples)
-
-    verdicts = {
-        OnanScottType.AFFINE: Verdict.OPEN,
-        OnanScottType.ALMOST_SIMPLE: Verdict.OPEN,
-        OnanScottType.SIMPLE_DIAGONAL: simple_diagonal_verdict(diag_result, out4_result),
-        # Still written out: the surviving product triples are dismissed by
-        # citation, not by this computation (see the evidence note).
-        OnanScottType.PRODUCT: Verdict.ELIMINATED_BY_COMPUTATION,
-        OnanScottType.TWISTED_WREATH: Verdict.ELIMINATED_BY_CITATION,
-    }
     return ReductionReport(
         config=config,
-        verdicts=verdicts,
-        diagonal_result=diag_result,
-        out4_result=out4_result,
-        product_triples=triples,
-        m4_reports=m4_reports,
-        imprimitive_families=families,
-        diagonal_warnings=tuple(diagonal_warnings),
-        out4_warnings=tuple(out4_warnings),
+        diagonal_result=diagonal.diagonal_scan(config.catalog_bound, config.sporadic_table),
+        out4_result=atlas.out4_scan(
+            config.out4_n_max,
+            config.out4_q_max,
+            include_sporadic=config.include_sporadic,
+            sporadic_table=config.sporadic_table,
+        ),
+        product_triples=tuple(product.enumerate_product_cases(config.v0_min)),
+        m4_reports=tuple(product.m4_case(v0) for v0 in product.M4_V0),
+        imprimitive_families=tuple(map(imprimitive.imprimitive_family, IMPRIMITIVE_SAMPLES)),
     )
 
 
@@ -285,7 +282,7 @@ def report_payload(report: ReductionReport) -> dict:
         "evidence": evidence,
         "hypotheses": [LAMBDA_FLOOR_HYPOTHESIS, BOUNDED_SCAN_HYPOTHESIS],
         "config": report.config.as_payload(),
-        "version": VERSION,
+        "version": __version__,
     }
 
 
@@ -310,7 +307,7 @@ def _markdown(report: ReductionReport) -> str:
     for otype in OnanScottType:
         lines.append(f"## {_TYPE_TITLES[otype]}")
         lines.append("")
-        lines.append(f"Verdict: `{report.verdicts[otype].value}`")
+        lines.append(f"Verdict: `{payload['verdicts'][otype.value]}`")
         lines.append("")
         if otype is OnanScottType.SIMPLE_DIAGONAL:
             section = payload["evidence"]["simple_diagonal"]

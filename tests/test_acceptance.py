@@ -9,24 +9,20 @@ import json
 import time
 from contextlib import contextmanager
 
-from symreduce import (
-    a_upper_bound,
-    diagonal_scan,
+from symreduce.atlas import (
     display_name,
     enumerate_catalog,
-    imprimitive_family,
-    k_lambda_ratio_exceeds_sqrt,
-    lambda_from,
     order,
+    order_lower_bound_holds,
     out_order,
     parse_group,
-    power_gap_feasible,
-    satisfies_focus_condition,
 )
 from symreduce.cli import main
+from symreduce.design import k_lambda_ratio_exceeds_sqrt, satisfies_focus_condition
+from symreduce.imprimitive import imprimitive_family
+from symreduce.product import a_upper_bound, lambda_from, power_gap_feasible
 
-from .oracles import lambda_by_scan
-from .test_atlas import _lie_grid
+from .oracles import lambda_by_scan, out4_grid
 
 
 @contextmanager
@@ -199,9 +195,10 @@ def test_acceptance_10_order_sanity():
         names = [display_name(g) for g, _ in enumerate_catalog(400)]
         assert names.count("A6") == 1
         assert "L2(9)" not in names
-        from symreduce.atlas import order_lower_bound_holds
-
-        for gid in _lie_grid(12, 64):
+        # Every raw Lie-type id with n <= 12 and q <= 64, in all 16 families.
+        grid = [gid for _, _, _, gid in out4_grid(12, 64)]
+        assert len(grid) == 1116
+        for gid in grid:
             assert order_lower_bound_holds(gid), display_name(gid)
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.2f}s"

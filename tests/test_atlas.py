@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 from itertools import takewhile
 
@@ -164,6 +165,17 @@ def test_lie_display_parse_roundtrip():
     assert families == atlas._LIE_FAMILIES
 
 
+@pytest.mark.parametrize("fam, name", [(Family.E6, "E62(3)"), (Family.G2, "G22(3)")])
+def test_exceptional_id_with_n_is_named_with_n(fam, name):
+    # E6(3) and G2(3) are simple; only the n = 2 makes these ids invalid, so
+    # the error must not name the valid group.
+    message = f"^{re.escape(name)} is outside its family's domain$"
+    with pytest.raises(DomainError, match=message):
+        lie(fam, 2, 3)
+    with pytest.raises(DomainError, match=message):
+        order(SimpleGroupId(fam, n=2, p=3, f=1))
+
+
 def test_lie_rejects_other_families():
     with pytest.raises(DomainError, match="not a Lie-type family"):
         lie(Family.ALTERNATING, 5, 2)
@@ -299,31 +311,6 @@ def test_facts_consistency():
 @pytest.mark.parametrize("q", [7, 8, 11, 13, 16, 25, 27, 32, 64])
 def test_linear2_lower_bound(q):
     assert order_lower_bound_holds(lie(Family.LINEAR, 2, q))
-
-
-def _lie_grid(n_max, q_max):
-    # Cells that lie canonicalizes into the alternating family (L2(4),
-    # L2(5), L2(9), L4(2)) drop out: the cited bounds are stated for Lie
-    # identifiers only.
-    from symreduce.intmath import prime_powers_upto
-
-    out = []
-    for q in prime_powers_upto(q_max):
-        for fam in (Family.SUZUKI, Family.REE_G2, Family.REE_F4, Family.G2, Family.STEINBERG_3D4):
-            try:
-                out.append(lie(fam, 0, q))
-            except DomainError:
-                pass
-        for n in range(2, n_max + 1):
-            for fam in (Family.LINEAR, Family.UNITARY, Family.SYMPLECTIC, Family.ORTHOGONAL_ODD,
-                        Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
-                try:
-                    gid = lie(fam, n, q)
-                except DomainError:
-                    continue
-                if gid.family is not Family.ALTERNATING:
-                    out.append(gid)
-    return out
 
 
 # Every raw Lie-type id of the out4 scan grid at the default box, the ids

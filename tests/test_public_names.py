@@ -1,14 +1,19 @@
 """Every public top-level function or class in the package drives something
 in the package itself: it is referenced from another place in `src/`, or it
-is one of the named exceptions below.  Re-exports in `__init__` do not count
-as a use."""
+is one of the named exceptions below.  The package root imports nothing, so
+it can count no name as used."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import symreduce
 from symreduce import atlas
+from symreduce.cli import main
 
 PACKAGE = Path(symreduce.__file__).resolve().parent
 
@@ -31,8 +36,7 @@ def _modules():
 def _public_definitions(modules):
     return {
         node.name
-        for name, tree in modules.items()
-        if name != "__init__.py"
+        for tree in modules.values()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
@@ -40,9 +44,7 @@ def _public_definitions(modules):
 
 def _referenced_names(modules):
     names = set()
-    for name, tree in modules.items():
-        if name == "__init__.py":
-            continue
+    for tree in modules.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -62,8 +64,18 @@ def test_every_public_name_drives_something():
     )
 
 
-def test_all_lists_existing_names():
-    assert all(hasattr(symreduce, name) for name in symreduce.__all__)
+def test_package_root_imports_nothing(capsys):
+    # In a fresh interpreter, `import symreduce` loads no layer module.
+    probe = (
+        "import json, sys, symreduce; print(json.dumps([symreduce.__version__, "
+        "sorted(m for m in sys.modules if m.startswith('symreduce.'))]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(child.stdout) == ["0.1.0", []]
+    # The report writes the root's version.
+    main(["reduce", "--catalog-bound", "60", "--out4-nmax", "5", "--out4-qmax", "2"])
+    assert json.loads(capsys.readouterr().out)["version"] == symreduce.__version__
 
 
 def test_cuts_are_derived_not_written():
