@@ -2,9 +2,12 @@
 orders, a bounded catalog, and the scan for |T| < |Out(T)|^4.
 
 Identifiers carry (family, n, p, f) with q = p^f, or a name for sporadic
-groups.  Orders come from the standard closed formulas; the cited lower
-bounds (q^(n^2-2) < |PSL_n(q)| and friends) and |Out| caps only decide
-where an exact value is needed, never substitute for one.
+groups.  Each Lie family's order is stated once, as a datum
+(_order_datum); |Out(T)| = d*f*g, the largest centre d_max, the
+exceptional order floors and the |Out| cap are derived from it.  The
+classical order floors (q^(n^2-2) < |PSL_n(q)| and friends) are cited
+ones.  Floors and caps only decide where an exact value is needed, never
+substitute for one.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ def _in_domain(fam: Family, n: int, p: int, f: int) -> bool:
 def _validate(g: SimpleGroupId) -> None:
     fam = g.family
     if fam is Family.ALTERNATING:
-        _require(g.n >= 5, f"alternating degree must be >= 5, got {g.n}")
+        alternating(g.n)
         return
     if fam in (Family.SPORADIC, Family.TITS):
         return
@@ -253,78 +256,82 @@ def _validate(g: SimpleGroupId) -> None:
         raise DomainError(f"{display_name(g)} is outside its family's domain")
 
 
-def _order_parts(fam: Family, n: int, q: int) -> tuple[int, int]:
-    """(N, d) with |T| = N // d for a Lie-type group: N is the undivided
-    order and d the order of the centre that is divided out.  At fixed
-    (family, n), N strictly increases in q, while |T| need not."""
-    if fam is Family.LINEAR:
-        num = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            num *= q**i - 1
-        return num, gcd(n, q - 1)
-    if fam is Family.UNITARY:
-        num = q ** (n * (n - 1) // 2)
-        for i in range(2, n + 1):
-            num *= q**i - (-1) ** i
-        return num, gcd(n, q + 1)
+# The order datum of each exceptional family (see _order_datum).  For 3D4,
+# q^8 + q^4 + 1 = (q^12 - 1)/(q^4 - 1), so its factor (-4, 1) divides.
+_EXCEPTIONAL_ORDER = {
+    Family.G2: (6, ((6, 1), (2, 1)), (1, 1, 1)),
+    Family.F4: (24, ((12, 1), (8, 1), (6, 1), (2, 1)), (1, 1, 1)),
+    Family.E6: (36, ((12, 1), (9, 1), (8, 1), (6, 1), (5, 1), (2, 1)), (3, 1, 1)),
+    Family.E7: (63, ((18, 1), (14, 1), (12, 1), (10, 1), (8, 1), (6, 1), (2, 1)), (2, 1, 1)),
+    Family.E8: (120, ((30, 1), (24, 1), (20, 1), (18, 1), (14, 1), (12, 1), (8, 1), (2, 1)), (1, 1, 1)),
+    Family.SUZUKI: (2, ((2, -1), (1, 1)), (1, 1, 1)),
+    Family.REE_G2: (3, ((3, -1), (1, 1)), (1, 1, 1)),
+    Family.REE_F4: (12, ((6, -1), (4, 1), (3, -1), (1, 1)), (1, 1, 1)),
+    Family.STEINBERG_3D4: (12, ((12, 1), (-4, 1), (6, 1), (2, 1)), (1, 1, 1)),
+    Family.STEINBERG_2E6: (36, ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)), (3, 1, -1)),
+}
+
+
+@lru_cache(maxsize=None)
+def _order_datum(fam: Family, n: int):
+    """The order of a Lie-type family at dimension n, stated once, as
+    (N, ((d_i, e_i), ...), (a, b, c)):
+
+        |T| = q^N * prod(q^d_i - e_i) / gcd(a, q^b - c),
+
+    where a factor with d_i < 0 divides the product of the factors before
+    it by q^-d_i - e_i instead.  The gcd is the order d of the centre
+    divided out, so d <= a, and |Out(T)| = d*f*g (Kleidman & Liebeck,
+    Table 5.1.A; ATLAS)."""
+    if fam in (Family.LINEAR, Family.UNITARY):
+        eps = 1 if fam is Family.LINEAR else -1
+        return n * (n - 1) // 2, tuple((i, eps**i) for i in range(2, n + 1)), (n, 1, eps)
+    m = n // 2
     if fam in (Family.SYMPLECTIC, Family.ORTHOGONAL_ODD):
-        m = n // 2
-        num = q ** (m * m)
-        for i in range(1, m + 1):
-            num *= q ** (2 * i) - 1
-        return num, gcd(2, q - 1)
+        return m * m, tuple((2 * i, 1) for i in range(1, m + 1)), (2, 1, 1)
     if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
-        m = n // 2
         eps = 1 if fam is Family.ORTHOGONAL_PLUS else -1
-        num = q ** (m * (m - 1)) * (q**m - eps)
-        for i in range(1, m):
-            num *= q ** (2 * i) - 1
-        return num, gcd(4, q**m - eps)
-    if fam is Family.G2:
-        return q**6 * (q**6 - 1) * (q**2 - 1), 1
-    if fam is Family.F4:
-        return q**24 * (q**12 - 1) * (q**8 - 1) * (q**6 - 1) * (q**2 - 1), 1
-    if fam is Family.E6:
-        num = q**36
-        for i in (12, 9, 8, 6, 5, 2):
-            num *= q**i - 1
-        return num, gcd(3, q - 1)
-    if fam is Family.E7:
-        num = q**63
-        for i in (18, 14, 12, 10, 8, 6, 2):
-            num *= q**i - 1
-        return num, gcd(2, q - 1)
-    if fam is Family.E8:
-        num = q**120
-        for i in (30, 24, 20, 18, 14, 12, 8, 2):
-            num *= q**i - 1
-        return num, 1
-    if fam is Family.SUZUKI:
-        return q**2 * (q**2 + 1) * (q - 1), 1
-    if fam is Family.REE_G2:
-        return q**3 * (q**3 + 1) * (q - 1), 1
-    if fam is Family.REE_F4:
-        return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1), 1
-    if fam is Family.STEINBERG_3D4:
-        return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1), 1
-    if fam is Family.STEINBERG_2E6:
-        num = q**36
-        num *= (q**12 - 1) * (q**9 + 1) * (q**8 - 1) * (q**6 - 1) * (q**5 + 1) * (q**2 - 1)
-        return num, gcd(3, q + 1)
+        return m * (m - 1), ((m, eps),) + tuple((2 * i, 1) for i in range(1, m)), (4, m, eps)
+    if fam in _EXCEPTIONAL_ORDER:
+        return _EXCEPTIONAL_ORDER[fam]
     raise DomainError(f"no order formula for family {fam.value}")
 
 
+def _centre(datum, q: int) -> int:
+    """d, the order of the centre that the datum divides out at q."""
+    a, b, c = datum[2]
+    return gcd(a, q**b - c)
+
+
+def _order_parts(datum, q: int) -> tuple[int, int]:
+    """(N, d) with |T| = N // d for the order datum at q: N is the undivided
+    order and d the order of the centre that is divided out.  At fixed
+    (family, n), N strictly increases in q, while |T| need not."""
+    top, factors, _ = datum
+    num = q**top
+    for deg, eps in factors:
+        num = num * (q**deg - eps) if deg > 0 else num // (q**-deg - eps)
+    return num, _centre(datum, q)
+
+
 def _max_centre(fam: Family, n: int) -> int:
-    """Largest d that _order_parts returns for (family, n)."""
-    if fam in (Family.LINEAR, Family.UNITARY):
-        return n
-    if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
-        return 4
-    if fam in (Family.E6, Family.STEINBERG_2E6):
+    """d_max = a, the largest d that the order datum of (family, n) gives."""
+    return _order_datum(fam, n)[2][0]
+
+
+def _graph_factor(fam: Family, n: int, p: int) -> int:
+    """g in |Out(T)| = d*f*g: the outer automorphisms that are neither
+    diagonal nor field automorphisms of F_q.  g depends on p only at p = 2
+    and p = 3."""
+    if fam is Family.LINEAR:
+        return 2 if n >= 3 else 1
+    if fam is Family.ORTHOGONAL_PLUS:
+        return 6 if n == 8 else 2  # triality: S3 on O+8
+    if fam is Family.STEINBERG_3D4:
         return 3
-    if fam in (Family.SYMPLECTIC, Family.ORTHOGONAL_ODD, Family.E7):
+    if fam in (Family.UNITARY, Family.ORTHOGONAL_MINUS, Family.E6, Family.STEINBERG_2E6):
         return 2
-    return 1
+    return 2 if (fam, n, p) in ((Family.SYMPLECTIC, 4, 2), (Family.G2, 0, 3), (Family.F4, 0, 2)) else 1
 
 
 def _order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
@@ -333,7 +340,7 @@ def _order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
         return factorial(g.n) // 2
     if g.family in (Family.SPORADIC, Family.TITS):
         return _sporadic_facts(g, sporadic_table).order
-    num, d = _order_parts(g.family, g.n, g.q)
+    num, d = _order_parts(_order_datum(g.family, g.n), g.q)
     return num // d
 
 
@@ -345,50 +352,12 @@ def order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
 
 def _out_order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
     """|Out(T)| for an id already known to be valid."""
-    fam, n, q, f = g.family, g.n, g.q, g.f
+    fam, n = g.family, g.n
     if fam is Family.ALTERNATING:
         return 4 if n == 6 else 2
     if fam in (Family.SPORADIC, Family.TITS):
         return _sporadic_facts(g, sporadic_table).out_order
-    if fam is Family.LINEAR:
-        if n == 2:
-            return f * gcd(2, q - 1)
-        return 2 * f * gcd(n, q - 1)
-    if fam is Family.UNITARY:
-        return 2 * f * gcd(n, q + 1)
-    if fam is Family.SYMPLECTIC:
-        # The n=4 graph automorphism exists only in characteristic 2, but
-        # |Out| = 2f holds for all q: d*f = 2f when q is odd.
-        if n == 4:
-            return 2 * f
-        return f * gcd(2, q - 1)
-    if fam is Family.ORTHOGONAL_ODD:
-        return 2 * f
-    if fam is Family.ORTHOGONAL_PLUS:
-        m = n // 2
-        if n == 8:
-            return 6 * f * gcd(4, q**4 - 1)  # triality: S3 on top of the diagonal part
-        return 2 * f * gcd(4, q**m - 1)
-    if fam is Family.ORTHOGONAL_MINUS:
-        m = n // 2
-        return 2 * f * gcd(4, q**m + 1)
-    if fam is Family.G2:
-        return 2 * f if g.p == 3 else f
-    if fam is Family.F4:
-        return 2 * f if g.p == 2 else f
-    if fam is Family.E6:
-        return 2 * f * gcd(3, q - 1)
-    if fam is Family.E7:
-        return f * gcd(2, q - 1)
-    if fam is Family.E8:
-        return f
-    if fam in (Family.SUZUKI, Family.REE_G2, Family.REE_F4):
-        return f
-    if fam is Family.STEINBERG_3D4:
-        return 3 * f
-    if fam is Family.STEINBERG_2E6:
-        return 2 * f * gcd(3, q + 1)
-    raise DomainError(f"no out-order formula for {g}")
+    return _centre(_order_datum(fam, n), g.q) * g.f * _graph_factor(fam, n, g.p)
 
 
 def out_order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
@@ -464,21 +433,6 @@ def _rank_values(fam: Family):
     return (n for n in count(2) if _in_domain(fam, n, 5, 1))
 
 
-# The degree e of each exceptional family's undivided order in _order_parts.
-_EXCEPTIONAL_DEGREE = {
-    Family.G2: 14,
-    Family.F4: 52,
-    Family.E6: 78,
-    Family.E7: 133,
-    Family.E8: 248,
-    Family.SUZUKI: 5,
-    Family.REE_G2: 7,
-    Family.REE_F4: 26,
-    Family.STEINBERG_3D4: 28,
-    Family.STEINBERG_2E6: 78,
-}
-
-
 def _order_floor(fam: Family, n: int) -> tuple[int, int, int]:
     """(c, e, u) such that c*|T| > (q - 1)^u * q^e, the _floor_value, is a
     lower bound on the order of a Lie-type group; u is 1 for the unitary
@@ -486,12 +440,13 @@ def _order_floor(fam: Family, n: int) -> tuple[int, int, int]:
     monotone in q and n, which justifies the catalog's cutoff in n, and the
     scan prunes with it.  The classical bounds are cited ones.
 
-    An exceptional group has |T| = q^e * P(q) / d with d <= d_max =
-    _max_centre, where P(q) is a product of factors (1 - q^-d_i) and of
-    factors at least 1, such as (q^8 + q^4 + 1)/q^8 for 3D4.  The product
-    of the factors (1 - q^-d_i) grows with q and exceeds 1/2 at the
-    smallest q of the domain (0.73 at E8(2)), so P(q) > 1/2 and
-    2*d_max*|T| > q^e at every q."""
+    An exceptional floor is derived from the order datum (N, factors,
+    (a, b, c)): e = N + sum(d_i) is the degree of the undivided order, so
+    |T| = q^e * P(q) / d with d <= d_max = a, where P(q) is a product of
+    factors (1 - q^-d_i) and of factors at least 1, such as
+    (q^8 + q^4 + 1)/q^8 for 3D4.  The product of the factors (1 - q^-d_i)
+    grows with q and exceeds 1/2 at the smallest q of the domain (0.73 at
+    E8(2)), so P(q) > 1/2 and 2*d_max*|T| > q^e at every q."""
     if fam is Family.LINEAR:
         return 1, n * n - 2, 0
     if fam is Family.UNITARY:
@@ -500,8 +455,9 @@ def _order_floor(fam: Family, n: int) -> tuple[int, int, int]:
         return 4, n * (n + 1) // 2, 0
     if fam in (Family.ORTHOGONAL_ODD, Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
         return 8, n * (n - 1) // 2, 0
-    if fam in _EXCEPTIONAL_DEGREE:
-        return 2 * _max_centre(fam, 0), _EXCEPTIONAL_DEGREE[fam], 0
+    if fam in _EXCEPTIONAL_ORDER:
+        top, factors, (a, _, _) = _EXCEPTIONAL_ORDER[fam]
+        return 2 * a, top + sum(deg for deg, _ in factors), 0
     raise DomainError(f"no cited lower bound for family {fam.value}")
 
 
@@ -512,19 +468,11 @@ def _floor_value(floor: tuple[int, int, int], q: int) -> int:
 
 
 def _out_cap(fam: Family, n: int) -> int:
-    """K such that |Out(T)| <= K*f, with q = p^f, is the cited cap on the
-    outer automorphism group of a Lie-type group; the scan prunes with it."""
-    if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
-        return 24
-    if fam in (Family.LINEAR, Family.UNITARY):
-        return 2 * n
-    if fam in (Family.SYMPLECTIC, Family.ORTHOGONAL_ODD, Family.G2):
-        return 2
-    if fam in (Family.SUZUKI, Family.REE_G2, Family.REE_F4):
-        return 1
-    if fam in _LIE_FAMILIES:
-        return 6
-    raise DomainError(f"no cited out bound for family {fam.value}")
+    """K such that |Out(T)| <= K*f at every q = p^f of a Lie-type family at
+    dimension n; the scan prunes with it.  K = g_max*d_max is derived from
+    |Out(T)| = d*f*g, with d <= d_max and g_max the largest g over p."""
+    _require(fam in _LIE_FAMILIES, f"no cited out bound for family {fam.value}")
+    return max(_graph_factor(fam, n, p) for p in (2, 3)) * _max_centre(fam, n)
 
 
 def _walk_q(fam: Family, n: int, max_order: int):
@@ -535,11 +483,12 @@ def _walk_q(fam: Family, n: int, max_order: int):
     d_max*max_order.  N strictly increases in q, so every later q has
     |T| >= N/d_max > max_order.  |T| itself is not monotone
     (|L2(8)| = 504 > |L2(9)| = 360) and cannot stop the walk."""
+    datum = _order_datum(fam, n)
     limit = _max_centre(fam, n) * max_order
     for q, p, f in prime_power_triples():
         if not _in_domain(fam, n, p, f):
             continue
-        num, d = _order_parts(fam, n, q)
+        num, d = _order_parts(datum, q)
         if num > limit:
             return
         if num <= d * max_order:
@@ -566,6 +515,7 @@ def enumerate_catalog(
 ) -> list[tuple[SimpleGroupId, GroupFacts]]:
     """Every finite simple group of order <= max_order, once per isomorphism
     class, in nondecreasing order of |T| (ties broken by identifier)."""
+    _require(max_order >= 1, "catalog bound must be positive")
     if max_order < MIN_SIMPLE_ORDER:
         return []
     found: dict[SimpleGroupId, GroupFacts] = {}
@@ -687,7 +637,7 @@ def _settled(bound: tuple[int, int], maxima) -> bool:
 def _row_settled(floor: tuple[int, int, int], cap: int, q: int, maxima) -> bool:
     """Whether the row bound settles every point of a (family, n) row from q
     on.  With b = bit_length(q) - 1, each such q' has q' >= 2^b and f <= b,
-    so its ratio is below U(b) = c*(K*b)^4 / 2^(b*e) by the cited floor
+    so its ratio is below U(b) = c*(K*b)^4 / 2^(b*e) by the floor
     c*|T| > q^e and cap |Out| <= K*f.  U(b+1) <= U(b) exactly when
     (b+1)^4 <= 2^e * b^4, and that holds for every larger b once it holds
     at b, so U(b) bounds the rest of the row."""
@@ -717,7 +667,7 @@ def out4_scan(
     The result depends on the candidates and, per family and axis, on the
     exact maximum ratio at the boundary key and at every other key
     (_AxisMaxima).  A Lie-type point is skipped without its exact order
-    when its cited bound settles it, and a (family, n) row, walked in
+    when its bound settles it, and a (family, n) row, walked in
     ascending q, stops once _row_settled holds; the row's point at the
     boundary q is still visited.  out_order is called once per point whose
     order is computed."""
@@ -753,7 +703,7 @@ def out4_scan(
                 _ratio(g)
 
     def _visit(g: SimpleGroupId, floor: tuple[int, int, int], by_n: _AxisMaxima, by_q: _AxisMaxima) -> None:
-        # A point that its cited bound c*|Out|^4/floor settles gets no exact order.
+        # A point that its bound c*|Out|^4/floor settles gets no exact order.
         q = g.q
         if _settled((floor[0] * _out_order(g) ** 4, _floor_value(floor, q)), (by_n.current(g.n), by_q.current(q))):
             return
@@ -804,11 +754,11 @@ def out4_scan(
     )
 
 
-# -- cited bounds as predicates ---------------------------------------------
+# -- order floors and |Out| caps as predicates ------------------------------
 
 
 def order_lower_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None) -> bool:
-    """Whether |T| passes the cited order floor of _order_floor, which cuts
+    """Whether |T| passes the order floor of _order_floor, which cuts
     off the catalog walk and prunes the out4 scan.  Only defined for
     Lie-type families."""
     floor = _order_floor(g.family, g.n)
@@ -816,6 +766,6 @@ def order_lower_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None)
 
 
 def out_order_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None) -> bool:
-    """Whether |Out(T)| is within the cited cap of _out_cap, which prunes
+    """Whether |Out(T)| is within the cap of _out_cap, which prunes
     the out4 scan."""
     return _out_cap(g.family, g.n) * g.f >= out_order(g, sporadic_table)

@@ -202,6 +202,8 @@ def _cmd_atlas_scan(args) -> int:
     # The reference outcome holds only when the linear groups are scanned.
     linear = families is None or atlas.Family.LINEAR in families
     payload = report.out4_scan_payload(result)
+    if families is not None:
+        payload["families"] = sorted(fam.value for fam in families)
     payload["expected"] = list(atlas.REFERENCE_OUT4_CANDIDATES) if linear else []
     payload["failing_checks"] = [check.label for check in result.failing_checks()]
     _print_json(payload)

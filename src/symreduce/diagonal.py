@@ -126,8 +126,6 @@ def diagonal_scan(catalog_bound: int, sporadic_table: str | None = None) -> Diag
     near_misses: groups with |T| < |Out|^4 that still fail the odd-part
     form, reported so the almost-sharp case is visible.
     """
-    if catalog_bound < 1:
-        raise DomainError("catalog bound must be positive")
     survivors: list[DiagonalCase] = []
     near_misses: list[atlas.SimpleGroupId] = []
     entries = atlas.enumerate_catalog(catalog_bound, sporadic_table)

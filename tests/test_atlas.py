@@ -373,7 +373,7 @@ def test_exceptional_floor_lemma():
         c, e, u = atlas._order_floor(fam, 0)
         assert (c, u) == (2 * atlas._max_centre(fam, 0), 0)
         # e is the degree of the undivided order: q^e/2 < N(q) < 2*q^e at q = 2^32.
-        num, _ = atlas._order_parts(fam, 0, 1 << 32)
+        num, _ = atlas._order_parts(atlas._order_datum(fam, 0), 1 << 32)
         assert 1 << 32 * e < 2 * num < 1 << 32 * e + 2, fam
         q0 = min(q for q in range(2, 64) if oracles.textbook_domain(fam, 0, q))
         low, high = _falling_product(degrees, q0)
@@ -388,7 +388,7 @@ def test_exceptional_floor_sweep():
         if fam in atlas._CLASSICAL_FAMILIES:
             continue
         _, e, _ = atlas._order_floor(fam, 0)
-        num, _ = atlas._order_parts(fam, 0, q)
+        num, _ = atlas._order_parts(atlas._order_datum(fam, 0), q)
         low, high = _falling_product(EXCEPTIONAL_FALLING_FACTORS[fam], q)
         assert num * high >= q**e * low, display_name(gid)
         assert order_lower_bound_holds(gid), display_name(gid)
@@ -546,7 +546,7 @@ def _walk_orders(fam, n, max_order, beyond=2):
     for q, p, f in prime_power_triples():
         if not atlas._in_domain(fam, n, p, f):
             continue
-        num, d = atlas._order_parts(fam, n, q)
+        num, d = atlas._order_parts(atlas._order_datum(fam, n), q)
         out.append((SimpleGroupId(fam, n=n, p=p, f=f), num, d))
         if num > limit:
             past += 1
@@ -572,8 +572,8 @@ def test_exact_order_is_not_monotone_in_q():
     l2_9 = SimpleGroupId(Family.LINEAR, n=2, p=3, f=2)  # raw; lie(Family.LINEAR, 2, 9) is A6
     assert order(l2_8) == 504 > order(l2_9) == 360
     # The undivided orders, which stop the walk, keep q's order.
-    assert atlas._order_parts(Family.LINEAR, 2, 8) == (504, 1)
-    assert atlas._order_parts(Family.LINEAR, 2, 9) == (720, 2)
+    assert atlas._order_parts(atlas._order_datum(Family.LINEAR, 2), 8) == (504, 1)
+    assert atlas._order_parts(atlas._order_datum(Family.LINEAR, 2), 9) == (720, 2)
     assert [display_name(g) for g, _ in enumerate_catalog(504)][-2:] == ["A6", "L2(8)"]
 
 
@@ -637,6 +637,21 @@ OUT4_REPR_SHA256 = {
 def test_out4_scan_repr_pinned(box):
     digest = hashlib.sha256(repr(out4_scan(*box)).encode()).hexdigest()
     assert digest == OUT4_REPR_SHA256[box]
+
+
+# sha256 of repr(enumerate_catalog(bound)): every |T| and |Out(T)| of the
+# 885 groups up to 10^11, as the per-family order formulas gave them.
+CATALOG_REPR_SHA256 = {
+    10**7: "4cb383bc1c996c51599cb4c140fd572abeacaf70f421a9729fce8419bee79175",
+    10**9: "e61f217c96b0d07195a9b68961b823480b3f473c94ff76cac104f74c8a0049db",
+    10**11: "0232af9e6785c8cfcc1b3b2cd66005b885d24a856cb512805a6d723e23a4a877",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(CATALOG_REPR_SHA256))
+def test_catalog_repr_pinned(bound):
+    digest = hashlib.sha256(repr(enumerate_catalog(bound)).encode()).hexdigest()
+    assert digest == CATALOG_REPR_SHA256[bound]
 
 
 def test_out4_scan_computes_few_exact_orders(monkeypatch):

@@ -67,6 +67,7 @@ def test_atlas_scan_default(capsys):
     assert payload["candidates"] == ["L3(4)"]
     assert payload["tail_ok"] is True
     assert payload["label"] == "verified within bounds [n_max=12, q_max=1024]"
+    assert "families" not in payload
 
 
 def test_atlas_scan_family_restricted(capsys):
@@ -74,6 +75,11 @@ def test_atlas_scan_family_restricted(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["candidates"] == []
+    assert payload["families"] == ["unitary"]
+    # The families scanned are listed, sorted.
+    code, out, _ = run(capsys, "atlas", "scan", "--families", "suzuki,linear")
+    assert code == 0
+    assert json.loads(out)["families"] == ["linear", "suzuki"]
 
 
 def test_atlas_scan_unknown_family(capsys):
@@ -116,6 +122,13 @@ def test_diagonal_scan_env_bound(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["catalog_bound"] == 59
     assert payload["catalog_size"] == 0
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_catalog_bound_below_one_rejected_by_every_command(capsys, bound):
+    for command in (("atlas", "catalog"), ("diagonal", "scan"), ("reduce",)):
+        code, out, err = run(capsys, *command, "--catalog-bound", bound)
+        assert (code, out, err) == (1, "", "error: catalog bound must be positive\n"), command
 
 
 def test_diagonal_scan_flag_beats_env(capsys, monkeypatch):
