@@ -1,7 +1,7 @@
 """Exact integer arithmetic for the reduction of flag-transitive symmetric designs.
 
-Everything here is integer or Fraction arithmetic; no floats are consulted
-for any decision.  The API is the layer modules: `design`, `atlas`,
+Everything here is integer arithmetic; no floats are consulted for any
+decision.  The API is the layer modules: `design`, `atlas`,
 `diagonal`, `product`, `imprimitive`, `report` and `cli`.  Importing the
 package itself loads none of them.
 """

@@ -15,10 +15,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import count, takewhile
+from itertools import count
 from math import factorial, gcd
 from pathlib import Path
 
@@ -545,109 +544,84 @@ def enumerate_catalog(
 
 
 @dataclass(frozen=True)
-class TailCheck:
-    """Boundary-confidence record for one family/axis of the scan grid.
-
-    bounded: every ratio |Out|^4/|T| on the boundary shell is < 1.
-    decreasing: the largest boundary ratio is below the largest ratio seen
-    at all earlier axis values (None when the shell is the whole family).
-    """
+class RegionRow:
+    """One (family, n) row of the certified region, where the order floor
+    and the |Out| cap leave |T| < |Out(T)|^4 open; q is the largest
+    in-domain q of the row that they leave open."""
 
     family: Family
-    axis: str
-    boundary: int
-    boundary_ratio: Fraction
-    interior_ratio: Fraction | None
-    bounded: bool
-    decreasing: bool | None
-
-    @property
-    def ok(self) -> bool:
-        return self.bounded and self.decreasing is not False
+    n: int
+    q: int
 
     @property
     def label(self) -> str:
-        return f"{self.family.value}/{self.axis}@{self.boundary}"
+        return f"{_SYMBOL[self.family]}{self.n or ''}(q <= {self.q})"
 
 
 @dataclass(frozen=True)
 class Out4ScanResult:
     candidates: tuple[SimpleGroupId, ...]
-    checks: tuple[TailCheck, ...]
+    region: tuple[RegionRow, ...]
     n_max: int
     q_max: int
     include_sporadic: bool
 
+    def failing_checks(self) -> list[RegionRow]:
+        """The rows of the certified region that the box misses."""
+        return [row for row in self.region if row.n > self.n_max or row.q > self.q_max]
+
     @property
     def ok(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-    def failing_checks(self) -> list[TailCheck]:
-        return [check for check in self.checks if not check.ok]
-
-
-def _exceeds(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """a > b for ratios held as (numerator, positive denominator)."""
-    return a[0] * b[1] > b[0] * a[1]
+        """Whether the box covers the certified region of the scanned
+        families, so that the candidates are every group of those families
+        with |T| < |Out(T)|^4, not only those inside the box."""
+        return not self.failing_checks()
 
 
-class _AxisMaxima:
-    """What a TailCheck keeps of one family/axis, as running maxima of
-    ratios held as int pairs: the boundary key (the largest n or q with a
-    grid point), the largest ratio at that key, and the largest ratio at
-    every other key.  A maximum is None until a ratio reaches it."""
-
-    def __init__(self, boundary: int) -> None:
-        self.boundary = boundary
-        self.at_boundary: tuple[int, int] | None = None
-        self.interior: tuple[int, int] | None = None
-
-    def current(self, key: int) -> tuple[int, int] | None:
-        return self.at_boundary if key == self.boundary else self.interior
-
-    def add(self, key: int, ratio: tuple[int, int]) -> None:
-        best = self.current(key)
-        if best is None or _exceeds(ratio, best):
-            if key == self.boundary:
-                self.at_boundary = ratio
-            else:
-                self.interior = ratio
-
-    def check(self, fam: Family, axis: str) -> TailCheck:
-        boundary_ratio = Fraction(*self.at_boundary)
-        interior_ratio = None if self.interior is None else Fraction(*self.interior)
-        return TailCheck(
-            family=fam,
-            axis=axis,
-            boundary=self.boundary,
-            boundary_ratio=boundary_ratio,
-            interior_ratio=interior_ratio,
-            bounded=boundary_ratio < 1,
-            decreasing=None if interior_ratio is None else boundary_ratio < interior_ratio,
-        )
-
-
-def _settled(bound: tuple[int, int], maxima) -> bool:
-    """Whether a ratio strictly below `bound` leaves the scan's result as it
-    is: it is no candidate (bound <= 1) and no new maximum (bound <= each
-    running maximum it could update; an unset one can always move)."""
-    return bound[0] <= bound[1] and all(m is not None and not _exceeds(bound, m) for m in maxima)
-
-
-def _row_settled(floor: tuple[int, int, int], cap: int, q: int, maxima) -> bool:
+def _row_settled(floor: tuple[int, int, int], cap: int, q: int) -> bool:
     """Whether the row bound settles every point of a (family, n) row from q
     on.  With b = bit_length(q) - 1, each such q' has q' >= 2^b and f <= b,
-    so its ratio is below U(b) = c*(K*b)^4 / 2^(b*e) by the floor
-    c*|T| > q^e and cap |Out| <= K*f.  U(b+1) <= U(b) exactly when
+    so its ratio |Out|^4/|T| is below U(b) = c*(K*b)^4 / 2^(b*e) by the
+    floor c*|T| > q^e and the cap |Out| <= K*f.  U(b+1) <= U(b) exactly when
     (b+1)^4 <= 2^e * b^4, and that holds for every larger b once it holds
-    at b, so U(b) bounds the rest of the row."""
+    at b, so U(b) <= 1 bounds the rest of the row."""
     c, e, _ = floor
     b = q.bit_length() - 1
-    return (b + 1) ** 4 <= b**4 << e and _settled((c * (cap * b) ** 4, 1 << b * e), maxima)
+    return (b + 1) ** 4 <= b**4 << e and c * (cap * b) ** 4 <= 1 << b * e
 
 
-# The reference outcome of the scan at (12, 1024) and larger boxes, by
-# display name; `reduce` and `atlas scan` compare their candidates to it.
+@lru_cache(maxsize=None)
+def _certified_region() -> tuple[RegionRow, ...]:
+    """Every (family, n) row of a Lie-type family where the row bound U(n, b)
+    of _row_settled leaves |T| < |Out(T)|^4 open, with the largest
+    in-domain q the row needs; every Lie-type group outside these rows has
+    |Out|^4 < |T|.
+
+    A row is walked in b up to the first b at which _row_settled holds, and
+    needs every in-domain q < 2^b.  A classical family's ranks are walked up
+    to the first one settled at b = 1, where U(n, b) <= 1 at every b.  Every
+    later rank is settled too: for consecutive ranks n < n' from there on,
+    K(n') <= 2*K(n) and e(n') >= e(n) + 4 (K is 2n for L_n (n >= 3) and
+    U_n, and 4, 2, 24 or 8 otherwise, never growing with n; e steps by at
+    least 2n + 1), so at every b >= 1
+
+        U(n', b) / U(n, b) = (K(n')/K(n))^4 / 2^(b*(e(n') - e(n))) <= 2^4 / 2^4 = 1.
+    """
+    rows = []
+    for fam in _SYMBOL:
+        for n in _rank_values(fam) if fam in _CLASSICAL_FAMILIES else (0,):
+            floor, cap = _order_floor(fam, n), _out_cap(fam, n)
+            b = next(b for b in count(1) if _row_settled(floor, cap, 1 << b))
+            if b == 1:
+                break
+            needed = [q for q, p, f in prime_power_triples_upto((1 << b) - 1) if _in_domain(fam, n, p, f)]
+            if needed:
+                rows.append(RegionRow(fam, n, needed[-1]))
+    return tuple(rows)
+
+
+# The candidates of every box that covers the certified region, by display
+# name; `reduce` and `atlas scan` compare their candidates to it.
 REFERENCE_OUT4_CANDIDATES = ("L3(4)",)
 
 
@@ -658,96 +632,53 @@ def out4_scan(
     families: frozenset[Family] | None = None,
     sporadic_table: str | None = None,
 ) -> Out4ScanResult:
-    """Scan |T| < |Out(T)|^4 over the bounded grid and collect per-family
-    tail checks.  The grid is scanned with raw identifiers so that each
-    family's own order formula feeds its tail statistics; candidate ids are
-    canonicalized before reporting.  Ratios |Out|^4/|T| stay int pairs;
-    only the per-axis maxima a TailCheck keeps become Fractions.
+    """Find the groups with |T| < |Out(T)|^4 among A5, ..., A_{n_max}, the
+    sporadic groups and the Lie-type groups with n <= n_max, q <= q_max.
+    Candidate ids are canonicalized before reporting.
 
-    The result depends on the candidates and, per family and axis, on the
-    exact maximum ratio at the boundary key and at every other key
-    (_AxisMaxima).  A Lie-type point is skipped without its exact order
-    when its bound settles it, and a (family, n) row, walked in
-    ascending q, stops once _row_settled holds; the row's point at the
-    boundary q is still visited.  out_order is called once per point whose
-    order is computed."""
-    # The reference outcome is only claimed for boxes at least as large as
-    # (12, 1024); smaller boxes still scan, and the tail checks say whether
-    # the bounds carried any evidence.
+    Only the points of the certified region (_certified_region) inside the
+    box are examined, since every other Lie-type group has |Out|^4 < |T|.
+    Of those, a point whose own floor settles it, c*|Out|^4 <= the floor
+    value, gets no exact order; out_order is called once per point whose
+    order is computed.  No alternating group but A5 can be a candidate:
+    |Out(A_n)| <= 4, and |A_n| >= 360 > 4^4 for n >= 6.  So when the box
+    covers the region (ok), the candidates are all of the scanned families'."""
     _require(n_max >= 5, f"n_max must be >= 5, got {n_max}")
     _require(q_max >= 2, f"q_max must be >= 2, got {q_max}")
     selected = set(Family) if families is None else set(families)
-    prime_powers = prime_power_triples_upto(q_max)
-
     candidates: dict[SimpleGroupId, int] = {}
-    checks: list[TailCheck] = []
 
-    def _ratio(g: SimpleGroupId) -> tuple[int, int]:
+    def _examine(g: SimpleGroupId) -> None:
         # out_order validates g for _order.
-        o4 = out_order(g, sporadic_table) ** 4
-        t = _order(g, sporadic_table)
-        if t < o4:
+        if out_order(g, sporadic_table) ** 4 > _order(g, sporadic_table):
             canonical = _canonicalize(g)
             candidates[canonical] = _order(canonical, sporadic_table)
-        return o4, t
 
     if Family.ALTERNATING in selected:
-        by_n = _AxisMaxima(n_max)
         for n in range(5, n_max + 1):
-            by_n.add(n, _ratio(alternating(n)))
-        checks.append(by_n.check(Family.ALTERNATING, "n"))
+            _examine(alternating(n))
     if include_sporadic:
         for name in load_sporadic_table(sporadic_table):
             g = sporadic(name, sporadic_table)
             if g.family in selected:
-                _ratio(g)
+                _examine(g)
 
-    def _visit(g: SimpleGroupId, floor: tuple[int, int, int], by_n: _AxisMaxima, by_q: _AxisMaxima) -> None:
-        # A point that its bound c*|Out|^4/floor settles gets no exact order.
-        q = g.q
-        if _settled((floor[0] * _out_order(g) ** 4, _floor_value(floor, q)), (by_n.current(g.n), by_q.current(q))):
-            return
-        ratio = _ratio(g)
-        by_n.add(g.n, ratio)
-        by_q.add(q, ratio)
-
-    descending = prime_powers[::-1]
-    for fam in _SYMBOL:  # in Family order
-        if fam not in selected:
+    region = tuple(row for row in _certified_region() if row.family in selected)
+    for row in region:
+        if row.n > n_max:
             continue
-        # Exceptional families have the one row n = 0, and no n axis.
-        classical = fam in _CLASSICAL_FAMILIES
-        ranks = list(takewhile(lambda n: n <= n_max, _rank_values(fam))) if classical else [0]
-        top = next(
-            ((q, p, f) for q, p, f in descending if any(_in_domain(fam, n, p, f) for n in ranks)),
-            None,
-        )
-        if top is None:
-            continue
-        by_q = _AxisMaxima(top[0])
-        by_n = _AxisMaxima(
-            next(n for n in reversed(ranks) if any(_in_domain(fam, n, p, f) for _, p, f in descending))
-        )
-        for n in ranks:
-            floor = _order_floor(fam, n)
-            cap = _out_cap(fam, n)
-            for q, p, f in prime_powers:
-                if not _in_domain(fam, n, p, f):
-                    continue
-                if q != by_q.boundary and _row_settled(floor, cap, q, (by_n.current(n), by_q.interior)):
-                    # The rest of the row is settled, bar its point at the boundary q.
-                    if _in_domain(fam, n, *top[1:]):
-                        _visit(SimpleGroupId(fam, n=n, p=top[1], f=top[2]), floor, by_n, by_q)
-                    break
-                _visit(SimpleGroupId(fam, n=n, p=p, f=f), floor, by_n, by_q)
-        if classical:
-            checks.append(by_n.check(fam, "n"))
-        checks.append(by_q.check(fam, "q"))
+        floor = _order_floor(row.family, row.n)
+        for q, p, f in prime_power_triples_upto(min(row.q, q_max)):
+            if not _in_domain(row.family, row.n, p, f):
+                continue
+            g = SimpleGroupId(row.family, n=row.n, p=p, f=f)
+            if floor[0] * _out_order(g) ** 4 > _floor_value(floor, q):
+                _examine(g)
 
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
     return Out4ScanResult(
         candidates=tuple(ordered),
-        checks=tuple(checks),
+        region=region,
         n_max=n_max,
         q_max=q_max,
         include_sporadic=include_sporadic,

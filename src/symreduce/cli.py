@@ -205,10 +205,10 @@ def _cmd_atlas_scan(args) -> int:
     if families is not None:
         payload["families"] = sorted(fam.value for fam in families)
     payload["expected"] = list(atlas.REFERENCE_OUT4_CANDIDATES) if linear else []
-    payload["failing_checks"] = [check.label for check in result.failing_checks()]
+    payload["failing_checks"] = [row.label for row in result.failing_checks()]
     _print_json(payload)
     if not result.ok:
-        print("tail checks failed: bounds too small to trust the scan", file=sys.stderr)
+        print("the box misses the certified region: bounds too small to trust the scan", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_AGREES if payload["candidates"] == payload["expected"] else EXIT_DISAGREES
 

@@ -64,7 +64,8 @@ class ReduceConfig:
 
 
 def _out4_matches_reference(result: atlas.Out4ScanResult) -> bool:
-    """Passing tail checks and exactly the reference candidates."""
+    """A box that covers the certified region and exactly the reference
+    candidates."""
     return result.ok and tuple(map(atlas.display_name, result.candidates)) == atlas.REFERENCE_OUT4_CANDIDATES
 
 
@@ -104,10 +105,10 @@ class ReductionReport:
     def out4_warnings(self) -> tuple[str, ...]:
         if self.out4_result.ok:
             return ()
-        failing = ", ".join(check.label for check in self.out4_result.failing_checks())
+        missed = ", ".join(row.label for row in self.out4_result.failing_checks())
         return (
-            f"tail checks failed at: {failing}; the scan bounds are too "
-            "small to trust emptiness beyond them",
+            f"the scan box misses the certified region at: {missed}; the scan "
+            "bounds are too small to trust emptiness beyond them",
         )
 
     @property
@@ -128,8 +129,9 @@ def simple_diagonal_verdict(
     diag_result: diagonal.DiagonalScanResult, out4_result: atlas.Out4ScanResult
 ) -> Verdict:
     """eliminated_by_computation only when the evidence carries it: a
-    non-empty catalog, no survivor of the odd-part scan, passing tail checks
-    and exactly the reference out4 candidates; open otherwise."""
+    non-empty catalog, no survivor of the odd-part scan, an out4 box that
+    covers the certified region and exactly the reference out4 candidates;
+    open otherwise."""
     eliminated = (
         diag_result.catalog_size > 0
         and not diag_result.survivors
@@ -157,25 +159,6 @@ def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
 # -- serialization ----------------------------------------------------------
 
 
-def _fraction_payload(value) -> str | None:
-    if value is None:
-        return None
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _tail_check_payload(check: atlas.TailCheck) -> dict:
-    return {
-        "family": check.family.value,
-        "axis": check.axis,
-        "boundary": check.boundary,
-        "boundary_ratio": _fraction_payload(check.boundary_ratio),
-        "interior_ratio": _fraction_payload(check.interior_ratio),
-        "bounded": check.bounded,
-        "decreasing": check.decreasing,
-        "ok": check.ok,
-    }
-
-
 def diagonal_scan_payload(result: diagonal.DiagonalScanResult) -> dict:
     return {
         "catalog_bound": result.catalog_bound,
@@ -196,7 +179,11 @@ def out4_scan_payload(result: atlas.Out4ScanResult) -> dict:
         "include_sporadic": result.include_sporadic,
         "candidates": [atlas.display_name(g) for g in result.candidates],
         "tail_ok": result.ok,
-        "label": f"verified within bounds [n_max={result.n_max}, q_max={result.q_max}]",
+        "label": (
+            "certified: the box covers the region that the order floors and |Out| caps leave open"
+            if result.ok
+            else f"verified within bounds [n_max={result.n_max}, q_max={result.q_max}]"
+        ),
     }
 
 
@@ -253,7 +240,9 @@ def report_payload(report: ReductionReport) -> dict:
             "label": f"verified within catalog bound {diag.catalog_bound}",
             "out4_scan": {
                 **out4_scan_payload(out4),
-                "tail_checks": [_tail_check_payload(c) for c in out4.checks],
+                "certified_region": [
+                    {"family": row.family.value, "n": row.n, "q": row.q} for row in out4.region
+                ],
                 "warnings": list(report.out4_warnings),
             },
             "warnings": list(report.diagonal_warnings),

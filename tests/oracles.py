@@ -4,8 +4,8 @@ These deliberately avoid the closed forms used by the package: instead of
 computing lambda from (m, a, v0) directly, lambda_by_scan walks candidate
 lambda values and checks the defining identity with plain multiplication.
 Agreement between the two is what the equivalence tests assert.  The
-atlas oracles at the end redo the catalog and the |T| < |Out(T)|^4 scan the
-slow way.
+atlas oracles at the end redo the catalog, the |T| < |Out(T)|^4 scan and its
+certified region the slow way.
 """
 
 from fractions import Fraction
@@ -165,23 +165,6 @@ def catalog_by_cited_bounds(max_order: int, sporadic_table: str | None = None) -
     return sorted(found.items(), key=lambda item: (item[1].order,) + item[0].sort_key())
 
 
-def _tail_check(fam: Family, axis: str, ratios: dict):
-    if not ratios:
-        return None
-    boundary = max(ratios)
-    interior = [ratio for value, ratio in ratios.items() if value != boundary]
-    interior_ratio = max(interior) if interior else None
-    return atlas.TailCheck(
-        family=fam,
-        axis=axis,
-        boundary=boundary,
-        boundary_ratio=ratios[boundary],
-        interior_ratio=interior_ratio,
-        bounded=ratios[boundary] < 1,
-        decreasing=None if interior_ratio is None else ratios[boundary] < interior_ratio,
-    )
-
-
 def out4_grid(n_max: int, q_max: int):
     """(family, n, q, raw id) for every Lie-type point of the out4 scan grid:
     each (family, n <= n_max, q <= q_max) in the textbook domain, with the
@@ -199,43 +182,93 @@ def out4_grid(n_max: int, q_max: int):
 def out4_scan_by_fractions(
     n_max: int, q_max: int, include_sporadic: bool = True, families: frozenset | None = None
 ) -> tuple:
-    """(candidates, checks) of out4_scan over the same grid, with every ratio
-    |Out|^4/|T| a Fraction, computed at every grid point, and every axis
-    maximum taken by Fraction comparison.  Grid ids stay raw, as in
-    out4_scan; candidates are canonicalized by parsing their display
-    names."""
+    """The candidates of out4_scan over the same box, with every ratio
+    |Out|^4/|T| a Fraction computed at every grid point.  Candidates are
+    canonicalized by parsing their display names."""
     selected = set(Family) if families is None else set(families)
     candidates = {}
 
-    def ratio(g):
+    def examine(g):
         t, o = atlas.order(g), atlas.out_order(g)
-        if t < o**4:
+        if Fraction(o**4, t) > 1:
             canonical = atlas.parse_group(atlas.display_name(g))
             candidates[canonical] = atlas.order(canonical)
-        return Fraction(o**4, t)
 
-    checks = []
     if Family.ALTERNATING in selected:
-        checks.append(
-            _tail_check(Family.ALTERNATING, "n", {n: ratio(atlas.alternating(n)) for n in range(5, n_max + 1)})
-        )
+        for n in range(5, n_max + 1):
+            examine(atlas.alternating(n))
     if include_sporadic:
         for name in atlas.load_sporadic_table():
             g = atlas.parse_group(name)
             if g.family in selected:
-                ratio(g)
-    by_n, by_q = {}, {}
-    for fam, n, q, g in out4_grid(n_max, q_max):
-        if fam not in selected:
-            continue
-        r = ratio(g)
-        row, column = by_n.setdefault(fam, {}), by_q.setdefault(fam, {})
-        row[n] = max(row.get(n, r), r)
-        column[q] = max(column.get(q, r), r)
-    for fam in Family:
-        if fam in by_q:
-            if fam in _CLASSICAL:
-                checks.append(_tail_check(fam, "n", by_n[fam]))
-            checks.append(_tail_check(fam, "q", by_q[fam]))
+                examine(g)
+    for fam, _, _, g in out4_grid(n_max, q_max):
+        if fam in selected:
+            examine(g)
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
-    return tuple(ordered), tuple(check for check in checks if check is not None)
+    return tuple(ordered)
+
+
+# The bounds the out4 scan prunes with, restated per family as
+# (c, e, K)(n): the order floor c*|T| > q^e (dropping the unitary factor
+# q - 1) and the cap |Out(T)| <= K*f with q = p^f.  A classical floor is
+# the cited one.  An exceptional floor has e the degree of the order
+# polynomial and c twice the largest centre.  K is the largest of d*g over
+# p in the textbook |Out(T)| = d*f*g (Kleidman & Liebeck, Table 5.1.A).
+_SCAN_BOUNDS = {
+    Family.LINEAR: lambda n: (1, n * n - 2, 2 * n if n >= 3 else 2),
+    Family.UNITARY: lambda n: (1, n * n - 3, 2 * n),
+    Family.SYMPLECTIC: lambda n: (4, n * (n + 1) // 2, 4 if n == 4 else 2),
+    Family.ORTHOGONAL_ODD: lambda n: (8, n * (n - 1) // 2, 2),
+    Family.ORTHOGONAL_PLUS: lambda n: (8, n * (n - 1) // 2, 24 if n == 8 else 8),
+    Family.ORTHOGONAL_MINUS: lambda n: (8, n * (n - 1) // 2, 8),
+    Family.G2: lambda n: (2, 14, 2),
+    Family.F4: lambda n: (2, 52, 2),
+    Family.E6: lambda n: (6, 78, 6),
+    Family.E7: lambda n: (4, 133, 2),
+    Family.E8: lambda n: (2, 248, 1),
+    Family.SUZUKI: lambda n: (2, 5, 1),
+    Family.REE_G2: lambda n: (2, 7, 1),
+    Family.REE_F4: lambda n: (2, 26, 1),
+    Family.STEINBERG_3D4: lambda n: (2, 28, 3),
+    Family.STEINBERG_2E6: lambda n: (6, 78, 6),
+}
+
+
+def ranks(fam: Family, n_max: int) -> list:
+    """The dimensions n <= n_max with members of the family; [0] for an
+    exceptional family."""
+    if fam not in _CLASSICAL:
+        return [0]
+    return [n for n in range(2, n_max + 1) if any(textbook_domain(fam, n, q) for q in range(2, 10))]
+
+
+def out4_region_by_brute_force(n_max: int = 40, b_max: int = 200) -> frozenset:
+    """Every (family, n, b) with n <= n_max and 1 <= b <= b_max at which the
+    restated bounds leave |T| < |Out(T)|^4 open: U(n, b) = c*(K*b)^4 /
+    2^(b*e) > 1.  A point with 2^b <= q < 2^(b+1) has f <= b, so its ratio
+    |Out|^4/|T| is below U(n, b)."""
+    region = set()
+    for fam, bounds in _SCAN_BOUNDS.items():
+        for n in ranks(fam, n_max):
+            c, e, cap = bounds(n)
+            region.update((fam, n, b) for b in range(1, b_max + 1) if c * (cap * b) ** 4 > 1 << b * e)
+    return frozenset(region)
+
+
+def out4_region_points(region: frozenset):
+    """(family, n, q, raw id) for each q in the textbook domain with
+    (family, n, bit_length(q) - 1) in the region."""
+    for fam, n, b in sorted(region, key=lambda cell: (cell[0].value, cell[1], cell[2])):
+        for q in range(1 << b, 2 << b):
+            if textbook_domain(fam, n, q):
+                yield fam, n, q, atlas.SimpleGroupId(fam, n, *prime_power_parts(q))
+
+
+def box_covers(region: frozenset, n_max: int, q_max: int, families: frozenset | None = None) -> bool:
+    """Whether the box holds every region point of the selected families."""
+    return all(
+        n <= n_max and q <= q_max
+        for fam, n, q, _ in out4_region_points(region)
+        if families is None or fam in families
+    )

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import re
-from fractions import Fraction
 from itertools import takewhile
 
 import pytest
@@ -411,7 +410,7 @@ def test_out_order_bounds_sweep():
 
 @pytest.mark.parametrize("fam", sorted(atlas._LIE_FAMILIES, key=lambda fam: fam.value))
 def test_row_bound_lemma(fam):
-    # The scan stops a (family, n) row at b = bit_length(q) - 1 once
+    # The certified region closes a (family, n) row at b = bit_length(q) - 1 once
     # (b+1)^4 <= 2^e * b^4, taking U(b) = c*(K*b)^4 / 2^(b*e) to bound the
     # rest of the row.  Once the condition holds it holds at every larger b,
     # since (b+1)/b decreases, and from there on U does not increase.
@@ -430,14 +429,12 @@ def test_row_bound_lemma(fam):
 
 
 def test_row_settled_needs_the_monotone_condition():
-    # Floor q^2 and cap f: at b = 2, U = 16/16 is <= 1 and below the maximum,
-    # but U can still grow ((b+1)^4 > 2^2 * b^4), so the row goes on.
-    floor, cap, maxima = (1, 2, 0), 1, [(2, 1)]
-    assert not atlas._row_settled(floor, cap, 4, maxima)
-    assert not atlas._row_settled(floor, cap, 8, maxima)  # U(3) = 81/64 > 1
-    assert atlas._row_settled(floor, cap, 16, maxima)  # U(4) = 1, and U falls from here
-    assert not atlas._row_settled(floor, cap, 16, [(1, 2)])  # U(4) is above the maximum
-    assert not atlas._row_settled(floor, cap, 16, [None])
+    # Floor q^2 and cap f: at b = 2, U = 16/16 is <= 1, but U can still grow
+    # ((b+1)^4 > 2^2 * b^4), so the row goes on.
+    floor, cap = (1, 2, 0), 1
+    assert not atlas._row_settled(floor, cap, 4)
+    assert not atlas._row_settled(floor, cap, 8)  # U(3) = 81/64 > 1
+    assert atlas._row_settled(floor, cap, 16)  # U(4) = 1, and U falls from here
 
 
 def test_row_bound_bounds_every_ratio():
@@ -454,7 +451,7 @@ def test_out4_scan_reference_bounds():
     scan = out4_scan(12, 1024)
     assert [display_name(g) for g in scan.candidates] == ["L3(4)"]
     assert scan.ok
-    assert all(c.ok for c in scan.checks)
+    assert scan.failing_checks() == []
     l34 = scan.candidates[0]
     assert order(l34) == 20160 and out_order(l34) == 12
     assert 20160 < 12**4
@@ -491,17 +488,39 @@ def test_out4_scan_rejects_tiny_bounds():
         out4_scan(12, 1)
 
 
-def test_tail_check_shapes():
-    scan = out4_scan(12, 1024)
-    axes = {(c.family, c.axis) for c in scan.checks}
-    # classical families are checked along both axes
-    assert (Family.LINEAR, "n") in axes and (Family.LINEAR, "q") in axes
-    assert (Family.UNITARY, "n") in axes and (Family.UNITARY, "q") in axes
-    # exceptional families only along q
-    assert (Family.G2, "q") in axes and (Family.G2, "n") not in axes
-    assert (Family.ALTERNATING, "n") in axes
-    for c in scan.checks:
-        assert c.boundary_ratio < 1
+def test_out4_scan_tiny_box_is_not_ok():
+    # The box misses L3(4) and finds nothing, which proves nothing.
+    scan = out4_scan(5, 2)
+    assert scan.candidates == ()
+    assert not scan.ok
+    assert [row.label for row in scan.failing_checks()] == ["L2(q <= 251)", "L3(q <= 7)", "U3(q <= 7)"]
+
+
+def test_certified_region_shape():
+    # The rows where the floor and cap leave |T| < |Out(T)|^4 open, with the
+    # largest q each needs: the same rows as the brute-force region.
+    region = atlas._certified_region()
+    assert [row.label for row in region] == ["L2(q <= 251)", "L3(q <= 7)", "U3(q <= 7)"]
+    needed = {}
+    for fam, n, q, _ in oracles.out4_region_points(ORACLE_REGION):
+        needed[fam, n] = max(needed.get((fam, n), 0), q)
+    assert {(row.family, row.n): row.q for row in region} == needed
+    assert len(list(oracles.out4_region_points(ORACLE_REGION))) == 76
+
+
+@pytest.mark.parametrize("fam", sorted(atlas._CLASSICAL_FAMILIES, key=lambda fam: fam.value))
+def test_rank_step_lemma(fam):
+    # Past the first rank settled at b = 1, K(n') <= 2*K(n) and
+    # e(n') >= e(n) + 4 for consecutive ranks n < n', so U(n', b) <= U(n, b)
+    # at every b; this is what lets _certified_region stop at that rank.
+    ranks = list(takewhile(lambda n: n <= 200, atlas._rank_values(fam)))
+    settled = [atlas._row_settled(atlas._order_floor(fam, n), atlas._out_cap(fam, n), 2) for n in ranks]
+    first = settled.index(True)
+    assert all(settled[first:]), fam
+    for n, later in zip(ranks[first:], ranks[first + 1 :]):
+        (_, e, _), (_, e_later, _) = atlas._order_floor(fam, n), atlas._order_floor(fam, later)
+        assert atlas._out_cap(fam, later) <= 2 * atlas._out_cap(fam, n), (fam, n)
+        assert e_later >= e + 4, (fam, n)
 
 
 def test_validate_rejects_bad_prime_power_data():
@@ -588,19 +607,19 @@ def test_catalog_size_at_1e12():
     assert len(enumerate_catalog(10**12)) == 1650
 
 
-OUT4_ORACLE_BOXES = [(5, 2), (5, 3), (6, 3), (7, 9), (9, 8), (11, 2), (12, 1024)]
+OUT4_ORACLE_BOXES = [(5, 2), (5, 3), (6, 3), (7, 9), (9, 8), (11, 2), (5, 250), (5, 251), (12, 1024)]
+
+# Every (family, n, b) with U(n, b) > 1 for n <= 40 and b <= 200, from the
+# bounds as the oracle restates them.
+ORACLE_REGION = oracles.out4_region_by_brute_force()
 
 
 def _matches_fraction_oracle(n_max, q_max, include_sporadic):
     # The oracle computes every ratio exactly, so this also checks that the
-    # pruned walk skips no point that could change the result.
+    # scan skips no point that could change the result.
     scan = out4_scan(n_max, q_max, include_sporadic=include_sporadic)
-    candidates, checks = oracles.out4_scan_by_fractions(n_max, q_max, include_sporadic)
-    assert scan.candidates == candidates
-    assert scan.checks == checks
-    for check in scan.checks:
-        assert type(check.boundary_ratio) is Fraction
-        assert check.interior_ratio is None or type(check.interior_ratio) is Fraction
+    assert scan.candidates == oracles.out4_scan_by_fractions(n_max, q_max, include_sporadic)
+    assert scan.ok == oracles.box_covers(ORACLE_REGION, n_max, q_max)
 
 
 @pytest.mark.parametrize("n_max,q_max", OUT4_ORACLE_BOXES)
@@ -621,15 +640,53 @@ def test_out4_scan_without_sporadics_matches_fraction_oracle(n_max, q_max):
     ],
 )
 def test_out4_scan_family_subset_matches_fraction_oracle(families):
-    scan = out4_scan(9, 128, families=families)
-    assert (scan.candidates, scan.checks) == oracles.out4_scan_by_fractions(9, 128, families=families)
+    for q_max in (5, 128):
+        scan = out4_scan(9, q_max, families=families)
+        assert scan.candidates == oracles.out4_scan_by_fractions(9, q_max, families=families)
+        assert scan.ok == oracles.box_covers(ORACLE_REGION, 9, q_max, families)
 
 
-# sha256 of repr(out4_scan(n_max, q_max)) from the unpruned scan, for boxes
-# too large for the oracle in the suite.
+def _region_sweep_points():
+    # The region plus one row and one column beyond it: the next rank of
+    # each family with a region row, and one more b at each rank.
+    extended = set(ORACLE_REGION)
+    for fam in {fam for fam, _, _ in ORACLE_REGION}:
+        ranks = sorted({n for f, n, _ in ORACLE_REGION if f is fam})
+        ranks.append(next(n for n in oracles.ranks(fam, 40) if n > ranks[-1]))
+        b_top = max(b for f, _, b in ORACLE_REGION if f is fam)
+        extended.update((fam, n, b) for n in ranks for b in range(1, b_top + 2))
+    return [gid for _, _, _, gid in oracles.out4_region_points(frozenset(extended))]
+
+
+def _sweep_bounds():
+    for gid in _region_sweep_points():
+        assert order_lower_bound_holds(gid), display_name(gid)
+        assert out_order_bound_holds(gid), display_name(gid)
+
+
+def test_bounds_hold_around_the_region():
+    assert len(_region_sweep_points()) > 76
+    _sweep_bounds()
+
+
+def test_bound_sweep_catches_a_halved_cap(monkeypatch):
+    # With K halved for L2, |Out(L2(9))| = 4 > (K/2)*f = 2: the sweep fails.
+    real = atlas._out_cap
+
+    def halved(fam, n):
+        return real(fam, n) // 2 if (fam, n) == (Family.LINEAR, 2) else real(fam, n)
+
+    monkeypatch.setattr(atlas, "_out_cap", halved)
+    with pytest.raises(AssertionError, match="L2"):
+        _sweep_bounds()
+
+
+# sha256 of repr(out4_scan(n_max, q_max)), for boxes too large for the
+# oracle in the suite; pinned after the candidates at each box were checked
+# against the unpruned oracle.
 OUT4_REPR_SHA256 = {
-    (16, 2048): "4a784a13ae986e92b03b2d58e43443e4215879036885d39a193439b4af08dc0a",
-    (24, 4096): "a1cf186661f9ed884dfbc2c8ff2e8d9f4e33bb4a3c26c3b253e47cbbc8469dd1",
+    (16, 2048): "18b9c3ed164deb62a7341c565434579c9cb7f76d1bf69edc2e574a59d16be7f3",
+    (24, 4096): "4051b52745bfe255437b722f802dc7c88e74b466f7e40d9bb5b2fb16d323b9cc",
 }
 
 
@@ -656,7 +713,8 @@ def test_catalog_repr_pinned(bound):
 
 def test_out4_scan_computes_few_exact_orders(monkeypatch):
     # out4_scan calls out_order once per point whose exact order it
-    # computes; the unpruned scan made 8,326 such calls at this box.
+    # computes; the unpruned scan made 8,326 such calls at this box, and
+    # the certified region leaves 39: 8 alternating, 27 sporadic, 4 Lie-type.
     calls = 0
     real = atlas.out_order
 
@@ -668,4 +726,4 @@ def test_out4_scan_computes_few_exact_orders(monkeypatch):
     monkeypatch.setattr(atlas, "out_order", counting)
     scan = out4_scan(12, 1024)
     assert [display_name(g) for g in scan.candidates] == ["L3(4)"]
-    assert 0 < calls < 100
+    assert 0 < calls < 40

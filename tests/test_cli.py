@@ -66,7 +66,9 @@ def test_atlas_scan_default(capsys):
     payload = json.loads(out)
     assert payload["candidates"] == ["L3(4)"]
     assert payload["tail_ok"] is True
-    assert payload["label"] == "verified within bounds [n_max=12, q_max=1024]"
+    assert payload["label"] == (
+        "certified: the box covers the region that the order floors and |Out| caps leave open"
+    )
     assert "families" not in payload
 
 

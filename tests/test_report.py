@@ -41,7 +41,8 @@ def test_verdicts(default_report):
 def test_simple_diagonal_verdict_needs_passing_tail_checks(default_report):
     diag = default_report.diagonal_result
     assert simple_diagonal_verdict(diag, default_report.out4_result) is Verdict.ELIMINATED_BY_COMPUTATION
-    # This box finds L3(4), the reference candidate, but its tail checks fail.
+    # This box finds L3(4), the reference candidate, but misses the certified
+    # region, so L3(4) is not shown to be the only candidate.
     small = atlas.out4_scan(5, 4)
     assert [atlas.display_name(g) for g in small.candidates] == ["L3(4)"] and not small.ok
     assert simple_diagonal_verdict(diag, small) is Verdict.OPEN
@@ -58,7 +59,9 @@ def test_evidence_sections(default_report):
     scan = sd["out4_scan"]
     assert scan["candidates"] == ["L3(4)"]
     assert scan["tail_ok"] is True
-    assert scan["label"] == "verified within bounds [n_max=12, q_max=1024]"
+    assert scan["label"] == (
+        "certified: the box covers the region that the order floors and |Out| caps leave open"
+    )
 
 
 def test_product_evidence(default_report):
@@ -106,9 +109,9 @@ def test_json_determinism():
 # sha256 of the report bytes.  A change that means to alter the report
 # updates these and records why in CHANGES.md.
 _REPORT_SHA256 = {
-    ("json", 2): "06e45619e826796df502eed8c5e063257b06827402d48201bf6363bcbf77d915",
-    ("json", 5): "218e2d37d72da91bb23346d9977a3ce2fa072869c55afeb3d7cf5b9c5f6a6b6c",
-    ("md", 2): "467aaad60c3e58f1327f3b8b7a716b9cde2e6c6a2ad52d382dcc795218433ea8",
+    ("json", 2): "554f3831f242fd5d562c820f315a1388bab8fc4cdd96719514d38e816c7889d4",
+    ("json", 5): "c01faecf9292f4b598e5128c93bad8f44a10a9740b40ac37ef9b4e5be9345a36",
+    ("md", 2): "1b3f0e7d834e0cb2ab917e896b71aaea5d2ff66b1184c97e908967a8943b9158",
 }
 
 
@@ -125,7 +128,7 @@ def test_markdown_sections(default_report):
                     "## Product", "## Twisted wreath", "## Point-imprimitive case",
                     "## Configuration"]:
         assert heading in text, heading
-    assert "verified within bounds" in text
+    assert "tail checks pass; certified: the box covers the region" in text
 
 
 def test_emit_rejects_unknown_format(default_report):
