@@ -564,7 +564,6 @@ class Out4ScanResult:
     region: tuple[RegionRow, ...]
     n_max: int
     q_max: int
-    include_sporadic: bool
 
     def failing_checks(self) -> list[RegionRow]:
         """The rows of the certified region that the box misses."""
@@ -620,6 +619,13 @@ def _certified_region() -> tuple[RegionRow, ...]:
     return tuple(rows)
 
 
+def certified_box() -> tuple[int, int]:
+    """The smallest box (n_max, q_max) that out4_scan accepts and that covers
+    the certified region: (5, 251), read off _certified_region."""
+    region = _certified_region()
+    return max(5, *(row.n for row in region)), max(row.q for row in region)
+
+
 # The candidates of every box that covers the certified region, by display
 # name; `reduce` and `atlas scan` compare their candidates to it.
 REFERENCE_OUT4_CANDIDATES = ("L3(4)",)
@@ -628,13 +634,13 @@ REFERENCE_OUT4_CANDIDATES = ("L3(4)",)
 def out4_scan(
     n_max: int,
     q_max: int,
-    include_sporadic: bool = True,
     families: frozenset[Family] | None = None,
     sporadic_table: str | None = None,
 ) -> Out4ScanResult:
     """Find the groups with |T| < |Out(T)|^4 among A5, ..., A_{n_max}, the
-    sporadic groups and the Lie-type groups with n <= n_max, q <= q_max.
-    Candidate ids are canonicalized before reporting.
+    sporadic groups and the Lie-type groups with n <= n_max, q <= q_max,
+    in the given families (all by default).  Candidate ids are canonicalized
+    before reporting.
 
     Only the points of the certified region (_certified_region) inside the
     box are examined, since every other Lie-type group has |Out|^4 < |T|.
@@ -657,11 +663,10 @@ def out4_scan(
     if Family.ALTERNATING in selected:
         for n in range(5, n_max + 1):
             _examine(alternating(n))
-    if include_sporadic:
-        for name in load_sporadic_table(sporadic_table):
-            g = sporadic(name, sporadic_table)
-            if g.family in selected:
-                _examine(g)
+    for name in load_sporadic_table(sporadic_table):
+        g = sporadic(name, sporadic_table)
+        if g.family in selected:
+            _examine(g)
 
     region = tuple(row for row in _certified_region() if row.family in selected)
     for row in region:
@@ -676,13 +681,7 @@ def out4_scan(
                 _examine(g)
 
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
-    return Out4ScanResult(
-        candidates=tuple(ordered),
-        region=region,
-        n_max=n_max,
-        q_max=q_max,
-        include_sporadic=include_sporadic,
-    )
+    return Out4ScanResult(candidates=tuple(ordered), region=region, n_max=n_max, q_max=q_max)
 
 
 # -- order floors and |Out| caps as predicates ------------------------------

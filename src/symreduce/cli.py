@@ -28,16 +28,12 @@ _DEFAULT_FORMAT = "json"
 # Every option flag, by name; a subcommand lists the ones it takes.  A flag
 # with an "env" entry falls back to that variable when it is not given, and
 # with neither, to the ReduceConfig default (_DEFAULT_FORMAT for --format).
+# A flag without an "env" entry is None when not given.
 _OPTIONS = {
     "--catalog-bound": {"env": "SYMREDUCE_CATALOG_BOUND", "type": int},
-    "--out4-nmax": {
-        "env": "SYMREDUCE_OUT4_NMAX", "dest": "out4_n_max", "metavar": "OUT4_NMAX", "type": int,
-    },
-    "--out4-qmax": {
-        "env": "SYMREDUCE_OUT4_QMAX", "dest": "out4_q_max", "metavar": "OUT4_QMAX", "type": int,
-    },
+    "--out4-nmax": {"type": int, "help": "default: the certified box"},
+    "--out4-qmax": {"type": int, "help": "default: the certified box"},
     "--v0-min": {"env": "SYMREDUCE_V0_MIN", "type": int, "choices": product.V0_MIN_CHOICES},
-    "--no-sporadic": {"dest": "include_sporadic", "action": "store_false"},
     "--families": {"help": "comma-separated family names"},
     "--sporadic-table": {"env": "SYMREDUCE_SPORADIC_TABLE"},
     "--format": {"env": "SYMREDUCE_FORMAT", "choices": _FORMATS},
@@ -117,7 +113,7 @@ def _build_parser() -> _Parser:
         one.add_argument("group", help="e.g. A7, L3(4), O+8(2), 2B2(8), M11")
     _leaf(
         atlas_sub, "scan", "scan for |T| < |Out(T)|^4", _cmd_atlas_scan,
-        "--out4-nmax", "--out4-qmax", "--no-sporadic", "--families", "--sporadic-table",
+        "--out4-nmax", "--out4-qmax", "--families", "--sporadic-table",
     )
     _leaf(
         atlas_sub, "catalog", "list all simple groups up to a bound", _cmd_atlas_catalog,
@@ -144,8 +140,7 @@ def _build_parser() -> _Parser:
 
     _leaf(
         sub, "reduce", "full pipeline and report", _cmd_reduce,
-        "--catalog-bound", "--out4-nmax", "--out4-qmax", "--v0-min", "--no-sporadic",
-        "--sporadic-table", "--format", "--output",
+        "--catalog-bound", "--v0-min", "--sporadic-table", "--format", "--output",
     )
     return parser
 
@@ -192,10 +187,10 @@ def _parse_families(raw: str | None) -> frozenset[atlas.Family] | None:
 
 def _cmd_atlas_scan(args) -> int:
     families = _parse_families(args.families)
+    n_max, q_max = atlas.certified_box()
     result = atlas.out4_scan(
-        args.out4_n_max,
-        args.out4_q_max,
-        include_sporadic=args.include_sporadic,
+        n_max if args.out4_nmax is None else args.out4_nmax,
+        q_max if args.out4_qmax is None else args.out4_qmax,
         families=families,
         sporadic_table=args.sporadic_table,
     )

@@ -6,6 +6,8 @@ done by squaring, so strict inequalities stay strict at boundary cases.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import DomainError
 
 
@@ -21,6 +23,9 @@ def is_symmetric_admissible(v: int, k: int, lam: int) -> tuple[bool, list[str]]:
         violations.append(f"k^2 = {k * k} <= {lam * v} = lambda*v")
     if not 2 <= k < v:
         violations.append(f"need 2 <= k < v, got k={k}, v={v}")
+    # Schutzenberger: a symmetric design with v even has k - lambda a square.
+    if v % 2 == 0 and (k < lam or isqrt(k - lam) ** 2 != k - lam):
+        violations.append(f"v = {v} is even but k - lambda = {k - lam} is not a square")
     return not violations, violations
 
 

@@ -53,10 +53,7 @@ IMPRIMITIVE_SAMPLES = (2, 3, 4)
 @dataclass(frozen=True)
 class ReduceConfig:
     catalog_bound: int = 10_000_000
-    out4_n_max: int = 12
-    out4_q_max: int = 1024
     v0_min: int = 2
-    include_sporadic: bool = True
     sporadic_table: str | None = None
 
     def as_payload(self) -> dict:
@@ -102,16 +99,6 @@ class ReductionReport:
         )
 
     @property
-    def out4_warnings(self) -> tuple[str, ...]:
-        if self.out4_result.ok:
-            return ()
-        missed = ", ".join(row.label for row in self.out4_result.failing_checks())
-        return (
-            f"the scan box misses the certified region at: {missed}; the scan "
-            "bounds are too small to trust emptiness beyond them",
-        )
-
-    @property
     def product_matches_reference(self) -> bool:
         return product.triples_match_reference(self.product_triples, self.config.v0_min)
 
@@ -144,12 +131,7 @@ def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
     return ReductionReport(
         config=config,
         diagonal_result=diagonal.diagonal_scan(config.catalog_bound, config.sporadic_table),
-        out4_result=atlas.out4_scan(
-            config.out4_n_max,
-            config.out4_q_max,
-            include_sporadic=config.include_sporadic,
-            sporadic_table=config.sporadic_table,
-        ),
+        out4_result=atlas.out4_scan(*atlas.certified_box(), sporadic_table=config.sporadic_table),
         product_triples=tuple(product.enumerate_product_cases(config.v0_min)),
         m4_reports=tuple(product.m4_case(v0) for v0 in product.M4_V0),
         imprimitive_families=tuple(map(imprimitive.imprimitive_family, IMPRIMITIVE_SAMPLES)),
@@ -176,7 +158,6 @@ def out4_scan_payload(result: atlas.Out4ScanResult) -> dict:
     return {
         "n_max": result.n_max,
         "q_max": result.q_max,
-        "include_sporadic": result.include_sporadic,
         "candidates": [atlas.display_name(g) for g in result.candidates],
         "tail_ok": result.ok,
         "label": (
@@ -243,7 +224,6 @@ def report_payload(report: ReductionReport) -> dict:
                 "certified_region": [
                     {"family": row.family.value, "n": row.n, "q": row.q} for row in out4.region
                 ],
-                "warnings": list(report.out4_warnings),
             },
             "warnings": list(report.diagonal_warnings),
         },
@@ -313,7 +293,7 @@ def _markdown(report: ReductionReport) -> str:
                 f"tail checks {'pass' if scan['tail_ok'] else 'FAIL'}; "
                 f"{scan['label']}."
             )
-            for warning in section["warnings"] + scan["warnings"]:
+            for warning in section["warnings"]:
                 lines.append(f"Warning: {warning}")
         elif otype is OnanScottType.PRODUCT:
             section = payload["evidence"]["product"]

@@ -470,8 +470,12 @@ def test_out4_scan_unitary_only():
     assert scan.ok
 
 
+# Every family but the sporadic groups, the Tits group among them.
+NOT_SPORADIC = frozenset(Family) - {Family.SPORADIC, Family.TITS}
+
+
 def test_out4_scan_small_box_fails_tails():
-    scan = out4_scan(6, 3, include_sporadic=False)
+    scan = out4_scan(6, 3, families=NOT_SPORADIC)
     assert scan.candidates == ()
     assert not scan.ok
     failing = {c.family for c in scan.failing_checks()}
@@ -617,7 +621,7 @@ ORACLE_REGION = oracles.out4_region_by_brute_force()
 def _matches_fraction_oracle(n_max, q_max, include_sporadic):
     # The oracle computes every ratio exactly, so this also checks that the
     # scan skips no point that could change the result.
-    scan = out4_scan(n_max, q_max, include_sporadic=include_sporadic)
+    scan = out4_scan(n_max, q_max, families=None if include_sporadic else NOT_SPORADIC)
     assert scan.candidates == oracles.out4_scan_by_fractions(n_max, q_max, include_sporadic)
     assert scan.ok == oracles.box_covers(ORACLE_REGION, n_max, q_max)
 
@@ -644,6 +648,14 @@ def test_out4_scan_family_subset_matches_fraction_oracle(families):
         scan = out4_scan(9, q_max, families=families)
         assert scan.candidates == oracles.out4_scan_by_fractions(9, q_max, families=families)
         assert scan.ok == oracles.box_covers(ORACLE_REGION, 9, q_max, families)
+
+
+def test_certified_box_is_the_smallest_covering_box():
+    n_max, q_max = atlas.certified_box()
+    assert (n_max, q_max) == (5, 251)
+    assert oracles.box_covers(ORACLE_REGION, n_max, q_max)
+    assert not oracles.box_covers(ORACLE_REGION, n_max, q_max - 1)
+    assert out4_scan(n_max, q_max).ok
 
 
 def _region_sweep_points():
@@ -685,8 +697,8 @@ def test_bound_sweep_catches_a_halved_cap(monkeypatch):
 # oracle in the suite; pinned after the candidates at each box were checked
 # against the unpruned oracle.
 OUT4_REPR_SHA256 = {
-    (16, 2048): "18b9c3ed164deb62a7341c565434579c9cb7f76d1bf69edc2e574a59d16be7f3",
-    (24, 4096): "4051b52745bfe255437b722f802dc7c88e74b466f7e40d9bb5b2fb16d323b9cc",
+    (16, 2048): "daf009abc7050f7ed19a2fcaac8345d1d4980bebb132be3c74ffb9eda8c0605e",
+    (24, 4096): "9928d373cf4927641fef6b7d21218524e835272e762144388de62b2547edb32c",
 }
 
 

@@ -29,6 +29,15 @@ def test_check_inadmissible(capsys):
     assert payload["violations"]
 
 
+def test_check_even_v_needs_square_order(capsys):
+    # 7*6 = 2*21, but v = 22 is even and k - lambda = 5 is not a square.
+    code, out, _ = run(capsys, "check", "22", "7", "2")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["admissible"] is False
+    assert payload["violations"] == ["v = 22 is even but k - lambda = 5 is not a square"]
+
+
 def test_check_usage_error(capsys):
     code, _, err = run(capsys, "check", "7", "3")
     assert code == 1
@@ -89,9 +98,15 @@ def test_atlas_scan_unknown_family(capsys):
     assert code == 1
 
 
+# Every family but the sporadic groups, as a --families value.
+_NOT_SPORADIC = ",".join(
+    fam.value for fam in atlas.Family if fam not in (atlas.Family.SPORADIC, atlas.Family.TITS)
+)
+
+
 def test_atlas_scan_small_bounds(capsys):
     code, out, err = run(capsys, "atlas", "scan", "--out4-nmax", "6",
-                         "--out4-qmax", "3", "--no-sporadic")
+                         "--out4-qmax", "3", "--families", _NOT_SPORADIC)
     assert code == 1
     payload = json.loads(out)
     assert payload["candidates"] == []
@@ -143,8 +158,6 @@ def test_diagonal_scan_flag_beats_env(capsys, monkeypatch):
 # Each integer variable with a command that takes its flag.
 _INT_ENV_COMMANDS = {
     "SYMREDUCE_CATALOG_BOUND": ("diagonal", "scan"),
-    "SYMREDUCE_OUT4_NMAX": ("atlas", "scan"),
-    "SYMREDUCE_OUT4_QMAX": ("atlas", "scan"),
     "SYMREDUCE_V0_MIN": ("product", "enumerate"),
 }
 
@@ -199,9 +212,15 @@ def test_env_v0_min(capsys, monkeypatch):
 
 
 def test_env_out4_box(capsys, monkeypatch):
+    # Only the flags set the box: no SYMREDUCE_OUT4_* variable is read, and
+    # without the flags the box is the certified one.
     monkeypatch.setenv("SYMREDUCE_OUT4_NMAX", "6")
     monkeypatch.setenv("SYMREDUCE_OUT4_QMAX", "3")
-    code, out, err = run(capsys, "atlas", "scan", "--no-sporadic")
+    code, out, _ = run(capsys, "atlas", "scan")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["n_max"], payload["q_max"]) == atlas.certified_box()
+    code, out, err = run(capsys, "atlas", "scan", "--out4-nmax", "6", "--out4-qmax", "3")
     payload = json.loads(out)
     assert (payload["n_max"], payload["q_max"]) == (6, 3)
     assert payload["label"] == "verified within bounds [n_max=6, q_max=3]"
@@ -284,8 +303,18 @@ def test_simple_diagonal_verdict_from_evidence(capsys, tmp_path):
     assert _simple_diagonal_verdict(capsys, "--sporadic-table", str(fake)) == "open"
     # An empty catalog carries no evidence.
     assert _simple_diagonal_verdict(capsys, "--catalog-bound", "10") == "open"
-    # A box that misses L3(4) finds no candidate, which is not the reference.
-    assert _simple_diagonal_verdict(capsys, "--out4-nmax", "5", "--out4-qmax", "2") == "open"
+
+
+def test_reduce_scans_the_certified_box_whatever_the_settings(capsys, monkeypatch):
+    plain = run(capsys, "reduce")
+    monkeypatch.setenv("SYMREDUCE_OUT4_NMAX", "5")
+    monkeypatch.setenv("SYMREDUCE_OUT4_QMAX", "2")
+    assert run(capsys, "reduce") == plain
+    assert json.loads(plain[1])["verdicts"]["simple_diagonal"] == "eliminated_by_computation"
+    for flags in (("--no-sporadic",), ("--out4-nmax", "5")):
+        code, out, err = run(capsys, "reduce", *flags)
+        assert (code, out) == (1, ""), flags
+        assert "unrecognized arguments" in err, flags
 
 
 def test_reduce_markdown(capsys):
@@ -363,7 +392,7 @@ def test_outputs_match_report_sections(capsys):
     scan = json.loads(run(capsys, "atlas", "scan")[1])
     section = evidence["simple_diagonal"]["out4_scan"]
     shared = scan.keys() & section.keys()
-    assert shared == {"n_max", "q_max", "include_sporadic", "candidates", "tail_ok", "label"}
+    assert shared == {"n_max", "q_max", "candidates", "tail_ok", "label"}
     assert {key: scan[key] for key in shared} == {key: section[key] for key in shared}
     m4 = json.loads(run(capsys, "product", "m4", "5")[1])
     assert m4 == evidence["product"]["m4_cases"][0]

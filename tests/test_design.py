@@ -17,6 +17,11 @@ def test_is_symmetric_admissible():
     assert not ok and violations
     ok, violations = is_symmetric_admissible(16, 6, 3)
     assert not ok
+    # Schutzenberger: (22, 7, 2) meets the other identities, but v is even
+    # and k - lambda = 5 is not a square; for (16, 6, 2) it is 4 = 2^2.
+    assert is_symmetric_admissible(22, 7, 2) == (
+        False, ["v = 22 is even but k - lambda = 5 is not a square"]
+    )
 
 
 def test_admissible_requires_fisher():

@@ -57,6 +57,8 @@ def test_evidence_sections(default_report):
     assert sd["m_range"] == [2, 6]
     assert "verified within catalog bound" in sd["label"]
     scan = sd["out4_scan"]
+    assert (scan["n_max"], scan["q_max"]) == atlas.certified_box()
+    assert "warnings" not in scan
     assert scan["candidates"] == ["L3(4)"]
     assert scan["tail_ok"] is True
     assert scan["label"] == (
@@ -109,9 +111,9 @@ def test_json_determinism():
 # sha256 of the report bytes.  A change that means to alter the report
 # updates these and records why in CHANGES.md.
 _REPORT_SHA256 = {
-    ("json", 2): "554f3831f242fd5d562c820f315a1388bab8fc4cdd96719514d38e816c7889d4",
-    ("json", 5): "c01faecf9292f4b598e5128c93bad8f44a10a9740b40ac37ef9b4e5be9345a36",
-    ("md", 2): "1b3f0e7d834e0cb2ab917e896b71aaea5d2ff66b1184c97e908967a8943b9158",
+    ("json", 2): "c2c865f6619b0e8ed1724481620b769220aff023602f209d4e2a24c6e1f0d07f",
+    ("json", 5): "dee07c63ead3709e92d03a4ddcf90506ae7f217ec4b825449477635fc4f1ea02",
+    ("md", 2): "43ce34a994f0ccf4fe06512f5426e911db2bb769354fc6e381db6b9efb38fab5",
 }
 
 
@@ -143,15 +145,6 @@ def test_degenerate_bound_warns():
     assert any("bounds too small" in w for w in warnings)
 
 
-def test_small_out4_bounds_warn_not_crash():
-    report = run_reduce(ReduceConfig(out4_n_max=6, out4_q_max=3))
-    payload = report_payload(report)
-    scan = payload["evidence"]["simple_diagonal"]["out4_scan"]
-    assert scan["tail_ok"] is False
-    assert any("too small" in w for w in scan["warnings"])
-    assert not report.agrees_with_reference
-
-
 def test_agreement_flag(default_report):
     # the fourth product triple keeps full agreement out of reach
     assert default_report.product_matches_reference is False
@@ -172,7 +165,9 @@ def test_agreement_compares_the_m4_candidates(default_report, monkeypatch):
 
 def test_config_payload(default_report):
     config = report_payload(default_report)["config"]
-    assert config["catalog_bound"] == 10_000_000
-    assert config["out4_n_max"] == 12
-    assert config["out4_q_max"] == 1024
-    assert config["v0_min"] == 2
+    assert config == {
+        "catalog_bound": 10_000_000,
+        "v0_min": 2,
+        "sporadic_table": None,
+        "imprimitive_samples": [2, 3, 4],
+    }
