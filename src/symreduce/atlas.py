@@ -564,6 +564,7 @@ class Out4ScanResult:
     region: tuple[RegionRow, ...]
     n_max: int
     q_max: int
+    families: tuple[Family, ...]  # the scanned families, in Family order
 
     def failing_checks(self) -> list[RegionRow]:
         """The rows of the certified region that the box misses."""
@@ -575,6 +576,27 @@ class Out4ScanResult:
         families, so that the candidates are every group of those families
         with |T| < |Out(T)|^4, not only those inside the box."""
         return not self.failing_checks()
+
+    @property
+    def full(self) -> bool:
+        """Whether every family was scanned."""
+        return len(self.families) == len(Family)
+
+    def as_payload(self) -> dict:
+        payload = {
+            "n_max": self.n_max,
+            "q_max": self.q_max,
+            "candidates": [display_name(g) for g in self.candidates],
+            "tail_ok": self.ok,
+            "label": (
+                "certified: the box covers the region that the order floors and |Out| caps leave open"
+                if self.ok
+                else f"verified within bounds [n_max={self.n_max}, q_max={self.q_max}]"
+            ),
+        }
+        if not self.full:
+            payload["families"] = sorted(fam.value for fam in self.families)
+        return payload
 
 
 def _row_settled(floor: tuple[int, int, int], cap: int, q: int) -> bool:
@@ -681,7 +703,13 @@ def out4_scan(
                 _examine(g)
 
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
-    return Out4ScanResult(candidates=tuple(ordered), region=region, n_max=n_max, q_max=q_max)
+    return Out4ScanResult(
+        candidates=tuple(ordered),
+        region=region,
+        n_max=n_max,
+        q_max=q_max,
+        families=tuple(fam for fam in Family if fam in selected),
+    )
 
 
 # -- order floors and |Out| caps as predicates ------------------------------

@@ -13,10 +13,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
-from . import atlas, design, diagonal, imprimitive, product, report
 from .errors import DomainError
+
+# A command loads only the layers it runs: each handler imports them itself
+# and calls them through their module attribute.
 
 EXIT_AGREES = 0
 EXIT_ERROR = 1
@@ -25,15 +26,24 @@ EXIT_DISAGREES = 2
 _FORMATS = ("json", "md")
 _DEFAULT_FORMAT = "json"
 
+
+def _v0_min_choices() -> tuple[int, ...]:
+    from . import design
+
+    return design.V0_MIN_CHOICES
+
+
 # Every option flag, by name; a subcommand lists the ones it takes.  A flag
 # with an "env" entry falls back to that variable when it is not given, and
-# with neither, to the ReduceConfig default (_DEFAULT_FORMAT for --format).
-# A flag without an "env" entry is None when not given.
+# with neither, to the ReduceConfig default if it is marked "config"
+# (_DEFAULT_FORMAT for --format, None otherwise).  A flag without an "env"
+# entry is None when not given.  A callable "choices" is read when a chosen
+# subcommand adds the flag.
 _OPTIONS = {
-    "--catalog-bound": {"env": "SYMREDUCE_CATALOG_BOUND", "type": int},
+    "--catalog-bound": {"env": "SYMREDUCE_CATALOG_BOUND", "type": int, "config": True},
     "--out4-nmax": {"type": int, "help": "default: the certified box"},
     "--out4-qmax": {"type": int, "help": "default: the certified box"},
-    "--v0-min": {"env": "SYMREDUCE_V0_MIN", "type": int, "choices": product.V0_MIN_CHOICES},
+    "--v0-min": {"env": "SYMREDUCE_V0_MIN", "type": int, "choices": _v0_min_choices, "config": True},
     "--families": {"help": "comma-separated family names"},
     "--sporadic-table": {"env": "SYMREDUCE_SPORADIC_TABLE"},
     "--format": {"env": "SYMREDUCE_FORMAT", "choices": _FORMATS},
@@ -41,7 +51,27 @@ _OPTIONS = {
 }
 
 
+def _spec(flag: str) -> dict:
+    spec = dict(_OPTIONS[flag])
+    if callable(spec.get("choices")):
+        spec["choices"] = spec["choices"]()
+    return spec
+
+
 class _Parser(argparse.ArgumentParser):
+    """A subcommand's option flags are added when it is chosen, so that
+    building the parser reads no layer."""
+
+    def __init__(self, *args, flags: tuple[str, ...] = (), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending_flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag in self._pending_flags:
+            self.add_argument(flag, **{k: v for k, v in _spec(flag).items() if k not in ("env", "config")})
+        self._pending_flags = ()
+        return super().parse_known_args(args, namespace)
+
     # argparse exits with 2 on usage errors, which collides with the
     # "disagreement" exit code; route usage errors to 1 instead.
     def error(self, message):
@@ -74,12 +104,17 @@ def _resolve_settings(args: argparse.Namespace) -> None:
     """Fill every setting the chosen subcommand takes but was not given.  An
     empty value counts as not given, from the flag and the variable alike."""
     for flag, spec in _OPTIONS.items():
-        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        dest = flag[2:].replace("-", "_")
         if "env" not in spec or not hasattr(args, dest) or getattr(args, dest) not in (None, ""):
             continue
-        value = _from_env(spec)
+        value = _from_env(_spec(flag))
         if value in (None, ""):
-            value = _DEFAULT_FORMAT if dest == "format" else getattr(report.ReduceConfig, dest)
+            if spec.get("config"):
+                from . import report
+
+                value = getattr(report.ReduceConfig, dest)
+            else:
+                value = _DEFAULT_FORMAT if dest == "format" else None
         setattr(args, dest, value)
 
 
@@ -90,11 +125,8 @@ def _group(sub, name: str, help_text: str):
 
 
 def _leaf(sub, name: str, help_text: str, func, *options: str) -> _Parser:
-    parser = sub.add_parser(name, help=help_text)
+    parser = sub.add_parser(name, help=help_text, flags=options)
     parser.set_defaults(func=func)
-    for flag in options:
-        spec = {key: value for key, value in _OPTIONS[flag].items() if key != "env"}
-        parser.add_argument(flag, **spec)
     return parser
 
 
@@ -150,6 +182,8 @@ def _print_json(payload) -> None:
 
 
 def _cmd_check(args) -> int:
+    from . import design
+
     admissible, violations = design.is_symmetric_admissible(args.v, args.k, args.lam)
     _print_json(
         {
@@ -164,13 +198,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_atlas_lookup(args) -> int:
+    from . import atlas
+
     gid = atlas.parse_group(args.group, args.sporadic_table)
     lookup = atlas.order if args.atlas_command == "order" else atlas.out_order
     print(lookup(gid, args.sporadic_table))
     return EXIT_AGREES
 
 
-def _parse_families(raw: str | None) -> frozenset[atlas.Family] | None:
+def _parse_families(raw: str | None) -> frozenset | None:
+    from . import atlas
+
     if raw is None:
         return None
     families = set()
@@ -186,6 +224,8 @@ def _parse_families(raw: str | None) -> frozenset[atlas.Family] | None:
 
 
 def _cmd_atlas_scan(args) -> int:
+    from . import atlas
+
     families = _parse_families(args.families)
     n_max, q_max = atlas.certified_box()
     result = atlas.out4_scan(
@@ -195,10 +235,8 @@ def _cmd_atlas_scan(args) -> int:
         sporadic_table=args.sporadic_table,
     )
     # The reference outcome holds only when the linear groups are scanned.
-    linear = families is None or atlas.Family.LINEAR in families
-    payload = report.out4_scan_payload(result)
-    if families is not None:
-        payload["families"] = sorted(fam.value for fam in families)
+    linear = atlas.Family.LINEAR in result.families
+    payload = result.as_payload()
     payload["expected"] = list(atlas.REFERENCE_OUT4_CANDIDATES) if linear else []
     payload["failing_checks"] = [row.label for row in result.failing_checks()]
     _print_json(payload)
@@ -209,6 +247,8 @@ def _cmd_atlas_scan(args) -> int:
 
 
 def _cmd_atlas_catalog(args) -> int:
+    from . import atlas
+
     records = [
         {
             "name": atlas.display_name(gid),
@@ -226,12 +266,16 @@ def _cmd_atlas_catalog(args) -> int:
 
 
 def _cmd_diagonal_scan(args) -> int:
+    from . import diagonal
+
     result = diagonal.diagonal_scan(args.catalog_bound, args.sporadic_table)
-    _print_json(report.diagonal_scan_payload(result))
+    _print_json(result.as_payload())
     return EXIT_AGREES if not result.survivors else EXIT_DISAGREES
 
 
 def _cmd_product_enumerate(args) -> int:
+    from . import product
+
     triples = product.enumerate_product_cases(args.v0_min)
     reference = product.reference_triples(args.v0_min)
     matches = product.triples_match_reference(triples, args.v0_min)
@@ -239,7 +283,7 @@ def _cmd_product_enumerate(args) -> int:
         {
             "v0_min": args.v0_min,
             "m_values": list(product.M_VALUES),
-            "triples": [report.product_triple_payload(t) for t in triples],
+            "triples": [t.as_payload() for t in triples],
             "reference": [list(t) for t in reference],
             "matches_reference": matches,
         }
@@ -248,17 +292,25 @@ def _cmd_product_enumerate(args) -> int:
 
 
 def _cmd_product_m4(args) -> int:
+    from . import product
+
     rep = product.m4_case(args.v0)
-    _print_json(report.m4_payload(rep))
+    _print_json(rep.as_payload())
     return EXIT_AGREES if product.m4_matches_reference(rep) else EXIT_DISAGREES
 
 
 def _cmd_imprimitive_family(args) -> int:
-    _print_json(report.imprimitive_family_payload(imprimitive.imprimitive_family(args.lam)))
+    from . import imprimitive
+
+    _print_json(imprimitive.imprimitive_family(args.lam).as_payload())
     return EXIT_AGREES
 
 
 def _cmd_reduce(args) -> int:
+    from dataclasses import fields
+
+    from . import report
+
     given = [f.name for f in fields(report.ReduceConfig) if hasattr(args, f.name)]
     config = report.ReduceConfig(**{name: getattr(args, name) for name in given})
     result = report.run_reduce(config)

@@ -118,6 +118,17 @@ class DiagonalScanResult:
     catalog_bound: int
     catalog_size: int
 
+    def as_payload(self) -> dict:
+        return {
+            "catalog_bound": self.catalog_bound,
+            "catalog_size": self.catalog_size,
+            "m_range": list(M_RANGE),
+            "survivors": [
+                {"group": atlas.display_name(case.group), "m": case.m} for case in self.survivors
+            ],
+            "near_misses": [atlas.display_name(g) for g in self.near_misses],
+        }
+
 
 def diagonal_scan(catalog_bound: int, sporadic_table: str | None = None) -> DiagonalScanResult:
     """Run the odd-part test for every cataloged T and every m in M_RANGE.

@@ -26,6 +26,14 @@ class ImprimitiveFamily:
     k: int
     options: tuple[ClassOption, ...]
 
+    def as_payload(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "v": self.v,
+            "k": self.k,
+            "options": [[opt.c, opt.d, opt.l] for opt in self.options],
+        }
+
 
 def imprimitive_family(lam: int) -> ImprimitiveFamily:
     """Instantiate the family at lambda and re-check every structural

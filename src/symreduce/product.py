@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial, isqrt
 
-from .design import is_symmetric_admissible, satisfies_focus_condition
+from .design import COMPONENT_V0_MIN, V0_MIN_CHOICES, is_symmetric_admissible, satisfies_focus_condition
 from .errors import DomainError
 from .intmath import divisors
 
@@ -91,12 +91,6 @@ def power_gap_feasible(m: int, v0: int) -> bool:
     return s <= 0 or s * s < 4 * x
 
 
-# The choices of v0_min.  2 keeps every arithmetic survivor; 5 is the least
-# degree of a component with a non-abelian simple socle (A5 on 5 points).
-COMPONENT_V0_MIN = 5
-V0_MIN_CHOICES = (2, COMPONENT_V0_MIN)
-
-
 def _require_v0_min(v0_min: int) -> None:
     if v0_min not in V0_MIN_CHOICES:
         choices = " or ".join(map(str, V0_MIN_CHOICES))
@@ -157,6 +151,22 @@ class ProductTriple:
     @property
     def triple(self) -> tuple[int, int, int]:
         return (self.v, self.k, self.lam)
+
+    def as_payload(self) -> dict:
+        return {
+            "v": self.v,
+            "k": self.k,
+            "lambda": self.lam,
+            "witnesses": [
+                {
+                    "m": case.m,
+                    "a": case.a,
+                    "v0": case.v0,
+                    "v0_below_5": case.v0 < COMPONENT_V0_MIN,
+                }
+                for case in self.witnesses
+            ],
+        }
 
 
 def enumerate_product_cases(
@@ -253,6 +263,17 @@ class M4Report:
         rejected = {r.k for r in self.rejections}
         return tuple(k for k in self.candidates if k not in rejected)
 
+    def as_payload(self) -> dict:
+        return {
+            "v0": self.v0,
+            "k_interval_open": list(self.k_interval),
+            "k_min_exact": self.k_min_exact,
+            "stabilizer_order": self.stabilizer_order,
+            "candidates": list(self.candidates),
+            "rejections": [{"k": r.k, "reason": r.reason} for r in self.rejections],
+            "survivors": list(self.survivors),
+        }
+
 
 def _truncated_lower_bound(x: int) -> int:
     """The open lower bound on k obtained by truncating
@@ -298,9 +319,9 @@ def m4_case(v0: int) -> M4Report:
     k_min_exact = _exact_lower_bound(x)
     # point stabilizer of the wreath product: ((v0-1)!)^4 * 4!
     stabilizer = factorial(v0 - 1) ** 4 * factorial(m)
-    candidates = tuple(
-        k for k in divisors(stabilizer) if lower_open < k < upper_open
-    )
+    # k divides the stabilizer order; walking the short open interval tests
+    # far fewer k than listing every divisor of the stabilizer.
+    candidates = tuple(k for k in range(lower_open + 1, upper_open) if stabilizer % k == 0)
     v_minus_1 = v0**m - 1
     rejections = []
     for k in candidates:

@@ -61,9 +61,13 @@ class ReduceConfig:
 
 
 def _out4_matches_reference(result: atlas.Out4ScanResult) -> bool:
-    """A box that covers the certified region and exactly the reference
-    candidates."""
-    return result.ok and tuple(map(atlas.display_name, result.candidates)) == atlas.REFERENCE_OUT4_CANDIDATES
+    """A scan of every family whose box covers the certified region, with
+    exactly the reference candidates."""
+    return (
+        result.full
+        and result.ok
+        and tuple(map(atlas.display_name, result.candidates)) == atlas.REFERENCE_OUT4_CANDIDATES
+    )
 
 
 @dataclass(frozen=True)
@@ -116,9 +120,9 @@ def simple_diagonal_verdict(
     diag_result: diagonal.DiagonalScanResult, out4_result: atlas.Out4ScanResult
 ) -> Verdict:
     """eliminated_by_computation only when the evidence carries it: a
-    non-empty catalog, no survivor of the odd-part scan, an out4 box that
-    covers the certified region and exactly the reference out4 candidates;
-    open otherwise."""
+    non-empty catalog, no survivor of the odd-part scan, an out4 scan of
+    every family whose box covers the certified region, and exactly the
+    reference out4 candidates; open otherwise."""
     eliminated = (
         diag_result.catalog_size > 0
         and not diag_result.survivors
@@ -141,73 +145,6 @@ def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
 # -- serialization ----------------------------------------------------------
 
 
-def diagonal_scan_payload(result: diagonal.DiagonalScanResult) -> dict:
-    return {
-        "catalog_bound": result.catalog_bound,
-        "catalog_size": result.catalog_size,
-        "m_range": list(diagonal.M_RANGE),
-        "survivors": [
-            {"group": atlas.display_name(case.group), "m": case.m}
-            for case in result.survivors
-        ],
-        "near_misses": [atlas.display_name(g) for g in result.near_misses],
-    }
-
-
-def out4_scan_payload(result: atlas.Out4ScanResult) -> dict:
-    return {
-        "n_max": result.n_max,
-        "q_max": result.q_max,
-        "candidates": [atlas.display_name(g) for g in result.candidates],
-        "tail_ok": result.ok,
-        "label": (
-            "certified: the box covers the region that the order floors and |Out| caps leave open"
-            if result.ok
-            else f"verified within bounds [n_max={result.n_max}, q_max={result.q_max}]"
-        ),
-    }
-
-
-def product_triple_payload(triple: product.ProductTriple) -> dict:
-    return {
-        "v": triple.v,
-        "k": triple.k,
-        "lambda": triple.lam,
-        "witnesses": [
-            {
-                "m": case.m,
-                "a": case.a,
-                "v0": case.v0,
-                "v0_below_5": case.v0 < product.COMPONENT_V0_MIN,
-            }
-            for case in triple.witnesses
-        ],
-    }
-
-
-def m4_payload(rep: product.M4Report) -> dict:
-    return {
-        "v0": rep.v0,
-        "k_interval_open": list(rep.k_interval),
-        "k_min_exact": rep.k_min_exact,
-        "stabilizer_order": rep.stabilizer_order,
-        "candidates": list(rep.candidates),
-        "rejections": [
-            {"k": r.k, "reason": r.reason} for r in rep.rejections
-        ],
-        "survivors": list(rep.survivors),
-    }
-
-
-def imprimitive_family_payload(fam: imprimitive.ImprimitiveFamily) -> dict:
-    return {
-        "lambda": fam.lam,
-        "v": fam.v,
-        "k": fam.k,
-        "options": [[opt.c, opt.d, opt.l] for opt in fam.options],
-    }
-
-
 def report_payload(report: ReductionReport) -> dict:
     """The canonical machine structure: verdicts, evidence, hypotheses,
     config, version.  Everything below is decimal integers, strings, bools
@@ -217,10 +154,10 @@ def report_payload(report: ReductionReport) -> dict:
     reference = product.reference_triples(report.config.v0_min)
     evidence = {
         "simple_diagonal": {
-            **diagonal_scan_payload(diag),
+            **diag.as_payload(),
             "label": f"verified within catalog bound {diag.catalog_bound}",
             "out4_scan": {
-                **out4_scan_payload(out4),
+                **out4.as_payload(),
                 "certified_region": [
                     {"family": row.family.value, "n": row.n, "q": row.q} for row in out4.region
                 ],
@@ -230,10 +167,10 @@ def report_payload(report: ReductionReport) -> dict:
         "product": {
             "v0_min": report.config.v0_min,
             "m_values": list(product.M_VALUES),
-            "triples": [product_triple_payload(t) for t in report.product_triples],
+            "triples": [t.as_payload() for t in report.product_triples],
             "reference_triples": [list(t) for t in reference],
             "matches_reference": report.product_matches_reference,
-            "m4_cases": [m4_payload(rep) for rep in report.m4_reports],
+            "m4_cases": [rep.as_payload() for rep in report.m4_reports],
             "surviving_triples_note": (
                 "surviving triples are dismissed by external citation, not "
                 "by this computation"
@@ -243,7 +180,7 @@ def report_payload(report: ReductionReport) -> dict:
         "point_imprimitive": {
             "family": "(v, k, lambda) = (lambda^2*(lambda+2), lambda*(lambda+1), lambda)",
             "class_options": "(c, d, l) = (lambda^2, lambda+2, lambda) or (lambda+2, lambda^2, 2)",
-            "samples": [imprimitive_family_payload(fam) for fam in report.imprimitive_families],
+            "samples": [fam.as_payload() for fam in report.imprimitive_families],
         },
     }
     return {

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symreduce
 from symreduce import atlas, diagonal
 from symreduce.cli import main
 from symreduce.report import ReduceConfig, emit, report_payload, run_reduce
@@ -407,3 +412,45 @@ def test_reduce_defaults_are_reduce_config(capsys):
     code, out, _ = run(capsys, "reduce")
     assert code == 2
     assert out == emit(run_reduce(ReduceConfig()), "json")
+
+
+def _loads(*layers: str) -> set:
+    return {"symreduce", "symreduce.cli", "symreduce.errors", *(f"symreduce.{name}" for name in layers)}
+
+
+# The symreduce modules a fresh interpreter holds after `import
+# symreduce.cli` and one command: each command loads only the layers it runs.
+_LOADED = {
+    (): _loads(),
+    ("check", "16", "6", "2"): _loads("design"),
+    ("atlas", "order", "L3(4)"): _loads("atlas", "intmath"),
+    ("atlas", "out", "L3(4)"): _loads("atlas", "intmath"),
+    ("product", "enumerate", "--v0-min", "5"): _loads("product", "design", "intmath"),
+    ("product", "m4", "6"): _loads("product", "design", "intmath"),
+    ("imprimitive", "family", "7"): _loads("imprimitive", "design"),
+    ("diagonal", "scan", "--catalog-bound", "10000000"): _loads("diagonal", "atlas", "intmath"),
+    ("reduce",): _loads("atlas", "design", "diagonal", "imprimitive", "intmath", "product", "report"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_LOADED), ids=lambda argv: "-".join(argv) or "import")
+def test_command_loads_only_its_layers(argv):
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import symreduce.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        symreduce.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('symreduce')),"
+        " 'dataclasses' in sys.modules]))"
+    )
+    env = {key: value for key, value in os.environ.items() if not key.startswith("SYMREDUCE_")}
+    env["PYTHONPATH"] = str(Path(symreduce.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    modules, dataclasses_loaded = json.loads(child.stdout)
+    assert set(modules) == _LOADED[argv]
+    # The front end and `check` do without dataclasses.
+    if argv in ((), ("check", "16", "6", "2")):
+        assert not dataclasses_loaded

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from symreduce.design import is_symmetric_admissible
 from symreduce.errors import DomainError
+from symreduce.intmath import divisors
 from symreduce.product import (
     COMPONENT_V0_MIN,
     M4_V0,
@@ -226,6 +227,15 @@ def test_m4_candidates_divide_stabilizer():
             assert rep.k_interval[0] < k < rep.k_interval[1]
             # exact bound is at least as strong as the printed one
             assert k >= rep.k_min_exact
+
+
+def test_m4_candidates_are_the_divisors_in_the_interval():
+    # The interval walk keeps exactly the stabilizer's divisors in the open
+    # k-interval, as filtering its full divisor list does.
+    for v0 in M4_V0:
+        rep = m4_case(v0)
+        lo, hi = rep.k_interval
+        assert rep.candidates == tuple(k for k in divisors(rep.stabilizer_order) if lo < k < hi)
 
 
 @given(st.integers(min_value=1, max_value=17), st.integers(min_value=2, max_value=200))

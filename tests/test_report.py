@@ -48,6 +48,19 @@ def test_simple_diagonal_verdict_needs_passing_tail_checks(default_report):
     assert simple_diagonal_verdict(diag, small) is Verdict.OPEN
 
 
+def test_simple_diagonal_verdict_needs_every_family(default_report):
+    # A scan of the linear groups alone covers their certified region and
+    # finds L3(4), the reference candidate, but examines no alternating,
+    # sporadic or unitary group.
+    linear = atlas.out4_scan(*atlas.certified_box(), families=frozenset({atlas.Family.LINEAR}))
+    assert [atlas.display_name(g) for g in linear.candidates] == ["L3(4)"] and linear.ok
+    assert not linear.full and linear.as_payload()["families"] == ["linear"]
+    assert simple_diagonal_verdict(default_report.diagonal_result, linear) is Verdict.OPEN
+    # Naming every family is a full scan.
+    every = atlas.out4_scan(*atlas.certified_box(), families=frozenset(atlas.Family))
+    assert every == default_report.out4_result and "families" not in every.as_payload()
+
+
 def test_evidence_sections(default_report):
     evidence = report_payload(default_report)["evidence"]
     assert set(evidence) == {"simple_diagonal", "product", "twisted_wreath", "point_imprimitive"}
