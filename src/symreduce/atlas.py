@@ -3,11 +3,10 @@ orders, a bounded catalog, and the scan for |T| < |Out(T)|^4.
 
 Identifiers carry (family, n, p, f) with q = p^f, or a name for sporadic
 groups.  Each Lie family's order is stated once, as a datum
-(_order_datum); |Out(T)| = d*f*g, the largest centre d_max, the
-exceptional order floors and the |Out| cap are derived from it.  The
-classical order floors (q^(n^2-2) < |PSL_n(q)| and friends) are cited
-ones.  Floors and caps only decide where an exact value is needed, never
-substitute for one.
+(_order_datum); |Out(T)| = d*f*g, the largest centre d_max, the order
+floor 2*d_max*|T| > q^e and the |Out| cap are derived from it.  Floors
+and caps only decide where an exact value is needed, never substitute
+for one.
 """
 
 from __future__ import annotations
@@ -87,6 +86,10 @@ _CLASSICAL_FAMILIES = frozenset(
 
 # |A5|, the smallest order of a non-abelian simple group.
 MIN_SIMPLE_ORDER = 60
+
+# The catalog bound of `reduce`, `atlas catalog` and `diagonal scan` when
+# none is given.
+DEFAULT_CATALOG_BOUND = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,7 @@ def _order_datum(fam: Family, n: int):
         return m * (m - 1), ((m, eps),) + tuple((2 * i, 1) for i in range(1, m)), (4, m, eps)
     if fam in _EXCEPTIONAL_ORDER:
         return _EXCEPTIONAL_ORDER[fam]
-    raise DomainError(f"no order formula for family {fam.value}")
+    raise DomainError(f"{fam.value} is not a Lie-type family")
 
 
 def _centre(datum, q: int) -> int:
@@ -432,45 +435,28 @@ def _rank_values(fam: Family):
     return (n for n in count(2) if _in_domain(fam, n, 5, 1))
 
 
-def _order_floor(fam: Family, n: int) -> tuple[int, int, int]:
-    """(c, e, u) such that c*|T| > (q - 1)^u * q^e, the _floor_value, is a
-    lower bound on the order of a Lie-type group; u is 1 for the unitary
-    family and 0 otherwise, so c*|T| > q^e holds throughout.  The bound is
-    monotone in q and n, which justifies the catalog's cutoff in n, and the
-    scan prunes with it.  The classical bounds are cited ones.
+def _order_floor(fam: Family, n: int) -> tuple[int, int]:
+    """(c, e) such that c*|T| > q^e at every q of a Lie-type family at
+    dimension n.  The bound is monotone in q and n, which justifies the
+    catalog's cutoff in n, and the scan prunes with it.
 
-    An exceptional floor is derived from the order datum (N, factors,
-    (a, b, c)): e = N + sum(d_i) is the degree of the undivided order, so
-    |T| = q^e * P(q) / d with d <= d_max = a, where P(q) is a product of
-    factors (1 - q^-d_i) and of factors at least 1, such as
-    (q^8 + q^4 + 1)/q^8 for 3D4.  The product of the factors (1 - q^-d_i)
-    grows with q and exceeds 1/2 at the smallest q of the domain (0.73 at
-    E8(2)), so P(q) > 1/2 and 2*d_max*|T| > q^e at every q."""
-    if fam is Family.LINEAR:
-        return 1, n * n - 2, 0
-    if fam is Family.UNITARY:
-        return 1, n * n - 3, 1
-    if fam is Family.SYMPLECTIC:
-        return 4, n * (n + 1) // 2, 0
-    if fam in (Family.ORTHOGONAL_ODD, Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
-        return 8, n * (n - 1) // 2, 0
-    if fam in _EXCEPTIONAL_ORDER:
-        top, factors, (a, _, _) = _EXCEPTIONAL_ORDER[fam]
-        return 2 * a, top + sum(deg for deg, _ in factors), 0
-    raise DomainError(f"no cited lower bound for family {fam.value}")
-
-
-def _floor_value(floor: tuple[int, int, int], q: int) -> int:
-    """(q - 1)^u * q^e for the floor (c, e, u), which c*|T| exceeds."""
-    _, e, u = floor
-    return (q - 1) ** u * q**e
+    It is derived from the order datum (N, factors, (a, b, c)): e = N +
+    sum(d_i) is the degree of the undivided order, so |T| = q^e * P(q) / d
+    with d <= d_max = a, and c = 2*d_max.  P(q) is a product of factors
+    (1 - q^-d), one per factor q^d - 1, and of factors at least 1, such as
+    (1 + q^-d) or (q^8 + q^4 + 1)/q^8 for 3D4.  Those degrees d are
+    distinct and at least 2, except that O+_2m with m even repeats m >= 4,
+    and 2B2, 2G2 and 2F4 have d = 1 but q >= 8.  So P(q) is at least
+    (1 - 2^-4) * prod(1 - 2^-d for d >= 2) > 0.54, or prod(1 - 8^-d for
+    d >= 1) > 0.85 for the twisted groups, and 2*d_max*|T| > q^e."""
+    top, factors, (a, _, _) = _order_datum(fam, n)
+    return 2 * a, top + sum(deg for deg, _ in factors)
 
 
 def _out_cap(fam: Family, n: int) -> int:
     """K such that |Out(T)| <= K*f at every q = p^f of a Lie-type family at
     dimension n; the scan prunes with it.  K = g_max*d_max is derived from
     |Out(T)| = d*f*g, with d <= d_max and g_max the largest g over p."""
-    _require(fam in _LIE_FAMILIES, f"no cited out bound for family {fam.value}")
     return max(_graph_factor(fam, n, p) for p in (2, 3)) * _max_centre(fam, n)
 
 
@@ -496,15 +482,15 @@ def _walk_q(fam: Family, n: int, max_order: int):
 
 def _iter_family_raw(fam: Family, max_order: int):
     """(raw id, |T|) for every raw (non-canonical) id in the family with
-    |T| <= max_order.  A classical family stops at the first n whose cited
-    lower bound, at the smallest q of that n, already passes max_order."""
+    |T| <= max_order.  A classical family stops at the first n whose order
+    floor, at the smallest q of that n, already passes max_order."""
     if fam not in _CLASSICAL_FAMILIES:
         yield from _walk_q(fam, 0, max_order)
         return
     for n in _rank_values(fam):
         min_q = next(q for q, p, f in prime_power_triples() if _in_domain(fam, n, p, f))
-        floor = _order_floor(fam, n)
-        if _floor_value(floor, min_q) > floor[0] * max_order:
+        c, e = _order_floor(fam, n)
+        if min_q**e > c * max_order:
             return
         yield from _walk_q(fam, n, max_order)
 
@@ -599,14 +585,14 @@ class Out4ScanResult:
         return payload
 
 
-def _row_settled(floor: tuple[int, int, int], cap: int, q: int) -> bool:
+def _row_settled(floor: tuple[int, int], cap: int, q: int) -> bool:
     """Whether the row bound settles every point of a (family, n) row from q
     on.  With b = bit_length(q) - 1, each such q' has q' >= 2^b and f <= b,
     so its ratio |Out|^4/|T| is below U(b) = c*(K*b)^4 / 2^(b*e) by the
     floor c*|T| > q^e and the cap |Out| <= K*f.  U(b+1) <= U(b) exactly when
     (b+1)^4 <= 2^e * b^4, and that holds for every larger b once it holds
     at b, so U(b) <= 1 bounds the rest of the row."""
-    c, e, _ = floor
+    c, e = floor
     b = q.bit_length() - 1
     return (b + 1) ** 4 <= b**4 << e and c * (cap * b) ** 4 <= 1 << b * e
 
@@ -622,11 +608,11 @@ def _certified_region() -> tuple[RegionRow, ...]:
     needs every in-domain q < 2^b.  A classical family's ranks are walked up
     to the first one settled at b = 1, where U(n, b) <= 1 at every b.  Every
     later rank is settled too: for consecutive ranks n < n' from there on,
-    K(n') <= 2*K(n) and e(n') >= e(n) + 4 (K is 2n for L_n (n >= 3) and
-    U_n, and 4, 2, 24 or 8 otherwise, never growing with n; e steps by at
-    least 2n + 1), so at every b >= 1
+    c(n')*K(n')^4 <= 2^(e(n') - e(n)) * c(n)*K(n)^4 (c and K are 2n for L_n
+    (n >= 3) and U_n, and at most 8 and 24 otherwise; e steps by at least
+    2n + 1), so at every b >= 1
 
-        U(n', b) / U(n, b) = (K(n')/K(n))^4 / 2^(b*(e(n') - e(n))) <= 2^4 / 2^4 = 1.
+        U(n', b) / U(n, b) = c(n')*K(n')^4 / (c(n)*K(n)^4 * 2^(b*(e(n') - e(n)))) <= 1.
     """
     rows = []
     for fam in _SYMBOL:
@@ -643,7 +629,7 @@ def _certified_region() -> tuple[RegionRow, ...]:
 
 def certified_box() -> tuple[int, int]:
     """The smallest box (n_max, q_max) that out4_scan accepts and that covers
-    the certified region: (5, 251), read off _certified_region."""
+    the certified region: (5, 61), read off _certified_region."""
     region = _certified_region()
     return max(5, *(row.n for row in region)), max(row.q for row in region)
 
@@ -664,13 +650,14 @@ def out4_scan(
     in the given families (all by default).  Candidate ids are canonicalized
     before reporting.
 
-    Only the points of the certified region (_certified_region) inside the
-    box are examined, since every other Lie-type group has |Out|^4 < |T|.
-    Of those, a point whose own floor settles it, c*|Out|^4 <= the floor
-    value, gets no exact order; out_order is called once per point whose
-    order is computed.  No alternating group but A5 can be a candidate:
-    |Out(A_n)| <= 4, and |A_n| >= 360 > 4^4 for n >= 6.  So when the box
-    covers the region (ok), the candidates are all of the scanned families'."""
+    No alternating group but A5 can be a candidate: |Out(A_n)| <= 4, and
+    |A_n| >= 360 > 4^4 for n >= 6, so A5 is the only one examined.  Only
+    the points of the certified region (_certified_region) inside the box
+    are examined, since every other Lie-type group has |Out|^4 < |T|.  Of
+    those, a point whose own floor settles it, c*|Out|^4 <= q^e, gets no
+    exact order; out_order is called once per point whose order is
+    computed.  So when the box covers the region (ok), the candidates are
+    all of the scanned families'."""
     _require(n_max >= 5, f"n_max must be >= 5, got {n_max}")
     _require(q_max >= 2, f"q_max must be >= 2, got {q_max}")
     selected = set(Family) if families is None else set(families)
@@ -683,8 +670,7 @@ def out4_scan(
             candidates[canonical] = _order(canonical, sporadic_table)
 
     if Family.ALTERNATING in selected:
-        for n in range(5, n_max + 1):
-            _examine(alternating(n))
+        _examine(alternating(5))
     for name in load_sporadic_table(sporadic_table):
         g = sporadic(name, sporadic_table)
         if g.family in selected:
@@ -694,12 +680,12 @@ def out4_scan(
     for row in region:
         if row.n > n_max:
             continue
-        floor = _order_floor(row.family, row.n)
+        c, e = _order_floor(row.family, row.n)
         for q, p, f in prime_power_triples_upto(min(row.q, q_max)):
             if not _in_domain(row.family, row.n, p, f):
                 continue
             g = SimpleGroupId(row.family, n=row.n, p=p, f=f)
-            if floor[0] * _out_order(g) ** 4 > _floor_value(floor, q):
+            if c * _out_order(g) ** 4 > q**e:
                 _examine(g)
 
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
@@ -715,15 +701,15 @@ def out4_scan(
 # -- order floors and |Out| caps as predicates ------------------------------
 
 
-def order_lower_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None) -> bool:
+def order_lower_bound_holds(g: SimpleGroupId) -> bool:
     """Whether |T| passes the order floor of _order_floor, which cuts
     off the catalog walk and prunes the out4 scan.  Only defined for
     Lie-type families."""
-    floor = _order_floor(g.family, g.n)
-    return floor[0] * order(g, sporadic_table) > _floor_value(floor, g.q)
+    c, e = _order_floor(g.family, g.n)
+    return c * order(g) > g.q**e
 
 
-def out_order_bound_holds(g: SimpleGroupId, sporadic_table: str | None = None) -> bool:
+def out_order_bound_holds(g: SimpleGroupId) -> bool:
     """Whether |Out(T)| is within the cap of _out_cap, which prunes
-    the out4 scan."""
-    return _out_cap(g.family, g.n) * g.f >= out_order(g, sporadic_table)
+    the out4 scan.  Only defined for Lie-type families."""
+    return _out_cap(g.family, g.n) * g.f >= out_order(g)

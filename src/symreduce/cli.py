@@ -10,6 +10,7 @@ SYMREDUCE_* environment variables.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -23,30 +24,35 @@ EXIT_AGREES = 0
 EXIT_ERROR = 1
 EXIT_DISAGREES = 2
 
-_FORMATS = ("json", "md")
-_DEFAULT_FORMAT = "json"
 
-
-def _v0_min_choices() -> tuple[int, ...]:
-    from . import design
-
-    return design.V0_MIN_CHOICES
+def _layer_constant(layer: str, name: str):
+    """A reader of a layer's constant, which loads the layer when called."""
+    return lambda: getattr(importlib.import_module(f"{__package__}.{layer}"), name)
 
 
 # Every option flag, by name; a subcommand lists the ones it takes.  A flag
 # with an "env" entry falls back to that variable when it is not given, and
-# with neither, to the ReduceConfig default if it is marked "config"
-# (_DEFAULT_FORMAT for --format, None otherwise).  A flag without an "env"
-# entry is None when not given.  A callable "choices" is read when a chosen
-# subcommand adds the flag.
+# with neither, to its "default" (None if it has none).  A flag without an
+# "env" entry is None when not given.  A callable "choices" is read when a
+# chosen subcommand adds the flag, and a callable "default" when it is used;
+# each reads a layer the command runs anyway.
 _OPTIONS = {
-    "--catalog-bound": {"env": "SYMREDUCE_CATALOG_BOUND", "type": int, "config": True},
+    "--catalog-bound": {
+        "env": "SYMREDUCE_CATALOG_BOUND",
+        "type": int,
+        "default": _layer_constant("atlas", "DEFAULT_CATALOG_BOUND"),
+    },
     "--out4-nmax": {"type": int, "help": "default: the certified box"},
     "--out4-qmax": {"type": int, "help": "default: the certified box"},
-    "--v0-min": {"env": "SYMREDUCE_V0_MIN", "type": int, "choices": _v0_min_choices, "config": True},
+    "--v0-min": {
+        "env": "SYMREDUCE_V0_MIN",
+        "type": int,
+        "choices": _layer_constant("design", "V0_MIN_CHOICES"),
+        "default": _layer_constant("design", "DEFAULT_V0_MIN"),
+    },
     "--families": {"help": "comma-separated family names"},
     "--sporadic-table": {"env": "SYMREDUCE_SPORADIC_TABLE"},
-    "--format": {"env": "SYMREDUCE_FORMAT", "choices": _FORMATS},
+    "--format": {"env": "SYMREDUCE_FORMAT", "choices": ("json", "md"), "default": "json"},
     "--output": {"help": "write the report to a file"},
 }
 
@@ -68,7 +74,7 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         for flag in self._pending_flags:
-            self.add_argument(flag, **{k: v for k, v in _spec(flag).items() if k not in ("env", "config")})
+            self.add_argument(flag, **{k: v for k, v in _spec(flag).items() if k not in ("env", "default")})
         self._pending_flags = ()
         return super().parse_known_args(args, namespace)
 
@@ -109,12 +115,8 @@ def _resolve_settings(args: argparse.Namespace) -> None:
             continue
         value = _from_env(_spec(flag))
         if value in (None, ""):
-            if spec.get("config"):
-                from . import report
-
-                value = getattr(report.ReduceConfig, dest)
-            else:
-                value = _DEFAULT_FORMAT if dest == "format" else None
+            value = spec.get("default")
+            value = value() if callable(value) else value
         setattr(args, dest, value)
 
 

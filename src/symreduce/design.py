@@ -11,10 +11,11 @@ from math import isqrt
 from .errors import DomainError
 
 # The choices of v0_min, the least component degree of a product action.
-# 2 keeps every arithmetic survivor; 5 is the least degree of a component
-# with a non-abelian simple socle (A5 on 5 points).
+# 2, the default, keeps every arithmetic survivor; 5 is the least degree
+# of a component with a non-abelian simple socle (A5 on 5 points).
+DEFAULT_V0_MIN = 2
 COMPONENT_V0_MIN = 5
-V0_MIN_CHOICES = (2, COMPONENT_V0_MIN)
+V0_MIN_CHOICES = (DEFAULT_V0_MIN, COMPONENT_V0_MIN)
 
 
 def is_symmetric_admissible(v: int, k: int, lam: int) -> tuple[bool, list[str]]:

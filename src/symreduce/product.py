@@ -12,7 +12,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial, isqrt
 
-from .design import COMPONENT_V0_MIN, V0_MIN_CHOICES, is_symmetric_admissible, satisfies_focus_condition
+from .design import COMPONENT_V0_MIN, DEFAULT_V0_MIN, V0_MIN_CHOICES
+from .design import is_symmetric_admissible, satisfies_focus_condition
 from .errors import DomainError
 from .intmath import divisors
 
@@ -170,7 +171,7 @@ class ProductTriple:
 
 
 def enumerate_product_cases(
-    v0_min: int = 2, m_values: tuple[int, ...] = M_VALUES
+    v0_min: int = DEFAULT_V0_MIN, m_values: tuple[int, ...] = M_VALUES
 ) -> list[ProductTriple]:
     """Walk a <= a_upper_bound(m), v0 over the divisor candidates, then the
     exact lambda and k, keeping triples that survive every stated filter:
@@ -214,7 +215,7 @@ def enumerate_product_cases(
 REFERENCE_PRODUCT_TRIPLES = {(16, 6, 2): 4, (121, 25, 5): 11, (441, 56, 7): 21}
 
 
-def reference_triples(v0_min: int = 2) -> tuple[tuple[int, int, int], ...]:
+def reference_triples(v0_min: int = DEFAULT_V0_MIN) -> tuple[tuple[int, int, int], ...]:
     _require_v0_min(v0_min)
     return tuple(t for t, v0 in REFERENCE_PRODUCT_TRIPLES.items() if v0 >= v0_min)
 

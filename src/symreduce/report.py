@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from . import __version__, atlas, diagonal, imprimitive, product
+from . import __version__, atlas, design, diagonal, imprimitive, product
 
 # Assumed wherever the odd-part chain is used; smaller lambda is settled by
 # cited prior work, not by this tool.
@@ -52,8 +52,8 @@ IMPRIMITIVE_SAMPLES = (2, 3, 4)
 
 @dataclass(frozen=True)
 class ReduceConfig:
-    catalog_bound: int = 10_000_000
-    v0_min: int = 2
+    catalog_bound: int = atlas.DEFAULT_CATALOG_BOUND
+    v0_min: int = design.DEFAULT_V0_MIN
     sporadic_table: str | None = None
 
     def as_payload(self) -> dict:

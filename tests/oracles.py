@@ -210,28 +210,30 @@ def out4_scan_by_fractions(
 
 
 # The bounds the out4 scan prunes with, restated per family as
-# (c, e, K)(n): the order floor c*|T| > q^e (dropping the unitary factor
-# q - 1) and the cap |Out(T)| <= K*f with q = p^f.  A classical floor is
-# the cited one.  An exceptional floor has e the degree of the order
-# polynomial and c twice the largest centre.  K is the largest of d*g over
-# p in the textbook |Out(T)| = d*f*g (Kleidman & Liebeck, Table 5.1.A).
+# (c, e, K)(n): the order floor c*|T| > q^e and the cap |Out(T)| <= K*f
+# with q = p^f.  c is 2*d_max, twice the largest order d of the centre in
+# the textbook |Out(T)| = d*f*g, and K the largest of d*g over p (Kleidman
+# & Liebeck, Table 5.1.A).  e is the dimension of the algebraic group:
+# n^2 - 1 for SL_n and SU_n, n(n+1)/2 for Sp_n, n(n-1)/2 for SO_n, 14, 52,
+# 78, 133 and 248 for G2, F4, E6, E7 and E8, 28 for D4, and half the
+# dimension of B2, G2 and F4 for 2B2, 2G2 and 2F4.
 _SCAN_BOUNDS = {
-    Family.LINEAR: lambda n: (1, n * n - 2, 2 * n if n >= 3 else 2),
-    Family.UNITARY: lambda n: (1, n * n - 3, 2 * n),
-    Family.SYMPLECTIC: lambda n: (4, n * (n + 1) // 2, 4 if n == 4 else 2),
-    Family.ORTHOGONAL_ODD: lambda n: (8, n * (n - 1) // 2, 2),
-    Family.ORTHOGONAL_PLUS: lambda n: (8, n * (n - 1) // 2, 24 if n == 8 else 8),
-    Family.ORTHOGONAL_MINUS: lambda n: (8, n * (n - 1) // 2, 8),
-    Family.G2: lambda n: (2, 14, 2),
-    Family.F4: lambda n: (2, 52, 2),
-    Family.E6: lambda n: (6, 78, 6),
-    Family.E7: lambda n: (4, 133, 2),
-    Family.E8: lambda n: (2, 248, 1),
-    Family.SUZUKI: lambda n: (2, 5, 1),
-    Family.REE_G2: lambda n: (2, 7, 1),
-    Family.REE_F4: lambda n: (2, 26, 1),
-    Family.STEINBERG_3D4: lambda n: (2, 28, 3),
-    Family.STEINBERG_2E6: lambda n: (6, 78, 6),
+    Family.LINEAR: lambda n: (2 * n, n * n - 1, 2 * n if n >= 3 else 2),
+    Family.UNITARY: lambda n: (2 * n, n * n - 1, 2 * n),
+    Family.SYMPLECTIC: lambda n: (2 * 2, n * (n + 1) // 2, 4 if n == 4 else 2),
+    Family.ORTHOGONAL_ODD: lambda n: (2 * 2, n * (n - 1) // 2, 2),
+    Family.ORTHOGONAL_PLUS: lambda n: (2 * 4, n * (n - 1) // 2, 24 if n == 8 else 8),
+    Family.ORTHOGONAL_MINUS: lambda n: (2 * 4, n * (n - 1) // 2, 8),
+    Family.G2: lambda n: (2 * 1, 14, 2),
+    Family.F4: lambda n: (2 * 1, 52, 2),
+    Family.E6: lambda n: (2 * 3, 78, 6),
+    Family.E7: lambda n: (2 * 2, 133, 2),
+    Family.E8: lambda n: (2 * 1, 248, 1),
+    Family.SUZUKI: lambda n: (2 * 1, 10 // 2, 1),
+    Family.REE_G2: lambda n: (2 * 1, 14 // 2, 1),
+    Family.REE_F4: lambda n: (2 * 1, 52 // 2, 1),
+    Family.STEINBERG_3D4: lambda n: (2 * 1, 28, 3),
+    Family.STEINBERG_2E6: lambda n: (2 * 3, 78, 6),
 }
 
 

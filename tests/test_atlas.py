@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from fractions import Fraction
 from itertools import takewhile
 
 import pytest
@@ -335,27 +336,39 @@ def test_out4_grid_covers_every_lie_family():
 
 
 def test_order_lower_bounds_sweep():
-    # |T| exceeds the cited floor that cuts off the catalog walk and prunes
+    # |T| exceeds the order floor that cuts off the catalog walk and prunes
     # the out4 scan, at every raw id of the scan grid.
     for gid in OUT4_GRID:
         assert order_lower_bound_holds(gid), display_name(gid)
 
 
-# The degrees d_i of the factors (1 - q^-d_i) of P(q) = d*|T| / q^e for each
-# exceptional family, read off the textbook order formulas; the other
-# factors of P(q), such as (q^9 + 1)/q^9, are at least 1.
-EXCEPTIONAL_FALLING_FACTORS = {
-    Family.G2: (6, 2),
-    Family.F4: (12, 8, 6, 2),
-    Family.E6: (12, 9, 8, 6, 5, 2),
-    Family.E7: (18, 14, 12, 10, 8, 6, 2),
-    Family.E8: (30, 24, 20, 18, 14, 12, 8, 2),
-    Family.SUZUKI: (1,),
-    Family.REE_G2: (1,),
-    Family.REE_F4: (4, 1),
-    Family.STEINBERG_3D4: (6, 2),
-    Family.STEINBERG_2E6: (12, 8, 6, 2),
+# The degrees d of the factors (1 - q^-d) of P(q) = d*|T| / q^e for each
+# Lie family at dimension n, read off the textbook order formulas; the
+# other factors of P(q), such as (q^9 + 1)/q^9, are at least 1.
+FALLING_DEGREES = {
+    Family.LINEAR: lambda n: tuple(range(2, n + 1)),
+    Family.UNITARY: lambda n: tuple(range(2, n + 1, 2)),
+    Family.SYMPLECTIC: lambda n: tuple(range(2, n + 1, 2)),
+    Family.ORTHOGONAL_ODD: lambda n: tuple(range(2, n, 2)),
+    Family.ORTHOGONAL_PLUS: lambda n: (n // 2, *range(2, n - 1, 2)),
+    Family.ORTHOGONAL_MINUS: lambda n: tuple(range(2, n - 1, 2)),
+    Family.G2: lambda n: (6, 2),
+    Family.F4: lambda n: (12, 8, 6, 2),
+    Family.E6: lambda n: (12, 9, 8, 6, 5, 2),
+    Family.E7: lambda n: (18, 14, 12, 10, 8, 6, 2),
+    Family.E8: lambda n: (30, 24, 20, 18, 14, 12, 8, 2),
+    Family.SUZUKI: lambda n: (1,),
+    Family.REE_G2: lambda n: (1,),
+    Family.REE_F4: lambda n: (4, 1),
+    Family.STEINBERG_3D4: lambda n: (6, 2),
+    Family.STEINBERG_2E6: lambda n: (12, 8, 6, 2),
 }
+
+# Every (family, n) with classical ranks up to 40.
+FLOOR_ROWS = [(fam, n) for fam in FALLING_DEGREES for n in oracles.ranks(fam, 40)]
+
+# The classical points with n <= 40 and q <= 64 in the textbook domains.
+CLASSICAL_SWEEP_POINTS = 3863
 
 
 def _falling_product(degrees, q):
@@ -364,42 +377,58 @@ def _falling_product(degrees, q):
 
 
 def test_exceptional_floor_lemma():
-    # The floor 2*d_max*|T| > q^e of _order_floor holds once P(q) > 1/2.
-    # P(q) is at least the product of its falling factors, which grows
-    # with q; that product exceeds 1/2 at the smallest q of the domain.
-    assert set(EXCEPTIONAL_FALLING_FACTORS) == atlas._LIE_FAMILIES - atlas._CLASSICAL_FAMILIES
-    for fam, degrees in EXCEPTIONAL_FALLING_FACTORS.items():
-        c, e, u = atlas._order_floor(fam, 0)
-        assert (c, u) == (2 * atlas._max_centre(fam, 0), 0)
+    # The floor 2*d_max*|T| > q^e of _order_floor holds once P(q) > 1/2,
+    # for every Lie family.  P(q) is at least the product of its falling
+    # factors, which grows with q; that product exceeds 1/2 at the smallest
+    # q of the domain.  The degrees are distinct and at least 2, except
+    # that O+_n repeats n/2 when 4 divides n, and that the groups with a
+    # degree 1 have q >= 8: the cases _order_floor's bound on P(q) covers.
+    assert set(FALLING_DEGREES) == atlas._LIE_FAMILIES
+    for fam, n in FLOOR_ROWS:
+        degrees = FALLING_DEGREES[fam](n)
+        c, e = atlas._order_floor(fam, n)
+        assert c == 2 * atlas._max_centre(fam, n)
         # e is the degree of the undivided order: q^e/2 < N(q) < 2*q^e at q = 2^32.
-        num, _ = atlas._order_parts(atlas._order_datum(fam, 0), 1 << 32)
-        assert 1 << 32 * e < 2 * num < 1 << 32 * e + 2, fam
-        q0 = min(q for q in range(2, 64) if oracles.textbook_domain(fam, 0, q))
+        num, _ = atlas._order_parts(atlas._order_datum(fam, n), 1 << 32)
+        assert 1 << 32 * e < 2 * num < 1 << 32 * e + 2, (fam, n)
+        q0 = min(q for q in range(2, 64) if oracles.textbook_domain(fam, n, q))
         low, high = _falling_product(degrees, q0)
-        assert 2 * low > high, fam
+        assert 2 * low > high, (fam, n)
+        repeated = len(degrees) - len(set(degrees))
+        assert repeated == (fam is Family.ORTHOGONAL_PLUS and n % 4 == 0), (fam, n)
+        assert min(degrees) >= 2 or q0 >= 8, (fam, n)
+
+
+def test_floor_lemma_constants():
+    # The two bounds on P(q) that _order_floor states, exactly: a tail
+    # prod(1 - x^d for d >= D) is at least 1 - sum(x^d for d >= D).
+    head = math.prod(1 - Fraction(1, 2**d) for d in range(2, 41)) * (1 - Fraction(1, 2**40))
+    assert (1 - Fraction(1, 16)) * head > Fraction(54, 100)
+    assert Fraction(7, 8) * (1 - Fraction(1, 56)) > Fraction(85, 100)
 
 
 def test_exceptional_floor_sweep():
-    # Every exceptional point with q <= 4096: P(q) is at least the product
-    # of its falling factors, and the floor holds.
-    points = 0
-    for fam, n, q, gid in oracles.out4_grid(2, 4096):
-        if fam in atlas._CLASSICAL_FAMILIES:
-            continue
-        _, e, _ = atlas._order_floor(fam, 0)
-        num, _ = atlas._order_parts(atlas._order_datum(fam, 0), q)
-        low, high = _falling_product(EXCEPTIONAL_FALLING_FACTORS[fam], q)
+    # Every exceptional point with q <= 4096 and every classical point with
+    # n <= 40 and q <= 64: P(q) is at least the product of its falling
+    # factors, and the floor holds.
+    points = {True: 0, False: 0}
+    grid = [cell for cell in oracles.out4_grid(40, 64) if cell[0] in atlas._CLASSICAL_FAMILIES]
+    grid += [cell for cell in oracles.out4_grid(2, 4096) if cell[0] not in atlas._CLASSICAL_FAMILIES]
+    for fam, n, q, gid in grid:
+        _, e = atlas._order_floor(fam, n)
+        num, _ = atlas._order_parts(atlas._order_datum(fam, n), q)
+        low, high = _falling_product(FALLING_DEGREES[fam](n), q)
         assert num * high >= q**e * low, display_name(gid)
         assert order_lower_bound_holds(gid), display_name(gid)
-        points += 1
-    assert points == 4240
+        points[fam in atlas._CLASSICAL_FAMILIES] += 1
+    assert points == {False: 4240, True: CLASSICAL_SWEEP_POINTS}
 
 
 def test_bound_predicates_reject_other_families():
     for gid in (alternating(5), sporadic("M11"), tits()):
-        with pytest.raises(DomainError, match="no cited lower bound"):
+        with pytest.raises(DomainError, match="is not a Lie-type family"):
             order_lower_bound_holds(gid)
-        with pytest.raises(DomainError, match="no cited out bound"):
+        with pytest.raises(DomainError, match="is not a Lie-type family"):
             out_order_bound_holds(gid)
 
 
@@ -418,7 +447,7 @@ def test_row_bound_lemma(fam):
     if fam in atlas._CLASSICAL_FAMILIES:
         ranks = list(takewhile(lambda n: n <= 24, atlas._rank_values(fam)))
     for n in ranks:
-        c, e, _ = atlas._order_floor(fam, n)
+        c, e = atlas._order_floor(fam, n)
         cap = atlas._out_cap(fam, n)
         holds = [(b + 1) ** 4 <= b**4 << e for b in range(1, 65)]
         first = holds.index(True) + 1
@@ -431,7 +460,7 @@ def test_row_bound_lemma(fam):
 def test_row_settled_needs_the_monotone_condition():
     # Floor q^2 and cap f: at b = 2, U = 16/16 is <= 1, but U can still grow
     # ((b+1)^4 > 2^2 * b^4), so the row goes on.
-    floor, cap = (1, 2, 0), 1
+    floor, cap = (1, 2), 1
     assert not atlas._row_settled(floor, cap, 4)
     assert not atlas._row_settled(floor, cap, 8)  # U(3) = 81/64 > 1
     assert atlas._row_settled(floor, cap, 16)  # U(4) = 1, and U falls from here
@@ -440,7 +469,7 @@ def test_row_settled_needs_the_monotone_condition():
 def test_row_bound_bounds_every_ratio():
     # U(b) bounds |Out|^4/|T| at each point of the grid: q >= 2^b, f <= b.
     for gid in OUT4_GRID:
-        c, e, _ = atlas._order_floor(gid.family, gid.n)
+        c, e = atlas._order_floor(gid.family, gid.n)
         b = gid.q.bit_length() - 1
         assert gid.f <= b and gid.q >= 1 << b
         o4, t = out_order(gid) ** 4, order(gid)
@@ -497,34 +526,34 @@ def test_out4_scan_tiny_box_is_not_ok():
     scan = out4_scan(5, 2)
     assert scan.candidates == ()
     assert not scan.ok
-    assert [row.label for row in scan.failing_checks()] == ["L2(q <= 251)", "L3(q <= 7)", "U3(q <= 7)"]
+    assert [row.label for row in scan.failing_checks()] == ["L2(q <= 61)", "L3(q <= 7)", "U3(q <= 7)"]
 
 
 def test_certified_region_shape():
     # The rows where the floor and cap leave |T| < |Out(T)|^4 open, with the
     # largest q each needs: the same rows as the brute-force region.
     region = atlas._certified_region()
-    assert [row.label for row in region] == ["L2(q <= 251)", "L3(q <= 7)", "U3(q <= 7)"]
+    assert [row.label for row in region] == ["L2(q <= 61)", "L3(q <= 7)", "U3(q <= 7)"]
     needed = {}
     for fam, n, q, _ in oracles.out4_region_points(ORACLE_REGION):
         needed[fam, n] = max(needed.get((fam, n), 0), q)
     assert {(row.family, row.n): row.q for row in region} == needed
-    assert len(list(oracles.out4_region_points(ORACLE_REGION))) == 76
+    assert len(list(oracles.out4_region_points(ORACLE_REGION))) == REGION_POINTS
 
 
 @pytest.mark.parametrize("fam", sorted(atlas._CLASSICAL_FAMILIES, key=lambda fam: fam.value))
 def test_rank_step_lemma(fam):
-    # Past the first rank settled at b = 1, K(n') <= 2*K(n) and
-    # e(n') >= e(n) + 4 for consecutive ranks n < n', so U(n', b) <= U(n, b)
-    # at every b; this is what lets _certified_region stop at that rank.
+    # Past the first rank settled at b = 1, consecutive ranks n < n' have
+    # c(n')*K(n')^4 <= 2^(e(n') - e(n)) * c(n)*K(n)^4, so U(n', b) <= U(n, b)
+    # at every b >= 1; this is what lets _certified_region stop at that rank.
     ranks = list(takewhile(lambda n: n <= 200, atlas._rank_values(fam)))
     settled = [atlas._row_settled(atlas._order_floor(fam, n), atlas._out_cap(fam, n), 2) for n in ranks]
     first = settled.index(True)
     assert all(settled[first:]), fam
     for n, later in zip(ranks[first:], ranks[first + 1 :]):
-        (_, e, _), (_, e_later, _) = atlas._order_floor(fam, n), atlas._order_floor(fam, later)
-        assert atlas._out_cap(fam, later) <= 2 * atlas._out_cap(fam, n), (fam, n)
-        assert e_later >= e + 4, (fam, n)
+        (c, e), (c_later, e_later) = atlas._order_floor(fam, n), atlas._order_floor(fam, later)
+        weight, weight_later = c * atlas._out_cap(fam, n) ** 4, c_later * atlas._out_cap(fam, later) ** 4
+        assert e_later > e and weight_later <= weight << e_later - e, (fam, n)
 
 
 def test_validate_rejects_bad_prime_power_data():
@@ -548,15 +577,15 @@ CATALOG_REACH = 10**12
 
 def _reached_ranks(fam, max_order):
     """The dimensions the catalog walk visits at max_order: 0 for an
-    exceptional family, else each n until the cited bound at its smallest q
+    exceptional family, else each n until the order floor at its smallest q
     passes max_order."""
     if fam not in atlas._CLASSICAL_FAMILIES:
         return [0]
     ranks = []
     for n in atlas._rank_values(fam):
         min_q = next(q for q, p, f in prime_power_triples() if atlas._in_domain(fam, n, p, f))
-        c, e, u = atlas._order_floor(fam, n)
-        if (min_q - 1) ** u * min_q**e > c * max_order:
+        c, e = atlas._order_floor(fam, n)
+        if min_q**e > c * max_order:
             return ranks
         ranks.append(n)
 
@@ -611,11 +640,14 @@ def test_catalog_size_at_1e12():
     assert len(enumerate_catalog(10**12)) == 1650
 
 
-OUT4_ORACLE_BOXES = [(5, 2), (5, 3), (6, 3), (7, 9), (9, 8), (11, 2), (5, 250), (5, 251), (12, 1024)]
+OUT4_ORACLE_BOXES = [
+    (5, 2), (5, 3), (6, 3), (7, 9), (9, 8), (11, 2), (5, 60), (5, 61), (5, 250), (5, 251), (12, 1024)
+]
 
 # Every (family, n, b) with U(n, b) > 1 for n <= 40 and b <= 200, from the
-# bounds as the oracle restates them.
+# bounds as the oracle restates them, and its number of raw ids.
 ORACLE_REGION = oracles.out4_region_by_brute_force()
+REGION_POINTS = 33
 
 
 def _matches_fraction_oracle(n_max, q_max, include_sporadic):
@@ -652,10 +684,11 @@ def test_out4_scan_family_subset_matches_fraction_oracle(families):
 
 def test_certified_box_is_the_smallest_covering_box():
     n_max, q_max = atlas.certified_box()
-    assert (n_max, q_max) == (5, 251)
+    assert (n_max, q_max) == (5, 61)
     assert oracles.box_covers(ORACLE_REGION, n_max, q_max)
     assert not oracles.box_covers(ORACLE_REGION, n_max, q_max - 1)
     assert out4_scan(n_max, q_max).ok
+    assert not out4_scan(n_max, q_max - 1).ok
 
 
 def _region_sweep_points():
@@ -677,7 +710,7 @@ def _sweep_bounds():
 
 
 def test_bounds_hold_around_the_region():
-    assert len(_region_sweep_points()) > 76
+    assert len(_region_sweep_points()) > REGION_POINTS
     _sweep_bounds()
 
 
@@ -693,12 +726,25 @@ def test_bound_sweep_catches_a_halved_cap(monkeypatch):
         _sweep_bounds()
 
 
+def test_bound_sweep_catches_a_raised_floor(monkeypatch):
+    # With e + 1 for L2, 4*|L2(q)| > q^4 fails at every q >= 4: the sweep fails.
+    real = atlas._order_floor
+
+    def raised(fam, n):
+        c, e = real(fam, n)
+        return (c, e + 1) if (fam, n) == (Family.LINEAR, 2) else (c, e)
+
+    monkeypatch.setattr(atlas, "_order_floor", raised)
+    with pytest.raises(AssertionError, match="L2"):
+        _sweep_bounds()
+
+
 # sha256 of repr(out4_scan(n_max, q_max)), for boxes too large for the
 # oracle in the suite; pinned after the candidates at each box were checked
 # against the unpruned oracle.  The repr ends with the scanned families.
 OUT4_REPR_SHA256 = {
-    (16, 2048): "2469782cfb777f6462a691560f114733b9dad65c2d3c473e5ac2f38d76609bfb",
-    (24, 4096): "0ff872e19103e2cf3cc26cbd56f1c8f8a978b9dbd6ae696beba4815377c00b16",
+    (16, 2048): "0220151f2f8162b447a3de0da8692a0067329f8813de6acb49da329e26bd7f35",
+    (24, 4096): "60bac14d21831209a8e1dbaff02f3083a5f56aadaeda1d01b298ee4acfb5d871",
 }
 
 
@@ -726,7 +772,7 @@ def test_catalog_repr_pinned(bound):
 def test_out4_scan_computes_few_exact_orders(monkeypatch):
     # out4_scan calls out_order once per point whose exact order it
     # computes; the unpruned scan made 8,326 such calls at this box, and
-    # the certified region leaves 39: 8 alternating, 27 sporadic, 4 Lie-type.
+    # the certified region leaves 30: A5, 27 sporadic, L2(9) and L3(4).
     calls = 0
     real = atlas.out_order
 
@@ -738,4 +784,11 @@ def test_out4_scan_computes_few_exact_orders(monkeypatch):
     monkeypatch.setattr(atlas, "out_order", counting)
     scan = out4_scan(12, 1024)
     assert [display_name(g) for g in scan.candidates] == ["L3(4)"]
-    assert 0 < calls < 40
+    assert calls == 30
+
+
+def test_alternating_groups_past_a5_are_no_candidates():
+    # What lets out4_scan examine only A5: |Out(A_n)|^4 < |A_n| for n >= 6.
+    for n in range(6, 41):
+        gid = alternating(n)
+        assert out_order(gid) ** 4 < order(gid) == math.factorial(n) // 2, n

@@ -425,9 +425,11 @@ _LOADED = {
     ("check", "16", "6", "2"): _loads("design"),
     ("atlas", "order", "L3(4)"): _loads("atlas", "intmath"),
     ("atlas", "out", "L3(4)"): _loads("atlas", "intmath"),
+    ("product", "enumerate"): _loads("product", "design", "intmath"),
     ("product", "enumerate", "--v0-min", "5"): _loads("product", "design", "intmath"),
     ("product", "m4", "6"): _loads("product", "design", "intmath"),
     ("imprimitive", "family", "7"): _loads("imprimitive", "design"),
+    ("diagonal", "scan"): _loads("diagonal", "atlas", "intmath"),
     ("diagonal", "scan", "--catalog-bound", "10000000"): _loads("diagonal", "atlas", "intmath"),
     ("reduce",): _loads("atlas", "design", "diagonal", "imprimitive", "intmath", "product", "report"),
 }

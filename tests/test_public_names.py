@@ -20,8 +20,8 @@ PACKAGE = Path(symreduce.__file__).resolve().parent
 # Public names that nothing else in `src/` references, each kept on purpose.
 UNREFERENCED_ON_PURPOSE = {
     "k_lambda_ratio_exceeds_sqrt": "acceptance 06 checks that the focus condition implies it",
-    "order_lower_bound_holds": "tests check at every scan grid point the cited floor that out4_scan prunes with",
-    "out_order_bound_holds": "tests check at every scan grid point the cited |Out| cap that out4_scan prunes with",
+    "order_lower_bound_holds": "tests check at every scan grid point the order floor that out4_scan prunes with",
+    "out_order_bound_holds": "tests check at every scan grid point the |Out| cap that out4_scan prunes with",
     "implication_check": "the diagonal step of ROADMAP item 1 uses it",
     "diag_oddpart_test": "the tested per-group form of the diagonal scan predicate",
     "int_nth_root": "tests/oracles.py uses it",
