@@ -22,9 +22,12 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "# env "
 
 
-def run_once(command: list, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
+def run_once(
+    command: list, workload: str, seed: int, seconds: float, trace: int, cwd: Path = ROOT
+) -> tuple[dict, str]:
+    """One perfbench run in the source tree cwd: its record and its stderr."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     env = next((json.loads(line[len(ENV_PREFIX):]) for line in lines if line.startswith(ENV_PREFIX)), None)
     summary = json.loads(lines[-1]) if proc.returncode == 0 and lines else None

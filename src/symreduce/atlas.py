@@ -12,7 +12,7 @@ for one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -92,8 +92,7 @@ MIN_SIMPLE_ORDER = 60
 DEFAULT_CATALOG_BOUND = 10_000_000
 
 
-@dataclass(frozen=True)
-class SimpleGroupId:
+class SimpleGroupId(namedtuple("SimpleGroupId", "family n p f name", defaults=(0, 0, 0, ""))):
     """Identifier of a finite simple group.
 
     Lie-type families use (n, p, f); alternating uses n as the degree;
@@ -101,11 +100,7 @@ class SimpleGroupId:
     "examine all simple groups" loops cannot skip it.
     """
 
-    family: Family
-    n: int = 0
-    p: int = 0
-    f: int = 0
-    name: str = ""
+    __slots__ = ()
 
     @property
     def q(self) -> int:
@@ -115,10 +110,8 @@ class SimpleGroupId:
         return (_FAMILY_INDEX[self.family], self.n, self.p, self.f, self.name)
 
 
-@dataclass(frozen=True)
-class GroupFacts:
-    order: int
-    out_order: int
+class GroupFacts(namedtuple("GroupFacts", "order out_order")):
+    __slots__ = ()
 
 
 # -- sporadic data ---------------------------------------------------------
@@ -529,28 +522,20 @@ def enumerate_catalog(
 # -- the |T| < |Out(T)|^4 scan ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionRow:
+class RegionRow(namedtuple("RegionRow", "family n q")):
     """One (family, n) row of the certified region, where the order floor
     and the |Out| cap leave |T| < |Out(T)|^4 open; q is the largest
     in-domain q of the row that they leave open."""
 
-    family: Family
-    n: int
-    q: int
+    __slots__ = ()
 
     @property
     def label(self) -> str:
         return f"{_SYMBOL[self.family]}{self.n or ''}(q <= {self.q})"
 
 
-@dataclass(frozen=True)
-class Out4ScanResult:
-    candidates: tuple[SimpleGroupId, ...]
-    region: tuple[RegionRow, ...]
-    n_max: int
-    q_max: int
-    families: tuple[Family, ...]  # the scanned families, in Family order
+class Out4ScanResult(namedtuple("Out4ScanResult", "candidates region n_max q_max families")):
+    __slots__ = ()  # families: the scanned families, in Family order
 
     def failing_checks(self) -> list[RegionRow]:
         """The rows of the certified region that the box misses."""

@@ -136,7 +136,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="symreduce", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = _leaf(sub, "check", "symmetric design admissibility for a (v, k, lambda)", _cmd_check)
+    check = _leaf(
+        sub, "check",
+        "symmetric design admissibility for a (v, k, lambda); with v odd and "
+        "k - lambda not a square, k - lambda and lambda must be <= 10^12",
+        _cmd_check,
+    )
     check.add_argument("v", type=int)
     check.add_argument("k", type=int)
     check.add_argument("lam", metavar="lambda", type=int)
@@ -309,11 +314,9 @@ def _cmd_imprimitive_family(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from dataclasses import fields
-
     from . import report
 
-    given = [f.name for f in fields(report.ReduceConfig) if hasattr(args, f.name)]
+    given = [name for name in report.ReduceConfig._fields if hasattr(args, name)]
     config = report.ReduceConfig(**{name: getattr(args, name) for name in given})
     result = report.run_reduce(config)
     document = report.emit(result, args.format)

@@ -6,9 +6,10 @@ done by squaring, so strict inequalities stay strict at boundary cases.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import DomainError
+from .intmath import factorize
 
 # The choices of v0_min, the least component degree of a product action.
 # 2, the default, keeps every arithmetic survivor; 5 is the least degree
@@ -17,6 +18,11 @@ DEFAULT_V0_MIN = 2
 COMPONENT_V0_MIN = 5
 V0_MIN_CHOICES = (DEFAULT_V0_MIN, COMPONENT_V0_MIN)
 
+# The Bruck-Ryser-Chowla test factors k - lambda and lambda by trial
+# division when k - lambda is not a square; this bound on both keeps that
+# under 10^6 steps.
+BRC_FACTOR_LIMIT = 10**12
+
 
 def is_symmetric_admissible(v: int, k: int, lam: int) -> tuple[bool, list[str]]:
     """Checks the symmetric-design identities; returns all violations
@@ -24,7 +30,8 @@ def is_symmetric_admissible(v: int, k: int, lam: int) -> tuple[bool, list[str]]:
     if min(v, k, lam) < 1:
         raise DomainError("v, k, lambda must be positive")
     violations = []
-    if lam * (v - 1) != k * (k - 1):
+    identity_holds = lam * (v - 1) == k * (k - 1)
+    if not identity_holds:
         violations.append(f"lambda(v-1) = {lam * (v - 1)} != {k * (k - 1)} = k(k-1)")
     if k * k <= lam * v:
         violations.append(f"k^2 = {k * k} <= {lam * v} = lambda*v")
@@ -33,7 +40,46 @@ def is_symmetric_admissible(v: int, k: int, lam: int) -> tuple[bool, list[str]]:
     # Schutzenberger: a symmetric design with v even has k - lambda a square.
     if v % 2 == 0 and (k < lam or isqrt(k - lam) ** 2 != k - lam):
         violations.append(f"v = {v} is even but k - lambda = {k - lam} is not a square")
+    # Bruck-Ryser-Chowla: with v odd, x^2 = (k - lambda) y^2 + c z^2 has a
+    # nontrivial integer solution, where c = (-1)^((v-1)/2) lambda.
+    if v % 2 == 1 and identity_holds and k > lam:
+        c = lam if v % 4 == 1 else -lam
+        if not _has_rational_point(k - lam, c):
+            violations.append(
+                f"v = {v} is odd but x^2 = {k - lam}y^2 {'-' if c < 0 else '+'} {lam}z^2 "
+                "has no nontrivial integer solution (Bruck-Ryser-Chowla)"
+            )
     return not violations, violations
+
+
+def _has_rational_point(n: int, c: int) -> bool:
+    """Whether x^2 = n y^2 + c z^2 (n >= 1, c != 0) has a nontrivial integer
+    solution.  A square n gives (isqrt(n), 1, 0).  Otherwise, by
+    Hasse-Minkowski, it has one iff the Hilbert symbol (n, c)_p is 1 at every
+    place p.  The symbol depends only on the squarefree parts of n and c.
+    It is 1 at infinity, since n > 0, and at each odd p dividing neither
+    part; by the product formula, the symbol at 2 is then the product of
+    those at the odd p dividing n*c.  So it suffices that they are 1: with
+    n = p^a u and c = p^b w, a, b in {0, 1}, (n, c)_p is the Legendre
+    symbol of (-1)^(ab) u^b w^a mod p.  Raises DomainError when n is not a
+    square and n or |c| exceeds BRC_FACTOR_LIMIT."""
+    if isqrt(n) ** 2 == n:
+        return True
+    if max(n, abs(c)) > BRC_FACTOR_LIMIT:
+        raise DomainError(
+            f"Bruck-Ryser-Chowla needs k - lambda and lambda <= {BRC_FACTOR_LIMIT} "
+            f"when k - lambda is not a square, got {n} and {abs(c)}"
+        )
+    n_odd = {p for p, e in factorize(n).items() if e % 2}
+    c_odd = {p for p, e in factorize(abs(c)).items() if e % 2}
+    n, c = prod(n_odd), prod(c_odd) * (1 if c > 0 else -1)
+    for p in (n_odd | c_odd) - {2}:
+        a, b = p in n_odd, p in c_odd
+        u, w = n // p if a else n, c // p if b else c
+        symbol_arg = (-1 if a and b else 1) * (u if b else 1) * (w if a else 1)
+        if pow(symbol_arg, (p - 1) // 2, p) != 1:
+            return False
+    return True
 
 
 def satisfies_focus_condition(k: int, lam: int) -> bool:

@@ -9,7 +9,7 @@ the catalog-wide scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 from . import atlas
@@ -17,14 +17,18 @@ from .errors import DomainError
 from .intmath import odd_part
 
 
-@dataclass(frozen=True)
-class DiagonalCase:
-    group: atlas.SimpleGroupId
-    m: int
+class DiagonalCase(namedtuple("DiagonalCase", "group m")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"diagonal case needs m >= 2, got {self.m}")
+    def __new__(cls, group, m):
+        if m < 2:
+            raise DomainError(f"diagonal case needs m >= 2, got {m}")
+        return super().__new__(cls, group, m)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would bypass __new__.
+        return cls(*iterable)
 
 
 def diag_m_admissible(order_t: int, m: int) -> bool:
@@ -71,17 +75,13 @@ def _oddpart_holds(fct: atlas.GroupFacts, m: int) -> bool:
     return fct.order ** (m - 1) < odd_part(factorial(m) ** 4 * fct.out_order**4)
 
 
-@dataclass(frozen=True)
-class ImplicationCheck:
+class ImplicationCheck(
+    namedtuple("ImplicationCheck", "group m premise conclusion constant_step_ok handled_by")
+):
     """How the step from |T|^(m-1) < odd_part(m!^4 |Out|^4) down to
     |T| < odd_part(|Out|^4) was discharged for one (group, m)."""
 
-    group: atlas.SimpleGroupId
-    m: int
-    premise: bool
-    conclusion: bool
-    constant_step_ok: bool
-    handled_by: str  # "constant-step" or "direct-check"
+    __slots__ = ()  # handled_by: "constant-step" or "direct-check"
 
     @property
     def valid(self) -> bool:
@@ -111,12 +111,10 @@ def implication_check(
     )
 
 
-@dataclass(frozen=True)
-class DiagonalScanResult:
-    survivors: tuple[DiagonalCase, ...]
-    near_misses: tuple[atlas.SimpleGroupId, ...]
-    catalog_bound: int
-    catalog_size: int
+class DiagonalScanResult(
+    namedtuple("DiagonalScanResult", "survivors near_misses catalog_bound catalog_size")
+):
+    __slots__ = ()
 
     def as_payload(self) -> dict:
         return {

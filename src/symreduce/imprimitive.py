@@ -4,27 +4,20 @@ admissible class structures (c, d, l)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .design import is_symmetric_admissible, satisfies_focus_condition
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class ClassOption:
+class ClassOption(namedtuple("ClassOption", "c d l")):
     """d classes of size c; every block meets a class in 0 or l points."""
 
-    c: int
-    d: int
-    l: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ImprimitiveFamily:
-    lam: int
-    v: int
-    k: int
-    options: tuple[ClassOption, ...]
+class ImprimitiveFamily(namedtuple("ImprimitiveFamily", "lam v k options")):
+    __slots__ = ()
 
     def as_payload(self) -> dict:
         return {

@@ -92,6 +92,24 @@ def prime_powers_upto(limit: int) -> list[int]:
     return [q for q, _, _ in prime_power_triples_upto(limit)]
 
 
+def factorize(n: int) -> dict[int, int]:
+    """{p: e} with n the product of p**e over primes p, by trial division
+    (n >= 1).  It takes about sqrt(n)/2 steps; design's Bruck-Ryser-Chowla
+    test, the one caller, bounds n by its BRC_FACTOR_LIMIT."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    parts = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            parts[p] = parts.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        parts[n] = parts.get(n, 0) + 1
+    return parts
+
+
 def divisors(n: int) -> list[int]:
     """Positive divisors of n, ascending."""
     if n < 1:

@@ -8,8 +8,8 @@ and handles the m = 4 interval cases separately.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import factorial, isqrt
 
 from .design import COMPONENT_V0_MIN, DEFAULT_V0_MIN, V0_MIN_CHOICES
@@ -120,34 +120,32 @@ def _m4_v0() -> tuple[int, ...]:
 M4_V0 = _m4_v0()
 
 
-@dataclass(frozen=True)
-class ProductCase:
-    m: int
-    a: int
-    v0: int
-    lam: int
-    k: int
+class ProductCase(namedtuple("ProductCase", "m a v0 lam k")):
+    __slots__ = ()
 
     @property
     def v(self) -> int:
         return self.v0**self.m
 
-    def __post_init__(self):
+    def __new__(cls, m, a, v0, lam, k):
+        self = super().__new__(cls, m, a, v0, lam, k)
         if self.k * self.a != self.lam * self.m * (self.v0 - 1):
             raise DomainError("k*a = lambda*m*(v0-1) violated")
         if self.lam * (self.v - 1) != self.k * (self.k - 1):
             raise DomainError("lambda(v-1) = k(k-1) violated")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would bypass __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ProductTriple:
+class ProductTriple(namedtuple("ProductTriple", "v k lam witnesses")):
     """A surviving (v, k, lambda) with every witness (m, a, v0) that
     produced it."""
 
-    v: int
-    k: int
-    lam: int
-    witnesses: tuple[ProductCase, ...]
+    __slots__ = ()
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -235,12 +233,8 @@ def m4_matches_reference(rep: M4Report) -> bool:
     return rep.candidates == REFERENCE_M4_CANDIDATES[rep.v0] and not rep.survivors
 
 
-@dataclass(frozen=True)
-class M4Rejection:
-    k: int
-    lam_numerator: int
-    lam_denominator: int
-    remainder: int
+class M4Rejection(namedtuple("M4Rejection", "k lam_numerator lam_denominator remainder")):
+    __slots__ = ()
 
     @property
     def reason(self) -> str:
@@ -250,14 +244,10 @@ class M4Rejection:
         )
 
 
-@dataclass(frozen=True)
-class M4Report:
-    v0: int
-    k_interval: tuple[int, int]
-    k_min_exact: int
-    stabilizer_order: int
-    candidates: tuple[int, ...]
-    rejections: tuple[M4Rejection, ...]
+class M4Report(
+    namedtuple("M4Report", "v0 k_interval k_min_exact stabilizer_order candidates rejections")
+):
+    __slots__ = ()
 
     @property
     def survivors(self) -> tuple[int, ...]:

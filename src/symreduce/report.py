@@ -9,7 +9,7 @@ point-imprimitive parameter family is attached as its own section.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import __version__, atlas, design, diagonal, imprimitive, product
@@ -50,14 +50,17 @@ class Verdict(Enum):
 IMPRIMITIVE_SAMPLES = (2, 3, 4)
 
 
-@dataclass(frozen=True)
-class ReduceConfig:
-    catalog_bound: int = atlas.DEFAULT_CATALOG_BOUND
-    v0_min: int = design.DEFAULT_V0_MIN
-    sporadic_table: str | None = None
+class ReduceConfig(
+    namedtuple(
+        "ReduceConfig",
+        "catalog_bound v0_min sporadic_table",
+        defaults=(atlas.DEFAULT_CATALOG_BOUND, design.DEFAULT_V0_MIN, None),
+    )
+):
+    __slots__ = ()
 
     def as_payload(self) -> dict:
-        return {**asdict(self), "imprimitive_samples": list(IMPRIMITIVE_SAMPLES)}
+        return {**self._asdict(), "imprimitive_samples": list(IMPRIMITIVE_SAMPLES)}
 
 
 def _out4_matches_reference(result: atlas.Out4ScanResult) -> bool:
@@ -70,16 +73,15 @@ def _out4_matches_reference(result: atlas.Out4ScanResult) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(
+    namedtuple(
+        "ReductionReport",
+        "config diagonal_result out4_result product_triples m4_reports imprimitive_families",
+    )
+):
     """The evidence of one run; verdicts and warnings are read off it."""
 
-    config: ReduceConfig
-    diagonal_result: diagonal.DiagonalScanResult
-    out4_result: atlas.Out4ScanResult
-    product_triples: tuple[product.ProductTriple, ...]
-    m4_reports: tuple[product.M4Report, ...]
-    imprimitive_families: tuple[imprimitive.ImprimitiveFamily, ...]
+    __slots__ = ()
 
     @property
     def verdicts(self) -> dict[OnanScottType, Verdict]:

@@ -43,6 +43,23 @@ def test_check_even_v_needs_square_order(capsys):
     assert payload["violations"] == ["v = 22 is even but k - lambda = 5 is not a square"]
 
 
+@pytest.mark.parametrize("triple", [("43", "7", "1"), ("247", "42", "7")])
+def test_check_odd_v_needs_bruck_ryser_chowla(capsys, triple):
+    # No projective plane of order 6, and no (247, 42, 7) design.
+    code, out, _ = run(capsys, "check", *triple)
+    assert code == 2
+    [violation] = json.loads(out)["violations"]
+    assert violation.endswith("(Bruck-Ryser-Chowla)")
+
+
+def test_check_refuses_to_factor_above_the_limit(capsys):
+    # A projective plane of order n = 10^18 + 3: k - lambda = n is not a square.
+    n = 10**18 + 3
+    code, out, err = run(capsys, "check", str(n * n + n + 1), str(n + 1), "1")
+    assert code == 1 and out == ""
+    assert "Bruck-Ryser-Chowla needs" in err
+
+
 def test_check_usage_error(capsys):
     code, _, err = run(capsys, "check", "7", "3")
     assert code == 1
@@ -422,13 +439,13 @@ def _loads(*layers: str) -> set:
 # symreduce.cli` and one command: each command loads only the layers it runs.
 _LOADED = {
     (): _loads(),
-    ("check", "16", "6", "2"): _loads("design"),
+    ("check", "16", "6", "2"): _loads("design", "intmath"),
     ("atlas", "order", "L3(4)"): _loads("atlas", "intmath"),
     ("atlas", "out", "L3(4)"): _loads("atlas", "intmath"),
     ("product", "enumerate"): _loads("product", "design", "intmath"),
     ("product", "enumerate", "--v0-min", "5"): _loads("product", "design", "intmath"),
     ("product", "m4", "6"): _loads("product", "design", "intmath"),
-    ("imprimitive", "family", "7"): _loads("imprimitive", "design"),
+    ("imprimitive", "family", "7"): _loads("imprimitive", "design", "intmath"),
     ("diagonal", "scan"): _loads("diagonal", "atlas", "intmath"),
     ("diagonal", "scan", "--catalog-bound", "10000000"): _loads("diagonal", "atlas", "intmath"),
     ("reduce",): _loads("atlas", "design", "diagonal", "imprimitive", "intmath", "product", "report"),
@@ -444,15 +461,15 @@ def test_command_loads_only_its_layers(argv):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        symreduce.cli.main(sys.argv[1:])\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('symreduce')),"
-        " 'dataclasses' in sys.modules]))"
+        " [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))"
     )
     env = {key: value for key, value in os.environ.items() if not key.startswith("SYMREDUCE_")}
     env["PYTHONPATH"] = str(Path(symreduce.__file__).resolve().parent.parent)
     child = subprocess.run(
         [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, check=True
     )
-    modules, dataclasses_loaded = json.loads(child.stdout)
+    modules, heavy = json.loads(child.stdout)
     assert set(modules) == _LOADED[argv]
-    # The front end and `check` do without dataclasses.
-    if argv in ((), ("check", "16", "6", "2")):
-        assert not dataclasses_loaded
+    # No command pays for dataclasses, or for the inspect, ast, dis and
+    # tokenize modules it loads.
+    assert heavy == []

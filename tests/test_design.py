@@ -1,13 +1,16 @@
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from symreduce.design import (
+    BRC_FACTOR_LIMIT,
     is_symmetric_admissible,
     k_lambda_ratio_exceeds_sqrt,
     satisfies_focus_condition,
 )
+from symreduce.errors import DomainError
 
 
 def test_is_symmetric_admissible():
@@ -22,6 +25,63 @@ def test_is_symmetric_admissible():
     assert is_symmetric_admissible(22, 7, 2) == (
         False, ["v = 22 is even but k - lambda = 5 is not a square"]
     )
+
+
+def test_bruck_ryser_chowla():
+    # No projective plane of order 6, and no biplane with k = 8.
+    assert is_symmetric_admissible(43, 7, 1) == (
+        False,
+        ["v = 43 is odd but x^2 = 6y^2 - 1z^2 has no nontrivial integer solution (Bruck-Ryser-Chowla)"],
+    )
+    assert not is_symmetric_admissible(29, 8, 2)[0]
+    assert not is_symmetric_admissible(247, 42, 7)[0]
+    # Order 10 passes BRC; (81, 16, 3) passes too, as does the known
+    # (37, 9, 2) biplane.
+    for triple in ((111, 11, 1), (81, 16, 3), (37, 9, 2), (7, 3, 1)):
+        assert is_symmetric_admissible(*triple) == (True, [])
+
+
+def _plane(n: int) -> tuple[int, int, int]:
+    return (n * n + n + 1, n + 1, 1)
+
+
+def test_bruck_ryser_chowla_factor_limit():
+    # k - lambda = n, not a square: up to the limit it is factored, above it
+    # the test refuses rather than trial-divide without bound.
+    # 999999999989, a prime = 1 mod 4 near the limit, is the slow case.
+    assert BRC_FACTOR_LIMIT == 10**12
+    assert is_symmetric_admissible(*_plane(999_999_999_989)) == (True, [])
+    assert is_symmetric_admissible(*_plane(BRC_FACTOR_LIMIT - 2))[0] is False
+    for n in (BRC_FACTOR_LIMIT + 1, 10**18 + 3):
+        with pytest.raises(DomainError, match="Bruck-Ryser-Chowla needs"):
+            is_symmetric_admissible(*_plane(n))
+    # A square k - lambda needs no factoring, however large.
+    assert is_symmetric_admissible(*_plane((10**9 + 7) ** 2)) == (True, [])
+
+
+# Every odd v up to this bound is checked against sympy's solver.
+BRC_ORACLE_V_MAX = 201
+
+
+def test_bruck_ryser_chowla_matches_sympy():
+    from sympy import symbols
+    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
+
+    x, y, z = symbols("x y z", integer=True)
+    checked = rejected = 0
+    for v in range(3, BRC_ORACLE_V_MAX + 1, 2):
+        for k in range(2, v):
+            lam, rest = divmod(k * (k - 1), v - 1)
+            if rest or lam < 1 or k * k <= lam * v:
+                continue
+            # Every other condition holds, so BRC alone decides.
+            c = lam if v % 4 == 1 else -lam
+            solvable = diop_ternary_quadratic(x**2 - (k - lam) * y**2 - c * z**2)[0] is not None
+            assert is_symmetric_admissible(v, k, lam)[0] == solvable, (v, k, lam)
+            checked += 1
+            rejected += not solvable
+    # Not vacuous: BRC rejects 60 of the 398 triples.
+    assert (checked, rejected) == (398, 60)
 
 
 def test_admissible_requires_fisher():

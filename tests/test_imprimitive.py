@@ -1,5 +1,6 @@
 import pytest
 
+from symreduce import design
 from symreduce.design import is_symmetric_admissible
 from symreduce.errors import DomainError
 from symreduce.imprimitive import imprimitive_family
@@ -53,3 +54,13 @@ def test_sweep_smoke():
     for lam in range(2, 2000, 97):
         fam = imprimitive_family(lam)
         assert fam.v == lam * lam * (lam + 2)
+
+
+def test_family_needs_no_factoring(monkeypatch):
+    # k - lambda = lambda^2 is a square, so Bruck-Ryser-Chowla holds at once.
+    def no_factoring(n):
+        raise AssertionError(f"factorized {n}")
+
+    monkeypatch.setattr(design, "factorize", no_factoring)
+    for lam in (9_999, 10_000):  # v odd, then v even
+        imprimitive_family(lam)

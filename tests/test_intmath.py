@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from symreduce.intmath import (
     divisors,
+    factorize,
     int_nth_root,
     is_prime,
     odd_part,
@@ -134,3 +135,15 @@ def test_divisors_rejects_nonpositive():
         divisors(0)
     with pytest.raises(ValueError):
         divisors(-4)
+
+
+def test_factorize():
+    assert factorize(1) == {}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(104729) == {104729: 1}
+    for n in range(1, 3000):
+        parts = factorize(n)
+        assert math.prod(p**e for p, e in parts.items()) == n
+        assert all(is_prime(p) and e >= 1 for p, e in parts.items())
+    with pytest.raises(ValueError):
+        factorize(0)

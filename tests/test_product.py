@@ -133,6 +133,8 @@ def test_product_case_validates():
     assert case.v == 121
     with pytest.raises(DomainError):
         ProductCase(m=2, a=4, v0=11, lam=5, k=24)
+    with pytest.raises(DomainError):
+        case._replace(k=24)
 
 
 def test_enumerate_default():

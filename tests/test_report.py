@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from symreduce import atlas, cli, product
+from symreduce import atlas, cli, diagonal, product
 from symreduce.report import (
     OnanScottType,
     ReduceConfig,
@@ -184,3 +184,36 @@ def test_config_payload(default_report):
         "sporadic_table": None,
         "imprimitive_samples": [2, 3, 4],
     }
+
+
+# One record of each result type, taken from the default report where it
+# holds one, with a field to assign to.
+_RECORDS = {
+    "ReductionReport": ("config", lambda rep: rep),
+    "ReduceConfig": ("catalog_bound", lambda rep: rep.config),
+    "DiagonalScanResult": ("survivors", lambda rep: rep.diagonal_result),
+    "Out4ScanResult": ("candidates", lambda rep: rep.out4_result),
+    "SimpleGroupId": ("n", lambda rep: rep.out4_result.candidates[0]),
+    "RegionRow": ("q", lambda rep: rep.out4_result.region[0]),
+    "GroupFacts": ("order", lambda rep: atlas.facts(rep.out4_result.candidates[0])),
+    "DiagonalCase": ("m", lambda rep: diagonal.DiagonalCase(rep.out4_result.candidates[0], 3)),
+    "ImplicationCheck": ("premise", lambda rep: diagonal.implication_check(rep.out4_result.candidates[0], 3)),
+    "ProductTriple": ("witnesses", lambda rep: rep.product_triples[0]),
+    "ProductCase": ("k", lambda rep: rep.product_triples[0].witnesses[0]),
+    "M4Report": ("candidates", lambda rep: rep.m4_reports[0]),
+    "M4Rejection": ("k", lambda rep: rep.m4_reports[0].rejections[0]),
+    "ImprimitiveFamily": ("options", lambda rep: rep.imprimitive_families[0]),
+    "ClassOption": ("l", lambda rep: rep.imprimitive_families[0].options[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_are_immutable(default_report, name):
+    # Ids and cases are hashed into sets and dict keys, so no field may change.
+    field, pick = _RECORDS[name]
+    record = pick(default_report)
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 0
