@@ -2,7 +2,8 @@
 orders, a bounded catalog, and the scan for |T| < |Out(T)|^4.
 
 Identifiers carry (family, n, p, f) with q = p^f, or a name for sporadic
-groups.  Each Lie family's order is stated once, as a datum
+groups, whose |T| and |Out(T)| are stated once in _SPORADIC_FACTS.  Each
+Lie family's order is stated once, as a datum
 (_order_datum); |Out(T)| = d*f*g, the largest centre d_max, the order
 floor 2*d_max*|T| > q^e and the |Out| cap are derived from it.  Floors
 and caps only decide where an exact value is needed, never substitute
@@ -15,10 +16,8 @@ import re
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
 from itertools import count
 from math import factorial, gcd
-from pathlib import Path
 
 from .errors import DomainError
 from .intmath import is_prime, prime_power_parts, prime_power_triples, prime_power_triples_upto
@@ -114,45 +113,6 @@ class GroupFacts(namedtuple("GroupFacts", "order out_order")):
     __slots__ = ()
 
 
-# -- sporadic data ---------------------------------------------------------
-
-_TITS_NAME = "2F4(2)'"
-
-
-@lru_cache(maxsize=None)
-def load_sporadic_table(path: str | None = None) -> dict[str, GroupFacts]:
-    """Parse the sporadic-group table: one `name, order, out_order` record
-    per line, `#` starts a comment.  The packaged table is used when no
-    path is given."""
-    if path is None:
-        text = (
-            resources.files("symreduce")
-            .joinpath("data/sporadic_groups.txt")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    table: dict[str, GroupFacts] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [piece.strip() for piece in line.split(",")]
-        if len(parts) != 3:
-            raise DomainError(f"sporadic table line {lineno}: expected 3 fields, got {len(parts)}")
-        name, order_text, out_text = parts
-        try:
-            order_value, out_value = int(order_text), int(out_text)
-        except ValueError as exc:
-            raise DomainError(f"sporadic table line {lineno}: non-integer field") from exc
-        if not name or order_value < 1 or out_value < 1:
-            raise DomainError(f"sporadic table line {lineno}: invalid record")
-        if name in table:
-            raise DomainError(f"sporadic table line {lineno}: duplicate name {name!r}")
-        table[name] = GroupFacts(order=order_value, out_order=out_value)
-    return table
-
-
 # -- constructors (validate, then canonicalize) ----------------------------
 
 
@@ -166,10 +126,10 @@ def alternating(n: int) -> SimpleGroupId:
     return SimpleGroupId(Family.ALTERNATING, n=n)
 
 
-def sporadic(name: str, table_path: str | None = None) -> SimpleGroupId:
+def sporadic(name: str) -> SimpleGroupId:
     if name == _TITS_NAME:
         return tits()
-    _require(name in load_sporadic_table(table_path), f"unknown sporadic group {name!r}")
+    _require(name in _SPORADIC_FACTS, f"unknown sporadic group {name!r}")
     return SimpleGroupId(Family.SPORADIC, name=name)
 
 
@@ -266,6 +226,41 @@ _EXCEPTIONAL_ORDER = {
     Family.STEINBERG_2E6: (36, ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)), (3, 1, -1)),
 }
 
+_TITS_NAME = "2F4(2)'"
+
+# (|T|, |Out(T)|) of the 26 sporadic groups and the Tits group, by name
+# (ATLAS of Finite Groups, Conway et al. 1985).  Lookup, parse, catalog and
+# scan all read this table when they run.
+_SPORADIC_FACTS = {
+    "M11": GroupFacts(7920, 1),
+    "M12": GroupFacts(95040, 2),
+    "M22": GroupFacts(443520, 2),
+    "M23": GroupFacts(10200960, 1),
+    "M24": GroupFacts(244823040, 1),
+    "J1": GroupFacts(175560, 1),
+    "J2": GroupFacts(604800, 2),
+    "J3": GroupFacts(50232960, 2),
+    "J4": GroupFacts(86775571046077562880, 1),
+    "Co1": GroupFacts(4157776806543360000, 1),
+    "Co2": GroupFacts(42305421312000, 1),
+    "Co3": GroupFacts(495766656000, 1),
+    "Fi22": GroupFacts(64561751654400, 2),
+    "Fi23": GroupFacts(4089470473293004800, 1),
+    "Fi24'": GroupFacts(1255205709190661721292800, 2),
+    "HS": GroupFacts(44352000, 2),
+    "McL": GroupFacts(898128000, 2),
+    "He": GroupFacts(4030387200, 2),
+    "Ru": GroupFacts(145926144000, 1),
+    "Suz": GroupFacts(448345497600, 2),
+    "ON": GroupFacts(460815505920, 2),
+    "HN": GroupFacts(273030912000000, 2),
+    "Ly": GroupFacts(51765179004000000, 1),
+    "Th": GroupFacts(90745943887872000, 1),
+    "B": GroupFacts(4154781481226426191177580544000000, 1),
+    "M": GroupFacts(808017424794512875886459904961710757005754368000000000, 1),
+    _TITS_NAME: GroupFacts(17971200, 2),
+}
+
 
 @lru_cache(maxsize=None)
 def _order_datum(fam: Family, n: int):
@@ -329,49 +324,48 @@ def _graph_factor(fam: Family, n: int, p: int) -> int:
     return 2 if (fam, n, p) in ((Family.SYMPLECTIC, 4, 2), (Family.G2, 0, 3), (Family.F4, 0, 2)) else 1
 
 
-def _order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
+def _order(g: SimpleGroupId) -> int:
     """|T| for an id already known to be valid."""
     if g.family is Family.ALTERNATING:
         return factorial(g.n) // 2
     if g.family in (Family.SPORADIC, Family.TITS):
-        return _sporadic_facts(g, sporadic_table).order
+        return _sporadic_facts(g).order
     num, d = _order_parts(_order_datum(g.family, g.n), g.q)
     return num // d
 
 
-def order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
+def order(g: SimpleGroupId) -> int:
     """Exact |T|."""
     _validate(g)
-    return _order(g, sporadic_table)
+    return _order(g)
 
 
-def _out_order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
+def _out_order(g: SimpleGroupId) -> int:
     """|Out(T)| for an id already known to be valid."""
     fam, n = g.family, g.n
     if fam is Family.ALTERNATING:
         return 4 if n == 6 else 2
     if fam in (Family.SPORADIC, Family.TITS):
-        return _sporadic_facts(g, sporadic_table).out_order
+        return _sporadic_facts(g).out_order
     return _centre(_order_datum(fam, n), g.q) * g.f * _graph_factor(fam, n, g.p)
 
 
-def out_order(g: SimpleGroupId, sporadic_table: str | None = None) -> int:
+def out_order(g: SimpleGroupId) -> int:
     """Exact |Out(T)|, including the diagonal/field/graph contributions and
     the D4 triality factor."""
     _validate(g)
-    return _out_order(g, sporadic_table)
+    return _out_order(g)
 
 
-def _sporadic_facts(g: SimpleGroupId, sporadic_table: str | None) -> GroupFacts:
-    table = load_sporadic_table(sporadic_table)
-    if g.name not in table:
+def _sporadic_facts(g: SimpleGroupId) -> GroupFacts:
+    if g.name not in _SPORADIC_FACTS:
         raise DomainError(f"group {g.name!r} not present in sporadic table")
-    return table[g.name]
+    return _SPORADIC_FACTS[g.name]
 
 
-def facts(g: SimpleGroupId, sporadic_table: str | None = None) -> GroupFacts:
+def facts(g: SimpleGroupId) -> GroupFacts:
     _validate(g)
-    return GroupFacts(_order(g, sporadic_table), _out_order(g, sporadic_table))
+    return GroupFacts(_order(g), _out_order(g))
 
 
 # -- display / parse --------------------------------------------------------
@@ -398,15 +392,15 @@ _FAMILY_OF_SYMBOL = {symbol: fam for fam, symbol in _SYMBOL.items()}
 _LIE_PATTERN = re.compile(rf"^({'|'.join(map(re.escape, _FAMILY_OF_SYMBOL))})(\d*)\((\d+)\)$")
 
 
-def parse_group(text: str, sporadic_table: str | None = None) -> SimpleGroupId:
+def parse_group(text: str) -> SimpleGroupId:
     """Inverse of display_name.  Sporadic names are matched first, so the
     one-letter groups B and M stay reachable.  A classical symbol takes the
     digits of n, and an exceptional symbol none."""
     token = text.strip()
     if token in ("Tits", _TITS_NAME):
         return tits()
-    if token in load_sporadic_table(sporadic_table):
-        return sporadic(token, sporadic_table)
+    if token in _SPORADIC_FACTS:
+        return sporadic(token)
     match = _ALTERNATING_PATTERN.match(token)
     if match:
         return alternating(int(match.group(1)))
@@ -488,9 +482,7 @@ def _iter_family_raw(fam: Family, max_order: int):
         yield from _walk_q(fam, n, max_order)
 
 
-def enumerate_catalog(
-    max_order: int, sporadic_table: str | None = None
-) -> list[tuple[SimpleGroupId, GroupFacts]]:
+def enumerate_catalog(max_order: int) -> list[tuple[SimpleGroupId, GroupFacts]]:
     """Every finite simple group of order <= max_order, once per isomorphism
     class, in nondecreasing order of |T| (ties broken by identifier)."""
     _require(max_order >= 1, "catalog bound must be positive")
@@ -501,7 +493,7 @@ def enumerate_catalog(
     def _admit(g: SimpleGroupId) -> None:
         if g in found:
             return
-        fct = facts(g, sporadic_table)
+        fct = facts(g)
         if fct.order <= max_order:
             found[g] = fct
 
@@ -509,13 +501,13 @@ def enumerate_catalog(
     while factorial(n) // 2 <= max_order:
         _admit(alternating(n))
         n += 1
-    for name in load_sporadic_table(sporadic_table):
-        _admit(sporadic(name, sporadic_table))
+    for name in _SPORADIC_FACTS:
+        _admit(sporadic(name))
     for fam in _LIE_FAMILIES:
         for raw, t in _iter_family_raw(fam, max_order):
             g = _canonicalize(raw)
             if g not in found:
-                found[g] = GroupFacts(t, _out_order(g, sporadic_table))
+                found[g] = GroupFacts(t, _out_order(g))
     return sorted(found.items(), key=lambda item: (item[1].order,) + item[0].sort_key())
 
 
@@ -624,12 +616,7 @@ def certified_box() -> tuple[int, int]:
 REFERENCE_OUT4_CANDIDATES = ("L3(4)",)
 
 
-def out4_scan(
-    n_max: int,
-    q_max: int,
-    families: frozenset[Family] | None = None,
-    sporadic_table: str | None = None,
-) -> Out4ScanResult:
+def out4_scan(n_max: int, q_max: int, families: frozenset[Family] | None = None) -> Out4ScanResult:
     """Find the groups with |T| < |Out(T)|^4 among A5, ..., A_{n_max}, the
     sporadic groups and the Lie-type groups with n <= n_max, q <= q_max,
     in the given families (all by default).  Candidate ids are canonicalized
@@ -650,14 +637,14 @@ def out4_scan(
 
     def _examine(g: SimpleGroupId) -> None:
         # out_order validates g for _order.
-        if out_order(g, sporadic_table) ** 4 > _order(g, sporadic_table):
+        if out_order(g) ** 4 > _order(g):
             canonical = _canonicalize(g)
-            candidates[canonical] = _order(canonical, sporadic_table)
+            candidates[canonical] = _order(canonical)
 
     if Family.ALTERNATING in selected:
         _examine(alternating(5))
-    for name in load_sporadic_table(sporadic_table):
-        g = sporadic(name, sporadic_table)
+    for name in _SPORADIC_FACTS:
+        g = sporadic(name)
         if g.family in selected:
             _examine(g)
 

@@ -32,10 +32,10 @@ def _layer_constant(layer: str, name: str):
 
 # Every option flag, by name; a subcommand lists the ones it takes.  A flag
 # with an "env" entry falls back to that variable when it is not given, and
-# with neither, to its "default" (None if it has none).  A flag without an
-# "env" entry is None when not given.  A callable "choices" is read when a
-# chosen subcommand adds the flag, and a callable "default" when it is used;
-# each reads a layer the command runs anyway.
+# with neither, to its "default".  A flag without an "env" entry is None
+# when not given.  A callable "choices" is read when a chosen subcommand
+# adds the flag, and a callable "default" when it is used; each reads a
+# layer the command runs anyway.
 _OPTIONS = {
     "--catalog-bound": {
         "env": "SYMREDUCE_CATALOG_BOUND",
@@ -51,7 +51,6 @@ _OPTIONS = {
         "default": _layer_constant("design", "DEFAULT_V0_MIN"),
     },
     "--families": {"help": "comma-separated family names"},
-    "--sporadic-table": {"env": "SYMREDUCE_SPORADIC_TABLE"},
     "--format": {"env": "SYMREDUCE_FORMAT", "choices": ("json", "md"), "default": "json"},
     "--output": {"help": "write the report to a file"},
 }
@@ -107,15 +106,14 @@ def _from_env(spec: dict):
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:
-    """Fill every setting the chosen subcommand takes but was not given.  An
-    empty value counts as not given, from the flag and the variable alike."""
+    """Fill every setting the chosen subcommand takes but was not given."""
     for flag, spec in _OPTIONS.items():
         dest = flag[2:].replace("-", "_")
-        if "env" not in spec or not hasattr(args, dest) or getattr(args, dest) not in (None, ""):
+        if "env" not in spec or not hasattr(args, dest) or getattr(args, dest) is not None:
             continue
         value = _from_env(_spec(flag))
-        if value in (None, ""):
-            value = spec.get("default")
+        if value is None:
+            value = spec["default"]
             value = value() if callable(value) else value
         setattr(args, dest, value)
 
@@ -148,22 +146,19 @@ def _build_parser() -> _Parser:
 
     atlas_sub = _group(sub, "atlas", "simple group orders and scans")
     for name, help_text in (("order", "exact |T|"), ("out", "exact |Out(T)|")):
-        one = _leaf(atlas_sub, name, help_text, _cmd_atlas_lookup, "--sporadic-table")
+        one = _leaf(atlas_sub, name, help_text, _cmd_atlas_lookup)
         one.add_argument("group", help="e.g. A7, L3(4), O+8(2), 2B2(8), M11")
     _leaf(
         atlas_sub, "scan", "scan for |T| < |Out(T)|^4", _cmd_atlas_scan,
-        "--out4-nmax", "--out4-qmax", "--families", "--sporadic-table",
+        "--out4-nmax", "--out4-qmax", "--families",
     )
     _leaf(
         atlas_sub, "catalog", "list all simple groups up to a bound", _cmd_atlas_catalog,
-        "--catalog-bound", "--sporadic-table",
+        "--catalog-bound",
     )
 
     diag_sub = _group(sub, "diagonal", "simple-diagonal elimination")
-    _leaf(
-        diag_sub, "scan", "odd-part scan over the catalog", _cmd_diagonal_scan,
-        "--catalog-bound", "--sporadic-table",
-    )
+    _leaf(diag_sub, "scan", "odd-part scan over the catalog", _cmd_diagonal_scan, "--catalog-bound")
 
     prod_sub = _group(sub, "product", "product-type elimination")
     _leaf(
@@ -179,7 +174,7 @@ def _build_parser() -> _Parser:
 
     _leaf(
         sub, "reduce", "full pipeline and report", _cmd_reduce,
-        "--catalog-bound", "--v0-min", "--sporadic-table", "--format", "--output",
+        "--catalog-bound", "--v0-min", "--format", "--output",
     )
     return parser
 
@@ -207,9 +202,9 @@ def _cmd_check(args) -> int:
 def _cmd_atlas_lookup(args) -> int:
     from . import atlas
 
-    gid = atlas.parse_group(args.group, args.sporadic_table)
+    gid = atlas.parse_group(args.group)
     lookup = atlas.order if args.atlas_command == "order" else atlas.out_order
-    print(lookup(gid, args.sporadic_table))
+    print(lookup(gid))
     return EXIT_AGREES
 
 
@@ -239,7 +234,6 @@ def _cmd_atlas_scan(args) -> int:
         n_max if args.out4_nmax is None else args.out4_nmax,
         q_max if args.out4_qmax is None else args.out4_qmax,
         families=families,
-        sporadic_table=args.sporadic_table,
     )
     # The reference outcome holds only when the linear groups are scanned.
     linear = atlas.Family.LINEAR in result.families
@@ -266,7 +260,7 @@ def _cmd_atlas_catalog(args) -> int:
             "order": facts.order,
             "out_order": facts.out_order,
         }
-        for gid, facts in atlas.enumerate_catalog(args.catalog_bound, args.sporadic_table)
+        for gid, facts in atlas.enumerate_catalog(args.catalog_bound)
     ]
     _print_json({"max_order": args.catalog_bound, "count": len(records), "groups": records})
     return EXIT_AGREES
@@ -275,7 +269,7 @@ def _cmd_atlas_catalog(args) -> int:
 def _cmd_diagonal_scan(args) -> int:
     from . import diagonal
 
-    result = diagonal.diagonal_scan(args.catalog_bound, args.sporadic_table)
+    result = diagonal.diagonal_scan(args.catalog_bound)
     _print_json(result.as_payload())
     return EXIT_AGREES if not result.survivors else EXIT_DISAGREES
 

@@ -65,10 +65,10 @@ def _require_m(m: int, what: str) -> None:
         raise DomainError(f"{what} defined for {lo} <= m <= {hi}, got m={m}")
 
 
-def diag_oddpart_test(g: atlas.SimpleGroupId, m: int, sporadic_table: str | None = None) -> bool:
+def diag_oddpart_test(g: atlas.SimpleGroupId, m: int) -> bool:
     """|T|^(m-1) < odd_part(m!^4 * |Out(T)|^4)."""
     _require_m(m, "odd-part test")
-    return _oddpart_holds(atlas.facts(g, sporadic_table), m)
+    return _oddpart_holds(atlas.facts(g), m)
 
 
 def _oddpart_holds(fct: atlas.GroupFacts, m: int) -> bool:
@@ -88,14 +88,12 @@ class ImplicationCheck(
         return (not self.premise) or self.conclusion
 
 
-def implication_check(
-    g: atlas.SimpleGroupId, m: int, sporadic_table: str | None = None
-) -> ImplicationCheck:
+def implication_check(g: atlas.SimpleGroupId, m: int) -> ImplicationCheck:
     """The generic route compares the constant odd_part(m!)^4 against
     |T|^(m-2); when that fails (only A5 at m=3, where 81 > 60) the
     implication is settled by evaluating the premise directly."""
     _require_m(m, "implication check")
-    fct = atlas.facts(g, sporadic_table)
+    fct = atlas.facts(g)
     constant = odd_part(factorial(m)) ** 4
     # constant < |T|^(m-2) lets the m! factor be absorbed into |T| powers.
     constant_step_ok = constant < fct.order ** (m - 2) if m > 2 else constant == 1
@@ -128,7 +126,7 @@ class DiagonalScanResult(
         }
 
 
-def diagonal_scan(catalog_bound: int, sporadic_table: str | None = None) -> DiagonalScanResult:
+def diagonal_scan(catalog_bound: int) -> DiagonalScanResult:
     """Run the odd-part test for every cataloged T and every m in M_RANGE.
 
     survivors: (T, m) pairs passing the test (expected none).
@@ -137,7 +135,7 @@ def diagonal_scan(catalog_bound: int, sporadic_table: str | None = None) -> Diag
     """
     survivors: list[DiagonalCase] = []
     near_misses: list[atlas.SimpleGroupId] = []
-    entries = atlas.enumerate_catalog(catalog_bound, sporadic_table)
+    entries = atlas.enumerate_catalog(catalog_bound)
     for gid, fct in entries:
         for m in range(M_RANGE[0], M_RANGE[1] + 1):
             if _oddpart_holds(fct, m):

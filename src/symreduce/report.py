@@ -53,8 +53,8 @@ IMPRIMITIVE_SAMPLES = (2, 3, 4)
 class ReduceConfig(
     namedtuple(
         "ReduceConfig",
-        "catalog_bound v0_min sporadic_table",
-        defaults=(atlas.DEFAULT_CATALOG_BOUND, design.DEFAULT_V0_MIN, None),
+        "catalog_bound v0_min",
+        defaults=(atlas.DEFAULT_CATALOG_BOUND, design.DEFAULT_V0_MIN),
     )
 ):
     __slots__ = ()
@@ -136,8 +136,8 @@ def simple_diagonal_verdict(
 def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
     return ReductionReport(
         config=config,
-        diagonal_result=diagonal.diagonal_scan(config.catalog_bound, config.sporadic_table),
-        out4_result=atlas.out4_scan(*atlas.certified_box(), sporadic_table=config.sporadic_table),
+        diagonal_result=diagonal.diagonal_scan(config.catalog_bound),
+        out4_result=atlas.out4_scan(*atlas.certified_box()),
         product_triples=tuple(product.enumerate_product_cases(config.v0_min)),
         m4_reports=tuple(product.m4_case(v0) for v0 in product.M4_V0),
         imprimitive_families=tuple(map(imprimitive.imprimitive_family, IMPRIMITIVE_SAMPLES)),

@@ -129,7 +129,7 @@ def _build(fam: Family, n: int, q: int):
     return atlas.lie(fam, n, q) if textbook_domain(fam, n, q) else None
 
 
-def catalog_by_cited_bounds(max_order: int, sporadic_table: str | None = None) -> list:
+def catalog_by_cited_bounds(max_order: int) -> list:
     """enumerate_catalog by the walk it replaced: each Lie family is walked
     up to the q at which its cited lower bound passes max_order, and every
     group found is kept by its exact order."""
@@ -139,7 +139,7 @@ def catalog_by_cited_bounds(max_order: int, sporadic_table: str | None = None) -
 
     def admit(g):
         if g not in found:
-            fct = atlas.facts(g, sporadic_table)
+            fct = atlas.facts(g)
             if fct.order <= max_order:
                 found[g] = fct
 
@@ -147,8 +147,8 @@ def catalog_by_cited_bounds(max_order: int, sporadic_table: str | None = None) -
     while factorial(n) // 2 <= max_order:
         admit(atlas.alternating(n))
         n += 1
-    for name in atlas.load_sporadic_table(sporadic_table):
-        admit(atlas.parse_group(name, sporadic_table))
+    for name in atlas._SPORADIC_FACTS:
+        admit(atlas.parse_group(name))
     for fam, (n, c, exponent) in _CLASSICAL_CITED.items():
         # q = 2 gives the weakest bound at each n, and e(n) increases.
         while 2 ** exponent(n) <= c * max_order:
@@ -198,7 +198,7 @@ def out4_scan_by_fractions(
         for n in range(5, n_max + 1):
             examine(atlas.alternating(n))
     if include_sporadic:
-        for name in atlas.load_sporadic_table():
+        for name in atlas._SPORADIC_FACTS:
             g = atlas.parse_group(name)
             if g.family in selected:
                 examine(g)

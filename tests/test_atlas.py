@@ -15,7 +15,6 @@ from symreduce.atlas import (
     enumerate_catalog,
     facts,
     lie,
-    load_sporadic_table,
     order,
     order_lower_bound_holds,
     out4_scan,
@@ -221,34 +220,60 @@ def test_g2_smallest_is_3():
     assert order_lower_bound_holds(lie(Family.G2, 0, 3))
 
 
-def test_sporadic_table_contents():
-    table = load_sporadic_table()
-    assert len(table) == 27
-    assert table["M11"].order == 7920 and table["M11"].out_order == 1
-    assert table["B"].out_order == 1
-    assert table["M"].order % 2**46 == 0
-    assert table["2F4(2)'"].order == 17971200
+# The orders of the 26 sporadic groups and the Tits group as the ATLAS of
+# Finite Groups (Conway et al. 1985) factors them.
+SPORADIC_ATLAS_ORDERS = {
+    "M11": "2^4 3^2 5 11",
+    "M12": "2^6 3^3 5 11",
+    "M22": "2^7 3^2 5 7 11",
+    "M23": "2^7 3^2 5 7 11 23",
+    "M24": "2^10 3^3 5 7 11 23",
+    "J1": "2^3 3 5 7 11 19",
+    "J2": "2^7 3^3 5^2 7",
+    "J3": "2^7 3^5 5 17 19",
+    "J4": "2^21 3^3 5 7 11^3 23 29 31 37 43",
+    "Co1": "2^21 3^9 5^4 7^2 11 13 23",
+    "Co2": "2^18 3^6 5^3 7 11 23",
+    "Co3": "2^10 3^7 5^3 7 11 23",
+    "Fi22": "2^17 3^9 5^2 7 11 13",
+    "Fi23": "2^18 3^13 5^2 7 11 13 17 23",
+    "Fi24'": "2^21 3^16 5^2 7^3 11 13 17 23 29",
+    "HS": "2^9 3^2 5^3 7 11",
+    "McL": "2^7 3^6 5^3 7 11",
+    "He": "2^10 3^3 5^2 7^3 17",
+    "Ru": "2^14 3^3 5^3 7 13 29",
+    "Suz": "2^13 3^7 5^2 7 11 13",
+    "ON": "2^9 3^4 5 7^3 11 19 31",
+    "HN": "2^14 3^6 5^6 7 11 19",
+    "Ly": "2^8 3^7 5^6 7 11 31 37 67",
+    "Th": "2^15 3^10 5^3 7^2 13 19 31",
+    "B": "2^41 3^13 5^6 7^2 11 13 17 19 23 31 47",
+    "M": "2^46 3^20 5^9 7^6 11^2 13^3 17 19 23 29 31 41 47 59 71",
+    "2F4(2)'": "2^11 3^3 5^2 13",
+}
+
+# The sporadic groups, the Tits group among them, with |Out(T)| = 2; the
+# other 14 have |Out(T)| = 1.
+SPORADIC_OUT_TWO = {
+    "M12", "M22", "J2", "J3", "HS", "McL", "He", "Suz", "ON", "HN", "Fi22", "Fi24'", "2F4(2)'",
+}
 
 
-def test_sporadic_table_override(tmp_path):
-    custom = tmp_path / "table.txt"
-    custom.write_text("# test table\nXy1, 5040, 3\n")
-    gid = parse_group("Xy1", sporadic_table=str(custom))
-    assert order(gid, sporadic_table=str(custom)) == 5040
-    assert out_order(gid, sporadic_table=str(custom)) == 3
+def test_sporadic_facts_match_the_atlas():
+    assert set(atlas._SPORADIC_FACTS) == set(SPORADIC_ATLAS_ORDERS)
+    for name, factored in SPORADIC_ATLAS_ORDERS.items():
+        powers = (token.partition("^") for token in factored.split())
+        expected = math.prod(int(p) ** int(e or 1) for p, _, e in powers)
+        assert facts(parse_group(name)) == (expected, 2 if name in SPORADIC_OUT_TWO else 1), name
+
+
+def test_sporadic_facts_reach_parse_and_lookup(monkeypatch):
+    monkeypatch.setattr(atlas, "_SPORADIC_FACTS", {"Xy1": atlas.GroupFacts(5040, 3)})
+    gid = parse_group("Xy1")
+    assert order(gid) == 5040
+    assert out_order(gid) == 3
     with pytest.raises(DomainError):
-        parse_group("M11", sporadic_table=str(custom))
-
-
-def test_sporadic_table_rejects_malformed(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("M11, 7920\n")
-    with pytest.raises(DomainError):
-        load_sporadic_table(str(bad))
-    dup = tmp_path / "dup.txt"
-    dup.write_text("M11, 7920, 1\nM11, 7920, 1\n")
-    with pytest.raises(DomainError):
-        load_sporadic_table(str(dup))
+        parse_group("M11")
 
 
 def test_catalog_bound_200():
@@ -290,10 +315,9 @@ def test_catalog_includes_borderline():
     assert all(f.order <= 10_000_000 for _, f in cat)
 
 
-def test_catalog_excludes_sporadic_when_table_empty(tmp_path):
-    empty = tmp_path / "none.txt"
-    empty.write_text("# no rows\n")
-    names = [display_name(g) for g, _ in enumerate_catalog(10**5, sporadic_table=str(empty))]
+def test_catalog_excludes_sporadic_when_table_empty(monkeypatch):
+    monkeypatch.setattr(atlas, "_SPORADIC_FACTS", {})
+    names = [display_name(g) for g, _ in enumerate_catalog(10**5)]
     assert "M11" not in names
     assert "A5" in names
 

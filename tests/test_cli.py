@@ -177,6 +177,15 @@ def test_diagonal_scan_flag_beats_env(capsys, monkeypatch):
     assert json.loads(out)["catalog_bound"] == 200
 
 
+@pytest.fixture
+def no_scan(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a scan ran before the settings were checked")
+
+    monkeypatch.setattr(diagonal, "diagonal_scan", fail)
+    monkeypatch.setattr(atlas, "out4_scan", fail)
+
+
 # Each integer variable with a command that takes its flag.
 _INT_ENV_COMMANDS = {
     "SYMREDUCE_CATALOG_BOUND": ("diagonal", "scan"),
@@ -184,42 +193,39 @@ _INT_ENV_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_INT_ENV_COMMANDS))
-def test_env_not_integer(capsys, monkeypatch, name):
-    monkeypatch.setenv(name, "ten")
+# An empty value is no integer either: it is an error, not "not given".
+@pytest.mark.parametrize(
+    "name, raw",
+    [
+        pytest.param("SYMREDUCE_CATALOG_BOUND", "ten", id="SYMREDUCE_CATALOG_BOUND"),
+        pytest.param("SYMREDUCE_CATALOG_BOUND", "", id="SYMREDUCE_CATALOG_BOUND-empty"),
+        pytest.param("SYMREDUCE_V0_MIN", "ten", id="SYMREDUCE_V0_MIN"),
+    ],
+)
+def test_env_not_integer(capsys, monkeypatch, no_scan, name, raw):
+    monkeypatch.setenv(name, raw)
     code, out, err = run(capsys, *_INT_ENV_COMMANDS[name])
     assert code == 1
     assert out == ""
     assert name in err
 
 
-# Variables whose value the flag's `choices` reject, with a command that
-# takes the flag.  The check comes before any scan runs.
-_BAD_CHOICE_ENV = {
-    "SYMREDUCE_V0_MIN": "3",
-    "SYMREDUCE_FORMAT": "xml",
-}
-
-
-@pytest.mark.parametrize("name", sorted(_BAD_CHOICE_ENV))
-def test_env_bad_choice(capsys, monkeypatch, name):
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a scan ran before the settings were checked")
-
-    monkeypatch.setattr(diagonal, "diagonal_scan", no_scan)
-    monkeypatch.setattr(atlas, "out4_scan", no_scan)
-    monkeypatch.setenv(name, _BAD_CHOICE_ENV[name])
+# Variables whose value the flag's `choices` reject; `reduce` takes each
+# flag.  The check comes before any scan runs.
+@pytest.mark.parametrize(
+    "name, raw",
+    [
+        pytest.param("SYMREDUCE_FORMAT", "xml", id="SYMREDUCE_FORMAT"),
+        pytest.param("SYMREDUCE_FORMAT", "", id="SYMREDUCE_FORMAT-empty"),
+        pytest.param("SYMREDUCE_V0_MIN", "3", id="SYMREDUCE_V0_MIN"),
+    ],
+)
+def test_env_bad_choice(capsys, monkeypatch, no_scan, name, raw):
+    monkeypatch.setenv(name, raw)
     code, out, err = run(capsys, "reduce")
     assert code == 1
     assert out == ""
     assert name in err
-
-
-def test_env_empty_sporadic_table(capsys, monkeypatch):
-    expected = run(capsys, "diagonal", "scan")
-    monkeypatch.setenv("SYMREDUCE_SPORADIC_TABLE", "")
-    assert run(capsys, "diagonal", "scan") == expected
-    assert run(capsys, "atlas", "order", "L3(4)") == (0, "20160\n", "")
 
 
 def test_env_v0_min(capsys, monkeypatch):
@@ -317,14 +323,13 @@ def _simple_diagonal_verdict(capsys, *flags):
     return json.loads(out)["verdicts"]["simple_diagonal"]
 
 
-def test_simple_diagonal_verdict_from_evidence(capsys, tmp_path):
+def test_simple_diagonal_verdict_from_evidence(capsys, monkeypatch):
     assert _simple_diagonal_verdict(capsys) == "eliminated_by_computation"
-    # A survivor of the odd-part scan: the FAKE group of order 100.
-    fake = tmp_path / "table.txt"
-    fake.write_text("FAKE, 100, 50\n")
-    assert _simple_diagonal_verdict(capsys, "--sporadic-table", str(fake)) == "open"
     # An empty catalog carries no evidence.
     assert _simple_diagonal_verdict(capsys, "--catalog-bound", "10") == "open"
+    # A survivor of the odd-part scan: the FAKE group of order 100.
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", atlas.GroupFacts(100, 50))
+    assert _simple_diagonal_verdict(capsys) == "open"
 
 
 def test_reduce_scans_the_certified_box_whatever_the_settings(capsys, monkeypatch):
@@ -365,34 +370,22 @@ def test_reduce_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["version"] == "0.1.0"
 
 
-def test_sporadic_table_flag(capsys, tmp_path):
-    custom = tmp_path / "table.txt"
-    custom.write_text("Q1, 6000000, 9\n")
-    code, out, _ = run(capsys, "atlas", "order", "Q1", "--sporadic-table", str(custom))
-    assert code == 0
-    assert out.strip() == "6000000"
-    # |Q1| = 6000000 < 9**4 = 6561? no: 6561 < 6000000, not a candidate
-    code, out, _ = run(capsys, "atlas", "scan", "--sporadic-table", str(custom))
+def test_sporadic_row_reaches_lookup_and_scan(capsys, monkeypatch):
+    # The commands read atlas._SPORADIC_FACTS when they run.
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "Q1", atlas.GroupFacts(6000000, 9))
+    assert run(capsys, "atlas", "order", "Q1") == (0, "6000000\n", "")
+    assert run(capsys, "atlas", "out", "Q1") == (0, "9\n", "")
+    # 9**4 = 6561 < 6000000, so Q1 is not a candidate.
+    code, out, _ = run(capsys, "atlas", "scan")
     assert code == 0
     assert json.loads(out)["candidates"] == ["L3(4)"]
 
 
-def test_sporadic_table_env_for_lookups(capsys, monkeypatch, tmp_path):
-    custom = tmp_path / "table.txt"
-    custom.write_text("Q1, 6000000, 9\n")
-    monkeypatch.setenv("SYMREDUCE_SPORADIC_TABLE", str(custom))
-    assert run(capsys, "atlas", "order", "Q1") == (0, "6000000\n", "")
-    assert run(capsys, "atlas", "out", "Q1") == (0, "9\n", "")
-    # an empty flag counts as not given, as for every other command
-    assert run(capsys, "atlas", "order", "Q1", "--sporadic-table", "") == (0, "6000000\n", "")
-
-
-def test_sporadic_table_candidate_injection(capsys, tmp_path):
+def test_sporadic_candidate_injection(capsys, monkeypatch):
     # a fake group with huge out-order must surface as a candidate and
     # flip the scan's exit code to "disagree"
-    custom = tmp_path / "table.txt"
-    custom.write_text("Q2, 6000, 9\n")
-    code, out, _ = run(capsys, "atlas", "scan", "--sporadic-table", str(custom))
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "Q2", atlas.GroupFacts(6000, 9))
+    code, out, _ = run(capsys, "atlas", "scan")
     assert code == 2
     assert "Q2" in json.loads(out)["candidates"]
 
@@ -452,6 +445,11 @@ _LOADED = {
 }
 
 
+# Modules no command loads: dataclasses with the inspect, ast, dis and
+# tokenize modules it brings in, and the package-resource machinery.
+_HEAVY = ("dataclasses", "inspect", "importlib.resources", "pathlib", "zipfile", "tempfile")
+
+
 @pytest.mark.parametrize("argv", sorted(_LOADED), ids=lambda argv: "-".join(argv) or "import")
 def test_command_loads_only_its_layers(argv):
     probe = (
@@ -461,15 +459,15 @@ def test_command_loads_only_its_layers(argv):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        symreduce.cli.main(sys.argv[1:])\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('symreduce')),"
-        " [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))"
+        f" [m for m in {_HEAVY!r} if m in sys.modules]]))"
     )
     env = {key: value for key, value in os.environ.items() if not key.startswith("SYMREDUCE_")}
     env["PYTHONPATH"] = str(Path(symreduce.__file__).resolve().parent.parent)
+    # Under -S no site hook runs, so a module of _HEAVY is loaded by the
+    # command or not at all.
     child = subprocess.run(
-        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True, env=env, check=True
     )
     modules, heavy = json.loads(child.stdout)
     assert set(modules) == _LOADED[argv]
-    # No command pays for dataclasses, or for the inspect, ast, dis and
-    # tokenize modules it loads.
     assert heavy == []

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from symreduce import atlas
 from symreduce.atlas import (
     MIN_SIMPLE_ORDER,
     Family,
@@ -132,11 +133,10 @@ def test_scan_implication_everywhere():
             assert implication_check(gid, m).valid, (display_name(gid), m)
 
 
-def test_scan_keeps_survivors_of_a_custom_sporadic_row(tmp_path):
+def test_scan_keeps_survivors_of_a_custom_sporadic_row(monkeypatch):
     # |T| = 100, |Out| = 50 passes the odd-part test at every m.
-    table = tmp_path / "fake.txt"
-    table.write_text("FAKE, 100, 50\n")
-    fake = sporadic("FAKE", str(table))
-    result = diagonal_scan(10_000_000, str(table))
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", atlas.GroupFacts(100, 50))
+    fake = sporadic("FAKE")
+    result = diagonal_scan(10_000_000)
     assert result.survivors == tuple(DiagonalCase(fake, m) for m in range(2, 7))
-    assert all(diag_oddpart_test(fake, m, str(table)) for m in range(2, 7))
+    assert all(diag_oddpart_test(fake, m) for m in range(2, 7))
