@@ -526,8 +526,8 @@ class RegionRow(namedtuple("RegionRow", "family n q")):
         return f"{_SYMBOL[self.family]}{self.n or ''}(q <= {self.q})"
 
 
-class Out4ScanResult(namedtuple("Out4ScanResult", "candidates region n_max q_max families")):
-    __slots__ = ()  # families: the scanned families, in Family order
+class Out4ScanResult(namedtuple("Out4ScanResult", "candidates region n_max q_max")):
+    __slots__ = ()
 
     def failing_checks(self) -> list[RegionRow]:
         """The rows of the certified region that the box misses."""
@@ -535,18 +535,19 @@ class Out4ScanResult(namedtuple("Out4ScanResult", "candidates region n_max q_max
 
     @property
     def ok(self) -> bool:
-        """Whether the box covers the certified region of the scanned
-        families, so that the candidates are every group of those families
-        with |T| < |Out(T)|^4, not only those inside the box."""
+        """Whether the box covers the certified region, so that the
+        candidates are every simple group with |T| < |Out(T)|^4, not only
+        those inside the box."""
         return not self.failing_checks()
 
     @property
-    def full(self) -> bool:
-        """Whether every family was scanned."""
-        return len(self.families) == len(Family)
+    def matches_reference(self) -> bool:
+        """Whether the box covers the certified region and the candidates
+        are exactly the reference ones."""
+        return self.ok and tuple(map(display_name, self.candidates)) == REFERENCE_OUT4_CANDIDATES
 
     def as_payload(self) -> dict:
-        payload = {
+        return {
             "n_max": self.n_max,
             "q_max": self.q_max,
             "candidates": [display_name(g) for g in self.candidates],
@@ -557,9 +558,6 @@ class Out4ScanResult(namedtuple("Out4ScanResult", "candidates region n_max q_max
                 else f"verified within bounds [n_max={self.n_max}, q_max={self.q_max}]"
             ),
         }
-        if not self.full:
-            payload["families"] = sorted(fam.value for fam in self.families)
-        return payload
 
 
 def _row_settled(floor: tuple[int, int], cap: int, q: int) -> bool:
@@ -612,15 +610,14 @@ def certified_box() -> tuple[int, int]:
 
 
 # The candidates of every box that covers the certified region, by display
-# name; `reduce` and `atlas scan` compare their candidates to it.
+# name; Out4ScanResult.matches_reference compares with it.
 REFERENCE_OUT4_CANDIDATES = ("L3(4)",)
 
 
-def out4_scan(n_max: int, q_max: int, families: frozenset[Family] | None = None) -> Out4ScanResult:
+def out4_scan(n_max: int, q_max: int) -> Out4ScanResult:
     """Find the groups with |T| < |Out(T)|^4 among A5, ..., A_{n_max}, the
-    sporadic groups and the Lie-type groups with n <= n_max, q <= q_max,
-    in the given families (all by default).  Candidate ids are canonicalized
-    before reporting.
+    sporadic groups and the Lie-type groups with n <= n_max, q <= q_max.
+    Candidate ids are canonicalized before reporting.
 
     No alternating group but A5 can be a candidate: |Out(A_n)| <= 4, and
     |A_n| >= 360 > 4^4 for n >= 6, so A5 is the only one examined.  Only
@@ -629,10 +626,9 @@ def out4_scan(n_max: int, q_max: int, families: frozenset[Family] | None = None)
     those, a point whose own floor settles it, c*|Out|^4 <= q^e, gets no
     exact order; out_order is called once per point whose order is
     computed.  So when the box covers the region (ok), the candidates are
-    all of the scanned families'."""
+    every simple group with |T| < |Out(T)|^4."""
     _require(n_max >= 5, f"n_max must be >= 5, got {n_max}")
     _require(q_max >= 2, f"q_max must be >= 2, got {q_max}")
-    selected = set(Family) if families is None else set(families)
     candidates: dict[SimpleGroupId, int] = {}
 
     def _examine(g: SimpleGroupId) -> None:
@@ -641,14 +637,11 @@ def out4_scan(n_max: int, q_max: int, families: frozenset[Family] | None = None)
             canonical = _canonicalize(g)
             candidates[canonical] = _order(canonical)
 
-    if Family.ALTERNATING in selected:
-        _examine(alternating(5))
+    _examine(alternating(5))
     for name in _SPORADIC_FACTS:
-        g = sporadic(name)
-        if g.family in selected:
-            _examine(g)
+        _examine(sporadic(name))
 
-    region = tuple(row for row in _certified_region() if row.family in selected)
+    region = _certified_region()
     for row in region:
         if row.n > n_max:
             continue
@@ -661,13 +654,7 @@ def out4_scan(n_max: int, q_max: int, families: frozenset[Family] | None = None)
                 _examine(g)
 
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
-    return Out4ScanResult(
-        candidates=tuple(ordered),
-        region=region,
-        n_max=n_max,
-        q_max=q_max,
-        families=tuple(fam for fam in Family if fam in selected),
-    )
+    return Out4ScanResult(candidates=tuple(ordered), region=region, n_max=n_max, q_max=q_max)
 
 
 # -- order floors and |Out| caps as predicates ------------------------------

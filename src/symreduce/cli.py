@@ -50,7 +50,6 @@ _OPTIONS = {
         "choices": _layer_constant("design", "V0_MIN_CHOICES"),
         "default": _layer_constant("design", "DEFAULT_V0_MIN"),
     },
-    "--families": {"help": "comma-separated family names"},
     "--format": {"env": "SYMREDUCE_FORMAT", "choices": ("json", "md"), "default": "json"},
     "--output": {"help": "write the report to a file"},
 }
@@ -150,7 +149,7 @@ def _build_parser() -> _Parser:
         one.add_argument("group", help="e.g. A7, L3(4), O+8(2), 2B2(8), M11")
     _leaf(
         atlas_sub, "scan", "scan for |T| < |Out(T)|^4", _cmd_atlas_scan,
-        "--out4-nmax", "--out4-qmax", "--families",
+        "--out4-nmax", "--out4-qmax",
     )
     _leaf(
         atlas_sub, "catalog", "list all simple groups up to a bound", _cmd_atlas_catalog,
@@ -208,43 +207,22 @@ def _cmd_atlas_lookup(args) -> int:
     return EXIT_AGREES
 
 
-def _parse_families(raw: str | None) -> frozenset | None:
-    from . import atlas
-
-    if raw is None:
-        return None
-    families = set()
-    by_value = {fam.value: fam for fam in atlas.Family}
-    for token in raw.split(","):
-        token = token.strip().lower()
-        if token not in by_value:
-            raise _UsageError(
-                f"unknown family {token!r}; valid: {', '.join(sorted(by_value))}"
-            )
-        families.add(by_value[token])
-    return frozenset(families)
-
-
 def _cmd_atlas_scan(args) -> int:
     from . import atlas
 
-    families = _parse_families(args.families)
     n_max, q_max = atlas.certified_box()
     result = atlas.out4_scan(
         n_max if args.out4_nmax is None else args.out4_nmax,
         q_max if args.out4_qmax is None else args.out4_qmax,
-        families=families,
     )
-    # The reference outcome holds only when the linear groups are scanned.
-    linear = atlas.Family.LINEAR in result.families
     payload = result.as_payload()
-    payload["expected"] = list(atlas.REFERENCE_OUT4_CANDIDATES) if linear else []
+    payload["expected"] = list(atlas.REFERENCE_OUT4_CANDIDATES)
     payload["failing_checks"] = [row.label for row in result.failing_checks()]
     _print_json(payload)
     if not result.ok:
         print("the box misses the certified region: bounds too small to trust the scan", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_AGREES if payload["candidates"] == payload["expected"] else EXIT_DISAGREES
+    return EXIT_AGREES if result.matches_reference else EXIT_DISAGREES
 
 
 def _cmd_atlas_catalog(args) -> int:
@@ -314,7 +292,7 @@ def _cmd_reduce(args) -> int:
     config = report.ReduceConfig(**{name: getattr(args, name) for name in given})
     result = report.run_reduce(config)
     document = report.emit(result, args.format)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(document)
     else:

@@ -63,16 +63,6 @@ class ReduceConfig(
         return {**self._asdict(), "imprimitive_samples": list(IMPRIMITIVE_SAMPLES)}
 
 
-def _out4_matches_reference(result: atlas.Out4ScanResult) -> bool:
-    """A scan of every family whose box covers the certified region, with
-    exactly the reference candidates."""
-    return (
-        result.full
-        and result.ok
-        and tuple(map(atlas.display_name, result.candidates)) == atlas.REFERENCE_OUT4_CANDIDATES
-    )
-
-
 class ReductionReport(
     namedtuple(
         "ReductionReport",
@@ -112,7 +102,7 @@ class ReductionReport(
     def agrees_with_reference(self) -> bool:
         return (
             not self.diagonal_result.survivors
-            and _out4_matches_reference(self.out4_result)
+            and self.out4_result.matches_reference
             and self.product_matches_reference
             and all(map(product.m4_matches_reference, self.m4_reports))
         )
@@ -122,14 +112,10 @@ def simple_diagonal_verdict(
     diag_result: diagonal.DiagonalScanResult, out4_result: atlas.Out4ScanResult
 ) -> Verdict:
     """eliminated_by_computation only when the evidence carries it: a
-    non-empty catalog, no survivor of the odd-part scan, an out4 scan of
-    every family whose box covers the certified region, and exactly the
-    reference out4 candidates; open otherwise."""
-    eliminated = (
-        diag_result.catalog_size > 0
-        and not diag_result.survivors
-        and _out4_matches_reference(out4_result)
-    )
+    non-empty catalog, no survivor of the odd-part scan, and an out4 scan
+    whose box covers the certified region with exactly the reference
+    candidates; open otherwise."""
+    eliminated = diag_result.catalog_size > 0 and not diag_result.survivors and out4_result.matches_reference
     return Verdict.ELIMINATED_BY_COMPUTATION if eliminated else Verdict.OPEN
 
 

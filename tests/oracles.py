@@ -179,13 +179,10 @@ def out4_grid(n_max: int, q_max: int):
                     yield fam, n, q, atlas.SimpleGroupId(fam, n=n, p=p, f=f)
 
 
-def out4_scan_by_fractions(
-    n_max: int, q_max: int, include_sporadic: bool = True, families: frozenset | None = None
-) -> tuple:
+def out4_scan_by_fractions(n_max: int, q_max: int) -> tuple:
     """The candidates of out4_scan over the same box, with every ratio
     |Out|^4/|T| a Fraction computed at every grid point.  Candidates are
     canonicalized by parsing their display names."""
-    selected = set(Family) if families is None else set(families)
     candidates = {}
 
     def examine(g):
@@ -194,17 +191,12 @@ def out4_scan_by_fractions(
             canonical = atlas.parse_group(atlas.display_name(g))
             candidates[canonical] = atlas.order(canonical)
 
-    if Family.ALTERNATING in selected:
-        for n in range(5, n_max + 1):
-            examine(atlas.alternating(n))
-    if include_sporadic:
-        for name in atlas._SPORADIC_FACTS:
-            g = atlas.parse_group(name)
-            if g.family in selected:
-                examine(g)
-    for fam, _, _, g in out4_grid(n_max, q_max):
-        if fam in selected:
-            examine(g)
+    for n in range(5, n_max + 1):
+        examine(atlas.alternating(n))
+    for name in atlas._SPORADIC_FACTS:
+        examine(atlas.parse_group(name))
+    for _, _, _, g in out4_grid(n_max, q_max):
+        examine(g)
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
     return tuple(ordered)
 
@@ -267,10 +259,6 @@ def out4_region_points(region: frozenset):
                 yield fam, n, q, atlas.SimpleGroupId(fam, n, *prime_power_parts(q))
 
 
-def box_covers(region: frozenset, n_max: int, q_max: int, families: frozenset | None = None) -> bool:
-    """Whether the box holds every region point of the selected families."""
-    return all(
-        n <= n_max and q <= q_max
-        for fam, n, q, _ in out4_region_points(region)
-        if families is None or fam in families
-    )
+def box_covers(region: frozenset, n_max: int, q_max: int) -> bool:
+    """Whether the box holds every region point."""
+    return all(n <= n_max and q <= q_max for _, n, q, _ in out4_region_points(region))

@@ -505,6 +505,7 @@ def test_out4_scan_reference_bounds():
     assert [display_name(g) for g in scan.candidates] == ["L3(4)"]
     assert scan.ok
     assert scan.failing_checks() == []
+    assert scan.matches_reference
     l34 = scan.candidates[0]
     assert order(l34) == 20160 and out_order(l34) == 12
     assert 20160 < 12**4
@@ -517,18 +518,8 @@ def test_out4_scan_no_alias_candidates():
         assert alias not in names
 
 
-def test_out4_scan_unitary_only():
-    scan = out4_scan(12, 1024, families=frozenset({Family.UNITARY}))
-    assert scan.candidates == ()
-    assert scan.ok
-
-
-# Every family but the sporadic groups, the Tits group among them.
-NOT_SPORADIC = frozenset(Family) - {Family.SPORADIC, Family.TITS}
-
-
 def test_out4_scan_small_box_fails_tails():
-    scan = out4_scan(6, 3, families=NOT_SPORADIC)
+    scan = out4_scan(6, 3)
     assert scan.candidates == ()
     assert not scan.ok
     failing = {c.family for c in scan.failing_checks()}
@@ -674,36 +665,13 @@ ORACLE_REGION = oracles.out4_region_by_brute_force()
 REGION_POINTS = 33
 
 
-def _matches_fraction_oracle(n_max, q_max, include_sporadic):
-    # The oracle computes every ratio exactly, so this also checks that the
-    # scan skips no point that could change the result.
-    scan = out4_scan(n_max, q_max, families=None if include_sporadic else NOT_SPORADIC)
-    assert scan.candidates == oracles.out4_scan_by_fractions(n_max, q_max, include_sporadic)
-    assert scan.ok == oracles.box_covers(ORACLE_REGION, n_max, q_max)
-
-
 @pytest.mark.parametrize("n_max,q_max", OUT4_ORACLE_BOXES)
 def test_out4_scan_matches_fraction_oracle(n_max, q_max):
-    _matches_fraction_oracle(n_max, q_max, include_sporadic=True)
-
-
-@pytest.mark.parametrize("n_max,q_max", OUT4_ORACLE_BOXES)
-def test_out4_scan_without_sporadics_matches_fraction_oracle(n_max, q_max):
-    _matches_fraction_oracle(n_max, q_max, include_sporadic=False)
-
-
-@pytest.mark.parametrize(
-    "families",
-    [
-        frozenset({Family.E8, Family.LINEAR, Family.SPORADIC}),
-        frozenset({Family.UNITARY, Family.SUZUKI, Family.ORTHOGONAL_ODD, Family.ALTERNATING}),
-    ],
-)
-def test_out4_scan_family_subset_matches_fraction_oracle(families):
-    for q_max in (5, 128):
-        scan = out4_scan(9, q_max, families=families)
-        assert scan.candidates == oracles.out4_scan_by_fractions(9, q_max, families=families)
-        assert scan.ok == oracles.box_covers(ORACLE_REGION, 9, q_max, families)
+    # The oracle computes every ratio exactly, so this also checks that the
+    # scan skips no point that could change the result.
+    scan = out4_scan(n_max, q_max)
+    assert scan.candidates == oracles.out4_scan_by_fractions(n_max, q_max)
+    assert scan.ok == oracles.box_covers(ORACLE_REGION, n_max, q_max)
 
 
 def test_certified_box_is_the_smallest_covering_box():
@@ -765,10 +733,10 @@ def test_bound_sweep_catches_a_raised_floor(monkeypatch):
 
 # sha256 of repr(out4_scan(n_max, q_max)), for boxes too large for the
 # oracle in the suite; pinned after the candidates at each box were checked
-# against the unpruned oracle.  The repr ends with the scanned families.
+# against the unpruned oracle.
 OUT4_REPR_SHA256 = {
-    (16, 2048): "0220151f2f8162b447a3de0da8692a0067329f8813de6acb49da329e26bd7f35",
-    (24, 4096): "60bac14d21831209a8e1dbaff02f3083a5f56aadaeda1d01b298ee4acfb5d871",
+    (16, 2048): "31ac8959e11407190d632f88dd96b911b2f83558574a35e368da4d7ba2e642b4",
+    (24, 4096): "ad298a5ad272970eb8481d076eae4158a85cb067dd0b2d2c2409398e10de33e7",
 }
 
 

@@ -103,32 +103,15 @@ def test_atlas_scan_default(capsys):
     assert "families" not in payload
 
 
-def test_atlas_scan_family_restricted(capsys):
-    code, out, _ = run(capsys, "atlas", "scan", "--families", "unitary")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["candidates"] == []
-    assert payload["families"] == ["unitary"]
-    # The families scanned are listed, sorted.
-    code, out, _ = run(capsys, "atlas", "scan", "--families", "suzuki,linear")
-    assert code == 0
-    assert json.loads(out)["families"] == ["linear", "suzuki"]
-
-
 def test_atlas_scan_unknown_family(capsys):
-    code, _, err = run(capsys, "atlas", "scan", "--families", "nonsense")
-    assert code == 1
-
-
-# Every family but the sporadic groups, as a --families value.
-_NOT_SPORADIC = ",".join(
-    fam.value for fam in atlas.Family if fam not in (atlas.Family.SPORADIC, atlas.Family.TITS)
-)
+    # Every scan covers every family, so there is no flag to choose some.
+    code, out, err = run(capsys, "atlas", "scan", "--families", "unitary")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --families" in err
 
 
 def test_atlas_scan_small_bounds(capsys):
-    code, out, err = run(capsys, "atlas", "scan", "--out4-nmax", "6",
-                         "--out4-qmax", "3", "--families", _NOT_SPORADIC)
+    code, out, err = run(capsys, "atlas", "scan", "--out4-nmax", "6", "--out4-qmax", "3")
     assert code == 1
     payload = json.loads(out)
     assert payload["candidates"] == []
@@ -370,6 +353,13 @@ def test_reduce_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["version"] == "0.1.0"
 
 
+def test_reduce_empty_output_path(capsys):
+    # An empty path names no file: it fails to open rather than meaning stdout.
+    code, out, err = run(capsys, "reduce", "--output", "")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_sporadic_row_reaches_lookup_and_scan(capsys, monkeypatch):
     # The commands read atlas._SPORADIC_FACTS when they run.
     monkeypatch.setitem(atlas._SPORADIC_FACTS, "Q1", atlas.GroupFacts(6000000, 9))
@@ -387,7 +377,8 @@ def test_sporadic_candidate_injection(capsys, monkeypatch):
     monkeypatch.setitem(atlas._SPORADIC_FACTS, "Q2", atlas.GroupFacts(6000, 9))
     code, out, _ = run(capsys, "atlas", "scan")
     assert code == 2
-    assert "Q2" in json.loads(out)["candidates"]
+    payload = json.loads(out)
+    assert "Q2" in payload["candidates"] and payload["tail_ok"] is True
 
 
 def test_no_arguments_usage(capsys):
@@ -435,6 +426,8 @@ _LOADED = {
     ("check", "16", "6", "2"): _loads("design", "intmath"),
     ("atlas", "order", "L3(4)"): _loads("atlas", "intmath"),
     ("atlas", "out", "L3(4)"): _loads("atlas", "intmath"),
+    ("atlas", "scan"): _loads("atlas", "intmath"),
+    ("atlas", "catalog"): _loads("atlas", "intmath"),
     ("product", "enumerate"): _loads("product", "design", "intmath"),
     ("product", "enumerate", "--v0-min", "5"): _loads("product", "design", "intmath"),
     ("product", "m4", "6"): _loads("product", "design", "intmath"),
