@@ -3,8 +3,7 @@
 Exit codes are a regression contract: 0 means the computation agrees with
 the reference outcome recorded for that command, 2 means a genuine
 disagreement was found (for example a survivor where none is expected),
-and 1 is a usage or runtime error.  Configuration flags fall back to
-SYMREDUCE_* environment variables.
+and 1 is a usage or runtime error.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import sys
 
 from .errors import DomainError
@@ -31,35 +29,21 @@ def _layer_constant(layer: str, name: str):
 
 
 # Every option flag, by name; a subcommand lists the ones it takes.  A flag
-# with an "env" entry falls back to that variable when it is not given, and
-# with neither, to its "default".  A flag without an "env" entry is None
-# when not given.  A callable "choices" is read when a chosen subcommand
-# adds the flag, and a callable "default" when it is used; each reads a
+# without a "default" is None when not given.  A callable "choices" or
+# "default" is read when a chosen subcommand adds the flag; each reads a
 # layer the command runs anyway.
 _OPTIONS = {
-    "--catalog-bound": {
-        "env": "SYMREDUCE_CATALOG_BOUND",
-        "type": int,
-        "default": _layer_constant("atlas", "DEFAULT_CATALOG_BOUND"),
-    },
+    "--catalog-bound": {"type": int, "default": _layer_constant("atlas", "DEFAULT_CATALOG_BOUND")},
     "--out4-nmax": {"type": int, "help": "default: the certified box"},
     "--out4-qmax": {"type": int, "help": "default: the certified box"},
     "--v0-min": {
-        "env": "SYMREDUCE_V0_MIN",
         "type": int,
         "choices": _layer_constant("design", "V0_MIN_CHOICES"),
         "default": _layer_constant("design", "DEFAULT_V0_MIN"),
     },
-    "--format": {"env": "SYMREDUCE_FORMAT", "choices": ("json", "md"), "default": "json"},
+    "--format": {"choices": ("json", "md"), "default": "json"},
     "--output": {"help": "write the report to a file"},
 }
-
-
-def _spec(flag: str) -> dict:
-    spec = dict(_OPTIONS[flag])
-    if callable(spec.get("choices")):
-        spec["choices"] = spec["choices"]()
-    return spec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         for flag in self._pending_flags:
-            self.add_argument(flag, **{k: v for k, v in _spec(flag).items() if k not in ("env", "default")})
+            spec = {k: v() if k in ("choices", "default") and callable(v) else v for k, v in _OPTIONS[flag].items()}
+            self.add_argument(flag, **spec)
         self._pending_flags = ()
         return super().parse_known_args(args, namespace)
 
@@ -85,36 +70,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def _from_env(spec: dict):
-    """The value of the flag's variable after the flag's own type and choices
-    checks, or None when it is unset."""
-    env = spec["env"]
-    raw = os.environ.get(env)
-    if raw is None:
-        return None
-    try:
-        value = spec.get("type", str)(raw)
-    except ValueError as exc:
-        raise _UsageError(f"{env} must be an integer, got {raw!r}") from exc
-    if "choices" in spec and value not in spec["choices"]:
-        choices = ", ".join(map(str, spec["choices"]))
-        raise _UsageError(f"{env} must be one of {choices}, got {raw!r}")
-    return value
-
-
-def _resolve_settings(args: argparse.Namespace) -> None:
-    """Fill every setting the chosen subcommand takes but was not given."""
-    for flag, spec in _OPTIONS.items():
-        dest = flag[2:].replace("-", "_")
-        if "env" not in spec or not hasattr(args, dest) or getattr(args, dest) is not None:
-            continue
-        value = _from_env(_spec(flag))
-        if value is None:
-            value = spec["default"]
-            value = value() if callable(value) else value
-        setattr(args, dest, value)
 
 
 def _group(sub, name: str, help_text: str):
@@ -203,7 +158,16 @@ def _cmd_atlas_lookup(args) -> int:
 
     gid = atlas.parse_group(args.group)
     lookup = atlas.order if args.atlas_command == "order" else atlas.out_order
-    print(lookup(gid))
+    value = lookup(gid)
+    try:
+        text = str(value)
+    except ValueError:
+        # More digits than int-to-str allows, a limit Decimal does not apply;
+        # the caller's limit stays as it is.
+        import decimal
+
+        text = str(decimal.Decimal(value))
+    print(text)
     return EXIT_AGREES
 
 
@@ -288,9 +252,7 @@ def _cmd_imprimitive_family(args) -> int:
 def _cmd_reduce(args) -> int:
     from . import report
 
-    given = [name for name in report.ReduceConfig._fields if hasattr(args, name)]
-    config = report.ReduceConfig(**{name: getattr(args, name) for name in given})
-    result = report.run_reduce(config)
+    result = report.run_reduce(report.ReduceConfig(args.catalog_bound, args.v0_min))
     document = report.emit(result, args.format)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -304,7 +266,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _resolve_settings(args)
         return args.func(args)
     except (_UsageError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +74,20 @@ def test_atlas_order(capsys):
     assert out.strip() == "20160"
 
 
+def test_atlas_order_past_the_int_to_str_limit(capsys):
+    # |A2000| has 5,736 digits, more than the default int-to-str limit,
+    # which the command leaves as it found it.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "atlas", "order", "A2000")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    try:
+        sys.set_int_max_str_digits(0)
+        assert out == f"{math.factorial(2000) // 2}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_atlas_order_alias(capsys):
     code, out, _ = run(capsys, "atlas", "order", "L2(4)")
     assert code == 0
@@ -101,6 +116,11 @@ def test_atlas_scan_default(capsys):
         "certified: the box covers the region that the order floors and |Out| caps leave open"
     )
     assert "families" not in payload
+    assert (payload["n_max"], payload["q_max"]) == atlas.certified_box()
+    code, out, _ = run(capsys, "atlas", "scan", "--out4-nmax", "12", "--out4-qmax", "1024")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["n_max"], payload["q_max"]) == (12, 1024)
 
 
 def test_atlas_scan_unknown_family(capsys):
@@ -117,6 +137,8 @@ def test_atlas_scan_small_bounds(capsys):
     assert payload["candidates"] == []
     assert payload["tail_ok"] is False
     assert payload["failing_checks"]
+    assert (payload["n_max"], payload["q_max"]) == (6, 3)
+    assert payload["label"] == "verified within bounds [n_max=6, q_max=3]"
     assert "too small" in err
 
 
@@ -137,9 +159,8 @@ def test_diagonal_scan(capsys):
     assert payload["near_misses"] == ["L3(4)"]
 
 
-def test_diagonal_scan_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv("SYMREDUCE_CATALOG_BOUND", "59")
-    code, out, _ = run(capsys, "diagonal", "scan")
+def test_diagonal_scan_small_bound(capsys):
+    code, out, _ = run(capsys, "diagonal", "scan", "--catalog-bound", "59")
     assert code == 0
     payload = json.loads(out)
     assert payload["catalog_bound"] == 59
@@ -153,13 +174,6 @@ def test_catalog_bound_below_one_rejected_by_every_command(capsys, bound):
         assert (code, out, err) == (1, "", "error: catalog bound must be positive\n"), command
 
 
-def test_diagonal_scan_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("SYMREDUCE_CATALOG_BOUND", "59")
-    code, out, _ = run(capsys, "diagonal", "scan", "--catalog-bound", "200")
-    assert code == 0
-    assert json.loads(out)["catalog_bound"] == 200
-
-
 @pytest.fixture
 def no_scan(monkeypatch):
     def fail(*args, **kwargs):
@@ -169,77 +183,43 @@ def no_scan(monkeypatch):
     monkeypatch.setattr(atlas, "out4_scan", fail)
 
 
-# Each integer variable with a command that takes its flag.
-_INT_ENV_COMMANDS = {
-    "SYMREDUCE_CATALOG_BOUND": ("diagonal", "scan"),
-    "SYMREDUCE_V0_MIN": ("product", "enumerate"),
-}
-
-
-# An empty value is no integer either: it is an error, not "not given".
+# A value the flag's type or choices reject; an empty value is no integer
+# and no choice either.  The check comes before any scan runs.
 @pytest.mark.parametrize(
-    "name, raw",
+    "argv",
     [
-        pytest.param("SYMREDUCE_CATALOG_BOUND", "ten", id="SYMREDUCE_CATALOG_BOUND"),
-        pytest.param("SYMREDUCE_CATALOG_BOUND", "", id="SYMREDUCE_CATALOG_BOUND-empty"),
-        pytest.param("SYMREDUCE_V0_MIN", "ten", id="SYMREDUCE_V0_MIN"),
+        pytest.param(("reduce", "--catalog-bound", "ten"), id="reduce-catalog-bound-ten"),
+        pytest.param(("reduce", "--catalog-bound", ""), id="reduce-catalog-bound-empty"),
+        pytest.param(("reduce", "--v0-min", "ten"), id="reduce-v0-min-ten"),
+        pytest.param(("reduce", "--v0-min", "3"), id="reduce-v0-min-3"),
+        pytest.param(("reduce", "--format", "xml"), id="reduce-format-xml"),
+        pytest.param(("reduce", "--format", ""), id="reduce-format-empty"),
+        pytest.param(("diagonal", "scan", "--catalog-bound", "ten"), id="diagonal-scan-catalog-bound-ten"),
+        pytest.param(("product", "enumerate", "--v0-min", "ten"), id="product-enumerate-v0-min-ten"),
     ],
 )
-def test_env_not_integer(capsys, monkeypatch, no_scan, name, raw):
-    monkeypatch.setenv(name, raw)
-    code, out, err = run(capsys, *_INT_ENV_COMMANDS[name])
+def test_bad_setting_fails_before_any_scan(capsys, no_scan, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert name in err
+    assert argv[-2] in err
 
 
-# Variables whose value the flag's `choices` reject; `reduce` takes each
-# flag.  The check comes before any scan runs.
-@pytest.mark.parametrize(
-    "name, raw",
-    [
-        pytest.param("SYMREDUCE_FORMAT", "xml", id="SYMREDUCE_FORMAT"),
-        pytest.param("SYMREDUCE_FORMAT", "", id="SYMREDUCE_FORMAT-empty"),
-        pytest.param("SYMREDUCE_V0_MIN", "3", id="SYMREDUCE_V0_MIN"),
-    ],
-)
-def test_env_bad_choice(capsys, monkeypatch, no_scan, name, raw):
-    monkeypatch.setenv(name, raw)
-    code, out, err = run(capsys, "reduce")
-    assert code == 1
-    assert out == ""
-    assert name in err
-
-
-def test_env_v0_min(capsys, monkeypatch):
-    monkeypatch.setenv("SYMREDUCE_V0_MIN", "5")
-    code, out, _ = run(capsys, "product", "enumerate")
-    assert code == 2
-    payload = json.loads(out)
-    assert payload["v0_min"] == 5
-    assert [16, 6, 2] not in payload["reference"]
-    _, out, _ = run(capsys, "product", "enumerate", "--v0-min", "2")
-    assert json.loads(out)["v0_min"] == 2
-
-
-def test_env_out4_box(capsys, monkeypatch):
-    # Only the flags set the box: no SYMREDUCE_OUT4_* variable is read, and
-    # without the flags the box is the certified one.
-    monkeypatch.setenv("SYMREDUCE_OUT4_NMAX", "6")
-    monkeypatch.setenv("SYMREDUCE_OUT4_QMAX", "3")
-    code, out, _ = run(capsys, "atlas", "scan")
-    payload = json.loads(out)
-    assert code == 0
-    assert (payload["n_max"], payload["q_max"]) == atlas.certified_box()
-    code, out, err = run(capsys, "atlas", "scan", "--out4-nmax", "6", "--out4-qmax", "3")
-    payload = json.loads(out)
-    assert (payload["n_max"], payload["q_max"]) == (6, 3)
-    assert payload["label"] == "verified within bounds [n_max=6, q_max=3]"
-    assert code == 1 and "too small" in err
-    code, out, _ = run(capsys, "atlas", "scan", "--out4-nmax", "12", "--out4-qmax", "1024")
-    payload = json.loads(out)
-    assert code == 0
-    assert (payload["n_max"], payload["q_max"]) == (12, 1024)
+def test_no_environment_variable_is_read(capsys, monkeypatch):
+    commands = (("reduce",), ("diagonal", "scan"), ("product", "enumerate"), ("atlas", "scan"))
+    settings = {
+        "SYMREDUCE_CATALOG_BOUND": "59",
+        "SYMREDUCE_V0_MIN": "5",
+        "SYMREDUCE_FORMAT": "xml",
+        "SYMREDUCE_OUT4_NMAX": "6",
+        "SYMREDUCE_OUT4_QMAX": "3",
+    }
+    for name in settings:
+        monkeypatch.delenv(name, raising=False)
+    unset = [run(capsys, *argv) for argv in commands]
+    for name, value in settings.items():
+        monkeypatch.setenv(name, value)
+    assert [run(capsys, *argv) for argv in commands] == unset
 
 
 def test_product_enumerate_disagrees(capsys):
@@ -260,6 +240,10 @@ def test_product_enumerate_v0_floor(capsys):
     got = [(t["v"], t["k"], t["lambda"]) for t in payload["triples"]]
     assert (16, 6, 2) not in got
     assert (81, 16, 3) in got
+    assert payload["v0_min"] == 5
+    assert [16, 6, 2] not in payload["reference"]
+    _, out, _ = run(capsys, "product", "enumerate", "--v0-min", "2")
+    assert json.loads(out)["v0_min"] == 2
 
 
 def test_product_enumerate_bad_floor(capsys):
@@ -315,12 +299,8 @@ def test_simple_diagonal_verdict_from_evidence(capsys, monkeypatch):
     assert _simple_diagonal_verdict(capsys) == "open"
 
 
-def test_reduce_scans_the_certified_box_whatever_the_settings(capsys, monkeypatch):
-    plain = run(capsys, "reduce")
-    monkeypatch.setenv("SYMREDUCE_OUT4_NMAX", "5")
-    monkeypatch.setenv("SYMREDUCE_OUT4_QMAX", "2")
-    assert run(capsys, "reduce") == plain
-    assert json.loads(plain[1])["verdicts"]["simple_diagonal"] == "eliminated_by_computation"
+def test_reduce_scans_the_certified_box_whatever_the_settings(capsys):
+    assert _simple_diagonal_verdict(capsys) == "eliminated_by_computation"
     for flags in (("--no-sporadic",), ("--out4-nmax", "5")):
         code, out, err = run(capsys, "reduce", *flags)
         assert (code, out) == (1, ""), flags
@@ -331,18 +311,6 @@ def test_reduce_markdown(capsys):
     code, out, _ = run(capsys, "reduce", "--format", "md")
     assert code == 2
     assert out.startswith("# Reduction report")
-
-
-def test_reduce_env_format(capsys, monkeypatch):
-    monkeypatch.setenv("SYMREDUCE_FORMAT", "md")
-    code, out, _ = run(capsys, "reduce")
-    assert out.startswith("# Reduction report")
-
-
-def test_reduce_bad_format(capsys, monkeypatch):
-    monkeypatch.setenv("SYMREDUCE_FORMAT", "xml")
-    code, _, err = run(capsys, "reduce")
-    assert code == 1
 
 
 def test_reduce_output_file(capsys, tmp_path):
@@ -454,8 +422,7 @@ def test_command_loads_only_its_layers(argv):
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('symreduce')),"
         f" [m for m in {_HEAVY!r} if m in sys.modules]]))"
     )
-    env = {key: value for key, value in os.environ.items() if not key.startswith("SYMREDUCE_")}
-    env["PYTHONPATH"] = str(Path(symreduce.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": str(Path(symreduce.__file__).resolve().parent.parent)}
     # Under -S no site hook runs, so a module of _HEAVY is loaded by the
     # command or not at all.
     child = subprocess.run(

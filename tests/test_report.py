@@ -115,6 +115,7 @@ _REPORT_SHA256 = {
     ("json", 2): "29898d5d4e183566c5ee50a5e78b7f04300235bda0b065d1f5627d38f13c24d3",
     ("json", 5): "d88b23e608f529bd74c64b3c19f010facd8f46941e03e59518b84c42621451e1",
     ("md", 2): "5125d5d2216d51194dcf12a3f2ff5c02d07079800a3fc4ce46c893ccc4d5195c",
+    ("md", 5): "d229bbd8b9976c0d065fde7aad88e02dd895dcf7ba589c84ffd23523710571a8",
 }
 
 
