@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import symreduce
-from symreduce import atlas, diagonal
+from symreduce import atlas, design, diagonal
 from symreduce.cli import main
 from symreduce.report import ReduceConfig, emit, report_payload, run_reduce
 
@@ -192,7 +192,6 @@ def no_scan(monkeypatch):
         pytest.param(("reduce", "--catalog-bound", ""), id="reduce-catalog-bound-empty"),
         pytest.param(("reduce", "--v0-min", "ten"), id="reduce-v0-min-ten"),
         pytest.param(("reduce", "--v0-min", "3"), id="reduce-v0-min-3"),
-        pytest.param(("reduce", "--format", "xml"), id="reduce-format-xml"),
         pytest.param(("reduce", "--format", ""), id="reduce-format-empty"),
         pytest.param(("diagonal", "scan", "--catalog-bound", "ten"), id="diagonal-scan-catalog-bound-ten"),
         pytest.param(("product", "enumerate", "--v0-min", "ten"), id="product-enumerate-v0-min-ten"),
@@ -203,6 +202,40 @@ def test_bad_setting_fails_before_any_scan(capsys, no_scan, argv):
     assert code == 1
     assert out == ""
     assert argv[-2] in err
+
+
+def test_reduce_bad_format(capsys, no_scan):
+    code, out, err = run(capsys, "reduce", "--format", "xml")
+    assert code == 1
+    assert out == ""
+    assert "--format" in err
+
+
+# A value the flag's choices reject fails only through the flag: set in the
+# variable that once held the setting, it changes nothing.
+@pytest.mark.parametrize(
+    "name, raw",
+    [
+        pytest.param("SYMREDUCE_FORMAT", "xml", id="SYMREDUCE_FORMAT"),
+        pytest.param("SYMREDUCE_FORMAT", "", id="SYMREDUCE_FORMAT-empty"),
+        pytest.param("SYMREDUCE_V0_MIN", "3", id="SYMREDUCE_V0_MIN"),
+    ],
+)
+def test_env_bad_choice(capsys, monkeypatch, name, raw):
+    monkeypatch.delenv(name, raising=False)
+    unset = run(capsys, "reduce")
+    monkeypatch.setenv(name, raw)
+    assert run(capsys, "reduce") == unset
+
+
+def test_env_v0_min(capsys, monkeypatch):
+    # The floor comes from --v0-min alone: the variable leaves the default.
+    monkeypatch.setenv("SYMREDUCE_V0_MIN", "5")
+    code, out, _ = run(capsys, "product", "enumerate")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["v0_min"] == design.DEFAULT_V0_MIN
+    assert [16, 6, 2] in payload["reference"]
 
 
 def test_no_environment_variable_is_read(capsys, monkeypatch):
