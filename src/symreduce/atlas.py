@@ -86,8 +86,8 @@ _CLASSICAL_FAMILIES = frozenset(
 # |A5|, the smallest order of a non-abelian simple group.
 MIN_SIMPLE_ORDER = 60
 
-# The catalog bound of `reduce`, `atlas catalog` and `diagonal scan` when
-# none is given.
+# The catalog bound that `reduce` scans, and the default bound of `atlas
+# catalog` and `diagonal scan`.
 DEFAULT_CATALOG_BOUND = 10_000_000
 
 

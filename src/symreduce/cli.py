@@ -128,7 +128,7 @@ def _build_parser() -> _Parser:
 
     _leaf(
         sub, "reduce", "full pipeline and report", _cmd_reduce,
-        "--catalog-bound", "--v0-min", "--format", "--output",
+        "--v0-min", "--format", "--output",
     )
     return parser
 
@@ -252,7 +252,7 @@ def _cmd_imprimitive_family(args) -> int:
 def _cmd_reduce(args) -> int:
     from . import report
 
-    result = report.run_reduce(report.ReduceConfig(args.catalog_bound, args.v0_min))
+    result = report.run_reduce(args.v0_min)
     document = report.emit(result, args.format)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:

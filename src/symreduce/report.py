@@ -50,26 +50,13 @@ class Verdict(Enum):
 IMPRIMITIVE_SAMPLES = (2, 3, 4)
 
 
-class ReduceConfig(
-    namedtuple(
-        "ReduceConfig",
-        "catalog_bound v0_min",
-        defaults=(atlas.DEFAULT_CATALOG_BOUND, design.DEFAULT_V0_MIN),
-    )
-):
-    __slots__ = ()
-
-    def as_payload(self) -> dict:
-        return {**self._asdict(), "imprimitive_samples": list(IMPRIMITIVE_SAMPLES)}
-
-
 class ReductionReport(
     namedtuple(
         "ReductionReport",
-        "config diagonal_result out4_result product_triples m4_reports imprimitive_families",
+        "v0_min diagonal_result out4_result product_triples m4_reports imprimitive_families",
     )
 ):
-    """The evidence of one run; verdicts and warnings are read off it."""
+    """The evidence of one run; verdicts are read off it."""
 
     __slots__ = ()
 
@@ -86,23 +73,13 @@ class ReductionReport(
         }
 
     @property
-    def diagonal_warnings(self) -> tuple[str, ...]:
-        if self.diagonal_result.catalog_size > 0:
-            return ()
-        return (
-            f"catalog bound {self.config.catalog_bound} admits no simple group at "
-            "all: bounds too small for the scan to carry evidence",
-        )
-
-    @property
     def product_matches_reference(self) -> bool:
-        return product.triples_match_reference(self.product_triples, self.config.v0_min)
+        return product.triples_match_reference(self.product_triples, self.v0_min)
 
     @property
     def agrees_with_reference(self) -> bool:
         return (
-            not self.diagonal_result.survivors
-            and self.out4_result.matches_reference
+            self.verdicts[OnanScottType.SIMPLE_DIAGONAL] is Verdict.ELIMINATED_BY_COMPUTATION
             and self.product_matches_reference
             and all(map(product.m4_matches_reference, self.m4_reports))
         )
@@ -119,12 +96,13 @@ def simple_diagonal_verdict(
     return Verdict.ELIMINATED_BY_COMPUTATION if eliminated else Verdict.OPEN
 
 
-def run_reduce(config: ReduceConfig = ReduceConfig()) -> ReductionReport:
+def run_reduce(v0_min: int = design.DEFAULT_V0_MIN) -> ReductionReport:
+    """The full reduction; the catalog bound is read from atlas when it runs."""
     return ReductionReport(
-        config=config,
-        diagonal_result=diagonal.diagonal_scan(config.catalog_bound),
+        v0_min=v0_min,
+        diagonal_result=diagonal.diagonal_scan(atlas.DEFAULT_CATALOG_BOUND),
         out4_result=atlas.out4_scan(*atlas.certified_box()),
-        product_triples=tuple(product.enumerate_product_cases(config.v0_min)),
+        product_triples=tuple(product.enumerate_product_cases(v0_min)),
         m4_reports=tuple(product.m4_case(v0) for v0 in product.M4_V0),
         imprimitive_families=tuple(map(imprimitive.imprimitive_family, IMPRIMITIVE_SAMPLES)),
     )
@@ -139,7 +117,7 @@ def report_payload(report: ReductionReport) -> dict:
     and lists, so byte-identical serialization is just sorted keys."""
     diag = report.diagonal_result
     out4 = report.out4_result
-    reference = product.reference_triples(report.config.v0_min)
+    reference = product.reference_triples(report.v0_min)
     evidence = {
         "simple_diagonal": {
             **diag.as_payload(),
@@ -150,10 +128,9 @@ def report_payload(report: ReductionReport) -> dict:
                     {"family": row.family.value, "n": row.n, "q": row.q} for row in out4.region
                 ],
             },
-            "warnings": list(report.diagonal_warnings),
         },
         "product": {
-            "v0_min": report.config.v0_min,
+            "v0_min": report.v0_min,
             "m_values": list(product.M_VALUES),
             "triples": [t.as_payload() for t in report.product_triples],
             "reference_triples": [list(t) for t in reference],
@@ -175,7 +152,7 @@ def report_payload(report: ReductionReport) -> dict:
         "verdicts": {t.value: v.value for t, v in report.verdicts.items()},
         "evidence": evidence,
         "hypotheses": [LAMBDA_FLOOR_HYPOTHESIS, BOUNDED_SCAN_HYPOTHESIS],
-        "config": report.config.as_payload(),
+        "config": {"v0_min": report.v0_min, "imprimitive_samples": list(IMPRIMITIVE_SAMPLES)},
         "version": __version__,
     }
 
@@ -218,8 +195,6 @@ def _markdown(report: ReductionReport) -> str:
                 f"tail checks {'pass' if scan['tail_ok'] else 'FAIL'}; "
                 f"{scan['label']}."
             )
-            for warning in section["warnings"]:
-                lines.append(f"Warning: {warning}")
         elif otype is OnanScottType.PRODUCT:
             section = payload["evidence"]["product"]
             lines.append(

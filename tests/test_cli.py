@@ -10,7 +10,7 @@ import pytest
 import symreduce
 from symreduce import atlas, design, diagonal
 from symreduce.cli import main
-from symreduce.report import ReduceConfig, emit, report_payload, run_reduce
+from symreduce.report import emit, report_payload, run_reduce
 
 
 def run(capsys, *argv):
@@ -169,7 +169,7 @@ def test_diagonal_scan_small_bound(capsys):
 
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_catalog_bound_below_one_rejected_by_every_command(capsys, bound):
-    for command in (("atlas", "catalog"), ("diagonal", "scan"), ("reduce",)):
+    for command in (("atlas", "catalog"), ("diagonal", "scan")):
         code, out, err = run(capsys, *command, "--catalog-bound", bound)
         assert (code, out, err) == (1, "", "error: catalog bound must be positive\n"), command
 
@@ -188,8 +188,8 @@ def no_scan(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(("reduce", "--catalog-bound", "ten"), id="reduce-catalog-bound-ten"),
-        pytest.param(("reduce", "--catalog-bound", ""), id="reduce-catalog-bound-empty"),
+        pytest.param(("atlas", "catalog", "--catalog-bound", "ten"), id="atlas-catalog-catalog-bound-ten"),
+        pytest.param(("atlas", "catalog", "--catalog-bound", ""), id="atlas-catalog-catalog-bound-empty"),
         pytest.param(("reduce", "--v0-min", "ten"), id="reduce-v0-min-ten"),
         pytest.param(("reduce", "--v0-min", "3"), id="reduce-v0-min-3"),
         pytest.param(("reduce", "--format", ""), id="reduce-format-empty"),
@@ -326,7 +326,9 @@ def _simple_diagonal_verdict(capsys, *flags):
 def test_simple_diagonal_verdict_from_evidence(capsys, monkeypatch):
     assert _simple_diagonal_verdict(capsys) == "eliminated_by_computation"
     # An empty catalog carries no evidence.
-    assert _simple_diagonal_verdict(capsys, "--catalog-bound", "10") == "open"
+    with monkeypatch.context() as patch:
+        patch.setattr(atlas, "DEFAULT_CATALOG_BOUND", 10)
+        assert _simple_diagonal_verdict(capsys) == "open"
     # A survivor of the odd-part scan: the FAKE group of order 100.
     monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", atlas.GroupFacts(100, 50))
     assert _simple_diagonal_verdict(capsys) == "open"
@@ -334,7 +336,7 @@ def test_simple_diagonal_verdict_from_evidence(capsys, monkeypatch):
 
 def test_reduce_scans_the_certified_box_whatever_the_settings(capsys):
     assert _simple_diagonal_verdict(capsys) == "eliminated_by_computation"
-    for flags in (("--no-sporadic",), ("--out4-nmax", "5")):
+    for flags in (("--no-sporadic",), ("--out4-nmax", "5"), ("--catalog-bound", "10")):
         code, out, err = run(capsys, "reduce", *flags)
         assert (code, out) == (1, ""), flags
         assert "unrecognized arguments" in err, flags
@@ -413,7 +415,7 @@ def test_outputs_match_report_sections(capsys):
 def test_reduce_defaults_are_reduce_config(capsys):
     code, out, _ = run(capsys, "reduce")
     assert code == 2
-    assert out == emit(run_reduce(ReduceConfig()), "json")
+    assert out == emit(run_reduce(), "json")
 
 
 def _loads(*layers: str) -> set:

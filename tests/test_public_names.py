@@ -74,7 +74,7 @@ def test_package_root_imports_nothing(capsys):
     child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert json.loads(child.stdout) == ["0.1.0", []]
     # The report writes the root's version.
-    main(["reduce", "--catalog-bound", "60"])
+    main(["reduce"])
     assert json.loads(capsys.readouterr().out)["version"] == symreduce.__version__
 
 

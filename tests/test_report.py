@@ -6,7 +6,6 @@ import pytest
 from symreduce import atlas, cli, diagonal, product
 from symreduce.report import (
     OnanScottType,
-    ReduceConfig,
     Verdict,
     emit,
     report_payload,
@@ -17,7 +16,7 @@ from symreduce.report import (
 
 @pytest.fixture(scope="module")
 def default_report():
-    return run_reduce(ReduceConfig())
+    return run_reduce()
 
 
 def test_top_level_keys(default_report):
@@ -102,8 +101,8 @@ def test_hypotheses_present(default_report):
 
 
 def test_json_determinism():
-    a = emit(run_reduce(ReduceConfig()), "json")
-    b = emit(run_reduce(ReduceConfig()), "json")
+    a = emit(run_reduce(), "json")
+    b = emit(run_reduce(), "json")
     assert a == b
     parsed = json.loads(a)
     assert parsed["version"] == "0.1.0"
@@ -112,16 +111,16 @@ def test_json_determinism():
 # sha256 of the report bytes.  A change that means to alter the report
 # updates these and records why in CHANGES.md.
 _REPORT_SHA256 = {
-    ("json", 2): "29898d5d4e183566c5ee50a5e78b7f04300235bda0b065d1f5627d38f13c24d3",
-    ("json", 5): "d88b23e608f529bd74c64b3c19f010facd8f46941e03e59518b84c42621451e1",
-    ("md", 2): "5125d5d2216d51194dcf12a3f2ff5c02d07079800a3fc4ce46c893ccc4d5195c",
-    ("md", 5): "d229bbd8b9976c0d065fde7aad88e02dd895dcf7ba589c84ffd23523710571a8",
+    ("json", 2): "b5627c8a16b971d76e605112bcfaf099f89fd0c256ad682916e2584526ec4231",
+    ("json", 5): "23c2e51a35be95660cfd3196e7c97f6bff2d1f0d1d4ae5221245fee146454043",
+    ("md", 2): "bdf6b9356238be8f25dcd4377bec091efaa56224a5cb7829e5946be48e35cce5",
+    ("md", 5): "edb2fadf87e49dcfb813425ab89a35326c834e809e8fea28dcfdd82495d79ecd",
 }
 
 
 @pytest.mark.parametrize("fmt, v0_min", sorted(_REPORT_SHA256))
 def test_report_bytes_pinned(default_report, fmt, v0_min):
-    rep = default_report if v0_min == 2 else run_reduce(ReduceConfig(v0_min=v0_min))
+    rep = default_report if v0_min == 2 else run_reduce(v0_min)
     digest = hashlib.sha256(emit(rep, fmt).encode()).hexdigest()
     assert digest == _REPORT_SHA256[fmt, v0_min]
 
@@ -140,11 +139,18 @@ def test_emit_rejects_unknown_format(default_report):
         emit(default_report, "xml")
 
 
-def test_degenerate_bound_warns():
-    report = run_reduce(ReduceConfig(catalog_bound=59))
-    payload = report_payload(report)
-    warnings = payload["evidence"]["simple_diagonal"]["warnings"]
-    assert any("bounds too small" in w for w in warnings)
+def test_empty_catalog_never_agrees(monkeypatch):
+    # No simple group has order <= 59, so the odd-part scan carries no
+    # evidence: the verdict is open and the run cannot agree, even with the
+    # enumerated product triples taken as the reference.
+    monkeypatch.setattr(atlas, "DEFAULT_CATALOG_BOUND", 59)
+    report = run_reduce()
+    assert report.diagonal_result.catalog_size == 0
+    assert report.verdicts[OnanScottType.SIMPLE_DIAGONAL] is Verdict.OPEN
+    found = {t.triple: t.witnesses[0].v0 for t in report.product_triples}
+    monkeypatch.setattr(product, "REFERENCE_PRODUCT_TRIPLES", found)
+    assert report.product_matches_reference is True
+    assert report.agrees_with_reference is False
 
 
 def test_agreement_flag(default_report):
@@ -168,7 +174,6 @@ def test_agreement_compares_the_m4_candidates(default_report, monkeypatch):
 def test_config_payload(default_report):
     config = report_payload(default_report)["config"]
     assert config == {
-        "catalog_bound": 10_000_000,
         "v0_min": 2,
         "imprimitive_samples": [2, 3, 4],
     }
@@ -177,8 +182,7 @@ def test_config_payload(default_report):
 # One record of each result type, taken from the default report where it
 # holds one, with a field to assign to.
 _RECORDS = {
-    "ReductionReport": ("config", lambda rep: rep),
-    "ReduceConfig": ("catalog_bound", lambda rep: rep.config),
+    "ReductionReport": ("v0_min", lambda rep: rep),
     "DiagonalScanResult": ("survivors", lambda rep: rep.diagonal_result),
     "Out4ScanResult": ("candidates", lambda rep: rep.out4_result),
     "SimpleGroupId": ("n", lambda rep: rep.out4_result.candidates[0]),
