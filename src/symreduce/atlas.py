@@ -16,11 +16,11 @@ import re
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from itertools import count
+from itertools import count, takewhile
 from math import factorial, gcd
 
 from .errors import DomainError
-from .intmath import is_prime, prime_power_parts, prime_power_triples, prime_power_triples_upto
+from .intmath import is_prime, prime_power_parts, prime_power_triples
 
 
 class Family(Enum):
@@ -43,6 +43,10 @@ class Family(Enum):
     STEINBERG_3D4 = "steinberg_3d4"
     STEINBERG_2E6 = "steinberg_2e6"
     TITS = "tits"
+
+    # Members are singletons and Enum.__eq__ is identity, so the identity
+    # hash agrees with it; it runs in C, where Enum.__hash__ is Python code.
+    __hash__ = object.__hash__
 
 
 _FAMILY_INDEX = {fam: i for i, fam in enumerate(Family)}
@@ -415,6 +419,12 @@ def parse_group(text: str) -> SimpleGroupId:
 # -- bounded catalog --------------------------------------------------------
 
 
+def _triples_upto(limit: int):
+    """(q, p, f) with q <= limit, ascending in q, from the one prime-power
+    table that every walk and scan row reads."""
+    return takewhile(lambda row: row[0] <= limit, prime_power_triples())
+
+
 def _rank_values(fam: Family):
     """Dimensions n at which the classical family has members, smallest
     first, without end.  q = 5 lies in every classical family's domain at
@@ -448,8 +458,9 @@ def _out_cap(fam: Family, n: int) -> int:
 
 
 def _walk_q(fam: Family, n: int, max_order: int):
-    """(raw id, |T|) at one (family, n) for each in-domain q with
-    |T| <= max_order, q ascending.
+    """(raw id, GroupFacts) at one (family, n) for each in-domain q with
+    |T| <= max_order, q ascending.  |Out(T)| = d*f*g is read off the centre
+    order d that the walk computes anyway.
 
     The walk stops once the undivided order N = d*|T| passes
     d_max*max_order.  N strictly increases in q, so every later q has
@@ -464,12 +475,12 @@ def _walk_q(fam: Family, n: int, max_order: int):
         if num > limit:
             return
         if num <= d * max_order:
-            yield SimpleGroupId(fam, n=n, p=p, f=f), num // d
+            yield SimpleGroupId(fam, n=n, p=p, f=f), GroupFacts(num // d, d * f * _graph_factor(fam, n, p))
 
 
 def _iter_family_raw(fam: Family, max_order: int):
-    """(raw id, |T|) for every raw (non-canonical) id in the family with
-    |T| <= max_order.  A classical family stops at the first n whose order
+    """(raw id, GroupFacts) for every raw (non-canonical) id in the family
+    with |T| <= max_order.  A classical family stops at the first n whose order
     floor, at the smallest q of that n, already passes max_order."""
     if fam not in _CLASSICAL_FAMILIES:
         yield from _walk_q(fam, 0, max_order)
@@ -503,11 +514,13 @@ def enumerate_catalog(max_order: int) -> list[tuple[SimpleGroupId, GroupFacts]]:
         n += 1
     for name in _SPORADIC_FACTS:
         _admit(sporadic(name))
-    for fam in _LIE_FAMILIES:
-        for raw, t in _iter_family_raw(fam, max_order):
+    for fam in _SYMBOL:
+        for raw, fct in _iter_family_raw(fam, max_order):
             g = _canonicalize(raw)
             if g not in found:
-                found[g] = GroupFacts(t, _out_order(g))
+                # Only an exceptional isomorphism changes the id, and with
+                # it possibly |Out(T)|.
+                found[g] = fct if g is raw else facts(g)
     return sorted(found.items(), key=lambda item: (item[1].order,) + item[0].sort_key())
 
 
@@ -596,7 +609,7 @@ def _certified_region() -> tuple[RegionRow, ...]:
             b = next(b for b in count(1) if _row_settled(floor, cap, 1 << b))
             if b == 1:
                 break
-            needed = [q for q, p, f in prime_power_triples_upto((1 << b) - 1) if _in_domain(fam, n, p, f)]
+            needed = [q for q, p, f in _triples_upto((1 << b) - 1) if _in_domain(fam, n, p, f)]
             if needed:
                 rows.append(RegionRow(fam, n, needed[-1]))
     return tuple(rows)
@@ -646,7 +659,7 @@ def out4_scan(n_max: int, q_max: int) -> Out4ScanResult:
         if row.n > n_max:
             continue
         c, e = _order_floor(row.family, row.n)
-        for q, p, f in prime_power_triples_upto(min(row.q, q_max)):
+        for q, p, f in _triples_upto(min(row.q, q_max)):
             if not _in_domain(row.family, row.n, p, f):
                 continue
             g = SimpleGroupId(row.family, n=row.n, p=p, f=f)

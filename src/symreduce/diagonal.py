@@ -136,11 +136,18 @@ def diagonal_scan(catalog_bound: int) -> DiagonalScanResult:
     survivors: list[DiagonalCase] = []
     near_misses: list[atlas.SimpleGroupId] = []
     entries = atlas.enumerate_catalog(catalog_bound)
-    for gid, fct in entries:
-        for m in range(M_RANGE[0], M_RANGE[1] + 1):
-            if _oddpart_holds(fct, m):
+    # The test of _oddpart_holds, with its constants hoisted: odd_part is
+    # multiplicative, so odd_part(m!^4 * |Out|^4) = odd_part(m!)^4 * odd_part(|Out|)^4.
+    lo, hi = M_RANGE
+    odd_factorials = [(m, odd_part(factorial(m)) ** 4) for m in range(lo, hi + 1)]
+    for gid, (order_t, out) in entries:
+        odd_out = odd_part(out) ** 4
+        power = order_t ** (lo - 1)  # |T|^(m-1)
+        for m, odd_factorial in odd_factorials:
+            if power < odd_factorial * odd_out:
                 survivors.append(DiagonalCase(gid, m))
-        if fct.order < fct.out_order**4 and fct.order >= odd_part(fct.out_order**4):
+            power *= order_t
+        if odd_out <= order_t < out**4:
             near_misses.append(gid)
     return DiagonalScanResult(
         survivors=tuple(survivors),

@@ -6,14 +6,15 @@ rest of the package can compare huge group orders and root bounds exactly.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, islice
 from math import isqrt
 
 
 def is_prime(n: int) -> bool:
     """Trial division.  Callers pass small values: the characteristic p of
     an identifier being validated, or a q given by the user.  The catalog
-    and the scans take (q, p, f) from the sieve and never factor q."""
+    and the scans take (q, p, f) from prime_power_triples and never factor
+    q."""
     if n < 2:
         return False
     if n < 4:
@@ -76,15 +77,35 @@ def prime_power_triples_upto(limit: int) -> list[tuple[int, int, int]]:
     return out
 
 
+class _PrimePowerTable:
+    """(q, p, f) for every prime power q <= limit, ascending in q.  It only
+    grows, by doubling its limit from 64, so rows once read never change."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[int, int, int]] = []
+        self.limit = 0
+
+    def double(self) -> None:
+        self.limit = max(64, 2 * self.limit)
+        self.rows += prime_power_triples_upto(self.limit)[len(self.rows) :]
+
+
+# The one table per process behind every prime_power_triples stream.
+_TABLE = _PrimePowerTable()
+
+
 def prime_power_triples():
-    """(q, p, f) for every prime power, ascending in q, without end.  The
-    sieve behind it doubles whenever the walk passes its limit, so a walk
-    that reaches q sieves at most about 4q entries in all."""
-    done, limit = 0, 64
+    """(q, p, f) for every prime power, ascending in q, without end.  Every
+    stream reads the one shared table, which doubles when a walk reaches its
+    end, so a process that walks up to q sieves at most about 4q entries in
+    all, however many walks it makes."""
+    table, done = _TABLE, 0
     while True:
-        triples = prime_power_triples_upto(limit)
-        yield from triples[done:]
-        done, limit = len(triples), 2 * limit
+        if done == len(table.rows):
+            table.double()
+        end = len(table.rows)
+        yield from islice(table.rows, done, end)
+        done = end
 
 
 def prime_powers_upto(limit: int) -> list[int]:

@@ -1,8 +1,12 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -653,6 +657,28 @@ def test_catalog_size_at_1e12():
     # The count the cited-bound walk gives, which is too slow for the suite
     # at this bound.
     assert len(enumerate_catalog(10**12)) == 1650
+
+
+# Each call sieves once per doubling of the shared prime-power table.  The
+# catalog's largest q at 10^11 is below 8192, so its walks sieve at 64, 128,
+# ..., 8192, however many (family, n) walks read the table.
+_SIEVE_CALLS = {"atlas.enumerate_catalog(10**11)": 8, "report.run_reduce(2)": 4}
+
+
+@pytest.mark.parametrize("call", sorted(_SIEVE_CALLS))
+def test_walks_share_one_prime_power_table(call):
+    # A fresh interpreter starts with an empty table.
+    probe = (
+        "import symreduce.intmath as intmath\n"
+        "sieve, limits = intmath.prime_power_triples_upto, []\n"
+        "intmath.prime_power_triples_upto = lambda limit: limits.append(limit) or sieve(limit)\n"
+        "from symreduce import atlas, report\n"
+        f"{call}\n"
+        "print(len(limits))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(atlas.__file__).resolve().parent.parent)}
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert int(child.stdout) <= _SIEVE_CALLS[call]
 
 
 OUT4_ORACLE_BOXES = [

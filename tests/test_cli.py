@@ -466,3 +466,24 @@ def test_command_loads_only_its_layers(argv):
     modules, heavy = json.loads(child.stdout)
     assert set(modules) == _LOADED[argv]
     assert heavy == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("atlas", "catalog", "--catalog-bound", "1000000000"), ("diagonal", "scan", "--catalog-bound", "100000000000")],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(symreduce.__file__).resolve().parent.parent)}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "symreduce", *argv],
+            capture_output=True,
+            text=True,
+            env={**env, "PYTHONHASHSEED": seed},
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0]

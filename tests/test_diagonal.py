@@ -140,3 +140,38 @@ def test_scan_keeps_survivors_of_a_custom_sporadic_row(monkeypatch):
     result = diagonal_scan(10_000_000)
     assert result.survivors == tuple(DiagonalCase(fake, m) for m in range(2, 7))
     assert all(diag_oddpart_test(fake, m) for m in range(2, 7))
+
+
+def _scan_by_definition(bound):
+    """diagonal_scan's survivors and near misses, group by group, through
+    diag_oddpart_test and the facts of atlas.facts."""
+    catalog = [g for g, _ in atlas.enumerate_catalog(bound)]
+    survivors = tuple(
+        DiagonalCase(g, m) for g in catalog for m in range(M_RANGE[0], M_RANGE[1] + 1) if diag_oddpart_test(g, m)
+    )
+    near_misses = []
+    for g in catalog:
+        fct = atlas.facts(g)
+        if odd_part(fct.out_order**4) <= fct.order < fct.out_order**4:
+            near_misses.append(g)
+    return survivors, tuple(near_misses)
+
+
+@pytest.mark.parametrize("row", [None, atlas.GroupFacts(100, 4), atlas.GroupFacts(100, 50)])
+def test_scan_equals_its_per_group_definition(monkeypatch, row):
+    # diagonal_scan hoists odd_part(m!)^4 and odd_part(|Out|)^4 out of the
+    # test; it must still agree with the test stated per (T, m).
+    if row is not None:
+        monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", row)
+    result = diagonal_scan(10**9)
+    assert (result.survivors, result.near_misses) == _scan_by_definition(10**9)
+
+
+def test_scan_near_miss_takes_the_odd_part_of_out(monkeypatch):
+    # |T| = 100 < |Out|^4 = 256, but odd_part(|Out|^4) = 1: a near miss at
+    # every m.  A scan that used |Out|^4 for odd_part(|Out|)^4 would pass
+    # it at m = 2, where 100 < 256.
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", atlas.GroupFacts(100, 4))
+    result = diagonal_scan(10**9)
+    assert sporadic("FAKE") in result.near_misses
+    assert result.survivors == ()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symreduce import intmath
 from symreduce.intmath import (
     divisors,
     factorize,
@@ -59,12 +60,26 @@ def test_prime_power_triples_upto_carries_parts():
     assert prime_powers_upto(5000) == [q for q, _, _ in triples]
 
 
-def test_prime_power_triples_stream_crosses_doublings():
-    # The stream re-sieves at 64, 128, ...; no prime power is lost or
-    # repeated where one sieve hands over to the next.
-    stream = prime_power_triples()
+def test_prime_power_triples_stream_crosses_doublings(monkeypatch):
+    # Every stream reads one table that doubles from 64 when a stream
+    # reaches its end; no prime power is lost or repeated where a stream
+    # passes an end it grew itself, one another stream grew, or one that
+    # had already grown when the stream opened.
+    monkeypatch.setattr(intmath, "_TABLE", intmath._PrimePowerTable())
     expected = prime_power_triples_upto(3000)
-    assert [next(stream) for _ in expected] == expected
+    ahead, behind = prime_power_triples(), prime_power_triples()
+    got_ahead, got_behind = [], []
+    for i in range(len(expected)):
+        got_ahead.append(next(ahead))
+        if i % 3 == 0:
+            got_behind.append(next(behind))
+    got_behind += [next(behind) for _ in range(len(expected) - len(got_behind))]
+    assert got_ahead == got_behind == expected
+    fresh = prime_power_triples()
+    assert [next(fresh) for _ in expected] == expected
+    table = intmath._TABLE
+    assert table.limit > 3000
+    assert table.rows == prime_power_triples_upto(table.limit)
 
 
 def test_divisors():
