@@ -28,11 +28,16 @@ def _layer_constant(layer: str, name: str):
     return lambda: getattr(importlib.import_module(f"{__package__}.{layer}"), name)
 
 
-# Every option flag, by name; a subcommand lists the ones it takes.  A flag
+# Every argument, by name; a command lists the ones it takes.  An option
 # without a "default" is None when not given.  A callable "choices" or
-# "default" is read when a chosen subcommand adds the flag; each reads a
-# layer the command runs anyway.
-_OPTIONS = {
+# "default" is read when the command is chosen; each reads a layer the
+# command runs anyway.
+_ARGUMENTS = {
+    "v": {"type": int},
+    "k": {"type": int},
+    "lam": {"metavar": "lambda", "type": int},
+    "v0": {"type": int},
+    "group": {"help": "e.g. A7, L3(4), O+8(2), 2B2(8), M11"},
     "--catalog-bound": {"type": int, "default": _layer_constant("atlas", "DEFAULT_CATALOG_BOUND")},
     "--out4-nmax": {"type": int, "help": "default: the certified box"},
     "--out4-qmax": {"type": int, "help": "default: the certified box"},
@@ -47,20 +52,6 @@ _OPTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """A subcommand's option flags are added when it is chosen, so that
-    building the parser reads no layer."""
-
-    def __init__(self, *args, flags: tuple[str, ...] = (), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._pending_flags = flags
-
-    def parse_known_args(self, args=None, namespace=None):
-        for flag in self._pending_flags:
-            spec = {k: v() if k in ("choices", "default") and callable(v) else v for k, v in _OPTIONS[flag].items()}
-            self.add_argument(flag, **spec)
-        self._pending_flags = ()
-        return super().parse_known_args(args, namespace)
-
     # argparse exits with 2 on usage errors, which collides with the
     # "disagreement" exit code; route usage errors to 1 instead.
     def error(self, message):
@@ -72,65 +63,34 @@ class _UsageError(Exception):
     pass
 
 
-def _group(sub, name: str, help_text: str):
-    return sub.add_parser(name, help=help_text).add_subparsers(
-        dest=f"{name}_command", required=True
-    )
-
-
-def _leaf(sub, name: str, help_text: str, func, *options: str) -> _Parser:
-    parser = sub.add_parser(name, help=help_text, flags=options)
-    parser.set_defaults(func=func)
+def _build(dest: str, body, arguments, **kwargs) -> _Parser:
+    """The parser of one row of _COMMANDS: its subcommands, or its handler
+    and arguments."""
+    parser = _Parser(**kwargs)
+    if callable(body):
+        parser.set_defaults(func=body)
+        for name in arguments:
+            spec = {k: v() if k in ("choices", "default") and callable(v) else v for k, v in _ARGUMENTS[name].items()}
+            parser.add_argument(name, **spec)
+    else:
+        sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Deferred)
+        for row in body:
+            sub.add_parser(row[0], help=row[1], row=row)
     return parser
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="symreduce", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Deferred:
+    """A command's parser, built from its row when argparse hands it the
+    command's arguments: argparse asks an unchosen command for nothing but
+    its name and help."""
 
-    check = _leaf(
-        sub, "check",
-        "symmetric design admissibility for a (v, k, lambda); with v odd and "
-        "k - lambda not a square, k - lambda and lambda must be <= 10^12",
-        _cmd_check,
-    )
-    check.add_argument("v", type=int)
-    check.add_argument("k", type=int)
-    check.add_argument("lam", metavar="lambda", type=int)
+    def __init__(self, *, row: tuple, **kwargs):
+        self._row = row
+        self._kwargs = kwargs
 
-    atlas_sub = _group(sub, "atlas", "simple group orders and scans")
-    for name, help_text in (("order", "exact |T|"), ("out", "exact |Out(T)|")):
-        one = _leaf(atlas_sub, name, help_text, _cmd_atlas_lookup)
-        one.add_argument("group", help="e.g. A7, L3(4), O+8(2), 2B2(8), M11")
-    _leaf(
-        atlas_sub, "scan", "scan for |T| < |Out(T)|^4", _cmd_atlas_scan,
-        "--out4-nmax", "--out4-qmax",
-    )
-    _leaf(
-        atlas_sub, "catalog", "list all simple groups up to a bound", _cmd_atlas_catalog,
-        "--catalog-bound",
-    )
-
-    diag_sub = _group(sub, "diagonal", "simple-diagonal elimination")
-    _leaf(diag_sub, "scan", "odd-part scan over the catalog", _cmd_diagonal_scan, "--catalog-bound")
-
-    prod_sub = _group(sub, "product", "product-type elimination")
-    _leaf(
-        prod_sub, "enumerate", "enumerate surviving (v, k, lambda)", _cmd_product_enumerate,
-        "--v0-min",
-    )
-    m4 = _leaf(prod_sub, "m4", "the m = 4 interval analysis", _cmd_product_m4)
-    m4.add_argument("v0", type=int)
-
-    imp_sub = _group(sub, "imprimitive", "point-imprimitive parameter family")
-    fam = _leaf(imp_sub, "family", "instantiate the family at lambda", _cmd_imprimitive_family)
-    fam.add_argument("lam", metavar="lambda", type=int)
-
-    _leaf(
-        sub, "reduce", "full pipeline and report", _cmd_reduce,
-        "--v0-min", "--format", "--output",
-    )
-    return parser
+    def parse_known_args(self, args, namespace):
+        name, _, body, *arguments = self._row
+        return _build(f"{name}_command", body, arguments, **self._kwargs).parse_known_args(args, namespace)
 
 
 def _print_json(payload) -> None:
@@ -262,8 +222,37 @@ def _cmd_reduce(args) -> int:
     return EXIT_AGREES if result.agrees_with_reference else EXIT_DISAGREES
 
 
+# The command tree: (name, help, subcommands) for a group, and (name, help,
+# handler, *argument names) for a command.
+_COMMANDS = (
+    (
+        "check",
+        "symmetric design admissibility for a (v, k, lambda); with v odd and "
+        "k - lambda not a square, k - lambda and lambda must be <= 10^12",
+        _cmd_check, "v", "k", "lam",
+    ),
+    ("atlas", "simple group orders and scans", (
+        ("order", "exact |T|", _cmd_atlas_lookup, "group"),
+        ("out", "exact |Out(T)|", _cmd_atlas_lookup, "group"),
+        ("scan", "scan for |T| < |Out(T)|^4", _cmd_atlas_scan, "--out4-nmax", "--out4-qmax"),
+        ("catalog", "list all simple groups up to a bound", _cmd_atlas_catalog, "--catalog-bound"),
+    )),
+    ("diagonal", "simple-diagonal elimination", (
+        ("scan", "odd-part scan over the catalog", _cmd_diagonal_scan, "--catalog-bound"),
+    )),
+    ("product", "product-type elimination", (
+        ("enumerate", "enumerate surviving (v, k, lambda)", _cmd_product_enumerate, "--v0-min"),
+        ("m4", "the m = 4 interval analysis", _cmd_product_m4, "v0"),
+    )),
+    ("imprimitive", "point-imprimitive parameter family", (
+        ("family", "instantiate the family at lambda", _cmd_imprimitive_family, "lam"),
+    )),
+    ("reduce", "full pipeline and report", _cmd_reduce, "--v0-min", "--format", "--output"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _build("command", _COMMANDS, (), prog="symreduce", description=__doc__)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import symreduce
 from symreduce import atlas, design, diagonal
-from symreduce.cli import main
+from symreduce.cli import _ARGUMENTS, _COMMANDS, main
 from symreduce.report import emit, report_payload, run_reduce
 
 
@@ -389,9 +391,49 @@ def test_no_arguments_usage(capsys):
     assert code == 1
 
 
+# Each level of the command tree, by the words that reach it, and its rows.
+_LEVELS = {(): _COMMANDS, **{(name,): body for name, _, body, *_ in _COMMANDS if not callable(body)}}
+_LEAVES = [((*path, row[0]), row) for path, rows in _LEVELS.items() for row in rows if callable(row[2])]
+
+
 def test_unknown_subcommand(capsys):
-    code, _, _ = run(capsys, "frobnicate")
-    assert code == 1
+    names = {path: [row[0] for row in rows] for path, rows in _LEVELS.items()}
+    assert names[()] == ["check", "atlas", "diagonal", "product", "imprimitive", "reduce"]
+    assert names[("atlas",)] == ["order", "out", "scan", "catalog"]
+    for path, level in names.items():
+        code, out, err = run(capsys, *path, "frobnicate")
+        assert (code, out) == (1, ""), path
+        listed = re.search(r"invalid choice: '?frobnicate'? \(choose from (.*)\)", err).group(1)
+        assert [name.strip("'") for name in listed.split(", ")] == level, path
+
+
+def _help(capsys, monkeypatch, *argv):
+    # Wide enough that argparse wraps no help string.
+    monkeypatch.setenv("COLUMNS", "300")
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--help"])
+    out, err = capsys.readouterr()
+    assert (exited.value.code, err) == (0, "")
+    return out.splitlines()
+
+
+@pytest.mark.parametrize("path", sorted(_LEVELS), ids=lambda path: "-".join(path) or "symreduce")
+def test_group_help_lists_its_subcommands(capsys, monkeypatch, path):
+    rows = [line.split() for line in _help(capsys, monkeypatch, *path)]
+    for name, help_text, *_ in _LEVELS[path]:
+        assert [name, *help_text.split()] in rows
+
+
+@pytest.mark.parametrize("path, row", _LEAVES, ids=[" ".join(path) for path, _ in _LEAVES])
+def test_command_help_lists_its_arguments(capsys, monkeypatch, path, row):
+    lines = _help(capsys, monkeypatch, *path)
+    # An entry starts at a two-space indent; a help string too long for its
+    # line's help column goes on the next line, indented further.
+    shown = {line.split()[0].rstrip(",") for line in lines if re.match(r"  \S", line)}
+    assert shown == {"-h", *(_ARGUMENTS[name].get("metavar", name) for name in row[3:])}
+    text = " ".join(" ".join(lines).split())
+    for name in row[3:]:
+        assert _ARGUMENTS[name].get("help", "") in text
 
 
 def test_outputs_match_report_sections(capsys):
@@ -466,6 +508,21 @@ def test_command_loads_only_its_layers(argv):
     modules, heavy = json.loads(child.stdout)
     assert set(modules) == _LOADED[argv]
     assert heavy == []
+
+
+@pytest.mark.parametrize("argv", sorted(_LOADED), ids=lambda argv: "-".join(argv) or "no-arguments")
+def test_command_builds_only_its_parsers(capsys, monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    main(list(argv))
+    capsys.readouterr()
+    assert len(built) <= 3, built
 
 
 @pytest.mark.parametrize(
