@@ -390,10 +390,12 @@ def display_name(g: SimpleGroupId) -> str:
     return _lie_name(fam, g.n, g.q)
 
 
-_ALTERNATING_PATTERN = re.compile(r"^A(\d+)$")
+# Pattern strings, compiled by re's cache on the first parse_group call:
+# most commands never parse a name.
+_ALTERNATING_PATTERN = r"^A(\d+)$"
 _FAMILY_OF_SYMBOL = {symbol: fam for fam, symbol in _SYMBOL.items()}
 # No symbol is another symbol followed by digits, so a name splits one way.
-_LIE_PATTERN = re.compile(rf"^({'|'.join(map(re.escape, _FAMILY_OF_SYMBOL))})(\d*)\((\d+)\)$")
+_LIE_PATTERN = rf"^({'|'.join(map(re.escape, _FAMILY_OF_SYMBOL))})(\d*)\((\d+)\)$"
 
 
 def parse_group(text: str) -> SimpleGroupId:
@@ -405,10 +407,10 @@ def parse_group(text: str) -> SimpleGroupId:
         return tits()
     if token in _SPORADIC_FACTS:
         return sporadic(token)
-    match = _ALTERNATING_PATTERN.match(token)
+    match = re.match(_ALTERNATING_PATTERN, token)
     if match:
         return alternating(int(match.group(1)))
-    match = _LIE_PATTERN.match(token)
+    match = re.match(_LIE_PATTERN, token)
     if match:
         fam = _FAMILY_OF_SYMBOL[match.group(1)]
         if (fam in _CLASSICAL_FAMILIES) == bool(match.group(2)):

@@ -8,10 +8,11 @@ and 1 is a usage or runtime error.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError
 
@@ -51,48 +52,6 @@ _ARGUMENTS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors, which collides with the
-    # "disagreement" exit code; route usage errors to 1 instead.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _build(dest: str, body, arguments, **kwargs) -> _Parser:
-    """The parser of one row of _COMMANDS: its subcommands, or its handler
-    and arguments."""
-    parser = _Parser(**kwargs)
-    if callable(body):
-        parser.set_defaults(func=body)
-        for name in arguments:
-            spec = {k: v() if k in ("choices", "default") and callable(v) else v for k, v in _ARGUMENTS[name].items()}
-            parser.add_argument(name, **spec)
-    else:
-        sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Deferred)
-        for row in body:
-            sub.add_parser(row[0], help=row[1], row=row)
-    return parser
-
-
-class _Deferred:
-    """A command's parser, built from its row when argparse hands it the
-    command's arguments: argparse asks an unchosen command for nothing but
-    its name and help."""
-
-    def __init__(self, *, row: tuple, **kwargs):
-        self._row = row
-        self._kwargs = kwargs
-
-    def parse_known_args(self, args, namespace):
-        name, _, body, *arguments = self._row
-        return _build(f"{name}_command", body, arguments, **self._kwargs).parse_known_args(args, namespace)
-
-
 def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -113,21 +72,26 @@ def _cmd_check(args) -> int:
     return EXIT_AGREES if admissible else EXIT_DISAGREES
 
 
-def _cmd_atlas_lookup(args) -> int:
+def _cmd_atlas_order(args) -> int:
     from . import atlas
 
-    gid = atlas.parse_group(args.group)
-    lookup = atlas.order if args.atlas_command == "order" else atlas.out_order
-    value = lookup(gid)
+    order = atlas.order(atlas.parse_group(args.group))
     try:
-        text = str(value)
+        text = str(order)
     except ValueError:
         # More digits than int-to-str allows, a limit Decimal does not apply;
         # the caller's limit stays as it is.
         import decimal
 
-        text = str(decimal.Decimal(value))
+        text = str(decimal.Decimal(order))
     print(text)
+    return EXIT_AGREES
+
+
+def _cmd_atlas_out(args) -> int:
+    from . import atlas
+
+    print(atlas.out_order(atlas.parse_group(args.group)))
     return EXIT_AGREES
 
 
@@ -232,8 +196,8 @@ _COMMANDS = (
         _cmd_check, "v", "k", "lam",
     ),
     ("atlas", "simple group orders and scans", (
-        ("order", "exact |T|", _cmd_atlas_lookup, "group"),
-        ("out", "exact |Out(T)|", _cmd_atlas_lookup, "group"),
+        ("order", "exact |T|", _cmd_atlas_order, "group"),
+        ("out", "exact |Out(T)|", _cmd_atlas_out, "group"),
         ("scan", "scan for |T| < |Out(T)|^4", _cmd_atlas_scan, "--out4-nmax", "--out4-qmax"),
         ("catalog", "list all simple groups up to a bound", _cmd_atlas_catalog, "--catalog-bound"),
     )),
@@ -251,10 +215,158 @@ _COMMANDS = (
 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build("command", _COMMANDS, (), prog="symreduce", description=__doc__)
+# The command line is read from _COMMANDS as argparse would read it; every
+# level takes -h and --help.
+_HELP = ("-h", "--help")
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _spec(name: str) -> dict:
+    """An argument's spec, with a callable choices or default read."""
+    return {k: v() if k in ("choices", "default") and callable(v) else v for k, v in _ARGUMENTS[name].items()}
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _metavar(name: str, spec: dict) -> str:
+    if "choices" in spec:
+        return "{" + ",".join(map(str, spec["choices"])) + "}"
+    return spec.get("metavar", _dest(name).upper() if name.startswith("-") else name)
+
+
+def _usage(prog: str, body, specs: dict) -> str:
+    if callable(body):
+        words = [f"[{name} {_metavar(name, spec)}]" for name, spec in specs.items() if name.startswith("-")]
+        words += [_metavar(name, spec) for name, spec in specs.items() if not name.startswith("-")]
+    else:
+        words = ["{" + ",".join(row[0] for row in body) + "}", "..."]
+    return " ".join(["usage:", prog, "[-h]", *words])
+
+
+def _help(prog: str, body, specs: dict) -> str:
+    """The help of one level: its usage, the top level's description, then
+    one two-space entry per positional (a group's are its commands) and per
+    option, each help string on its entry's line."""
+    if callable(body):
+        positionals = [(_metavar(n, s), s.get("help", "")) for n, s in specs.items() if not n.startswith("-")]
+        options = [(f"{n} {_metavar(n, s)}", s.get("help", "")) for n, s in specs.items() if n.startswith("-")]
+    else:
+        positionals, options = [(name, text) for name, text, *_ in body], []
+    options.insert(0, (", ".join(_HELP), "show this help message and exit"))
+    width = 2 + max(len(entry) for entry, _ in positionals + options)
+    lines = [_usage(prog, body, specs), ""]
+    if body is _COMMANDS:
+        lines += [__doc__.strip(), ""]
+    for heading, entries in (("positional arguments:", positionals), ("options:", options)):
+        if entries:
+            lines += [heading, *(f"  {entry:<{width}}{text}".rstrip() for entry, text in entries), ""]
+    return "\n".join(lines)
+
+
+def _option(word: str, options: tuple):
+    """None if the word is a value, else (option, the value after "=" or
+    None), the option None when the word names none.  A value is a word
+    that does not start with "-", "-" itself, a negative number, or an
+    unknown word holding a space.  A long option may be shortened to any
+    prefix that no other option shares."""
+    if not word.startswith("-") or word == "-" or re.match(r"^-\d+$|^-\d*\.\d+$", word):
+        return None
+    name, equals, value = word.partition("=")
+    value = value if equals else None
+    if name in options:
+        return name, value
+    if name.startswith("--") and word != "--":
+        matches = [option for option in options if option.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {name} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value
+    return None if " " in word else (None, value)
+
+
+def _convert(name: str, spec: dict, raw: str):
+    label = name if name.startswith("-") else spec.get("metavar", name)
+    value = raw
+    if "type" in spec:
+        try:
+            value = spec["type"](raw)
+        except ValueError:
+            raise _UsageError(f"argument {label}: invalid {spec['type'].__name__} value: {raw!r}") from None
+    if "choices" in spec and value not in spec["choices"]:
+        choices = ", ".join(map(repr, spec["choices"]))
+        raise _UsageError(f"argument {label}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command argv names: its handler as func and its arguments by
+    dest, an option not given at its default.
+
+    The words are read left to right: group names down to a command, then
+    the command's positionals and options.  -h or --help prints the help of
+    the level it is read at and exits 0.  Anything else that cannot be read
+    raises _UsageError, once the level's usage line is on stderr."""
+    prog, body, specs = "symreduce", _COMMANDS, {}
+    options, values, pending, unknown = _HELP, {}, [], []
+    words, index = list(argv), 0
     try:
-        args = parser.parse_args(argv)
+        while index < len(words):
+            word, index = words[index], index + 1
+            read = _option(word, options)
+            if read is None and not callable(body):
+                row = next((row for row in body if row[0] == word), None)
+                if row is None:
+                    choices = ", ".join(repr(row[0]) for row in body)
+                    raise _UsageError(f"argument command: invalid choice: {word!r} (choose from {choices})")
+                _, _, body, *names = row
+                prog = f"{prog} {word}"
+                if callable(body):
+                    specs = {name: _spec(name) for name in names}
+                    options = _HELP + tuple(name for name in names if name.startswith("-"))
+                    values = {_dest(name): spec.get("default") for name, spec in specs.items() if name.startswith("-")}
+                    pending = [name for name in names if not name.startswith("-")]
+            elif read is None:
+                if not pending:
+                    unknown.append(word)
+                    continue
+                name = pending.pop(0)
+                values[_dest(name)] = _convert(name, specs[name], word)
+            else:
+                option, value = read
+                if option is None:
+                    unknown.append(word)
+                elif option in _HELP:
+                    if value is not None:
+                        raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+                    print(_help(prog, body, specs), end="")
+                    raise SystemExit(0)
+                else:
+                    if value is None:
+                        if index == len(words) or _option(words[index], options) is not None:
+                            raise _UsageError(f"argument {option}: expected one argument")
+                        value, index = words[index], index + 1
+                    values[_dest(option)] = _convert(option, specs[option], value)
+        if not callable(body):
+            raise _UsageError("the following arguments are required: command")
+        if pending:
+            missing = ", ".join(_metavar(name, specs[name]) for name in pending)
+            raise _UsageError(f"the following arguments are required: {missing}")
+        if unknown:
+            raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    except _UsageError:
+        print(_usage(prog, body, specs), file=sys.stderr)
+        raise
+    return SimpleNamespace(func=body, **values)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (_UsageError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

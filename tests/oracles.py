@@ -4,14 +4,16 @@ These deliberately avoid the closed forms used by the package: instead of
 computing lambda from (m, a, v0) directly, lambda_by_scan walks candidate
 lambda values and checks the defining identity with plain multiplication.
 Agreement between the two is what the equivalence tests assert.  The
-atlas oracles at the end redo the catalog, the |T| < |Out(T)|^4 scan and its
-certified region the slow way.
+atlas oracles redo the catalog, the |T| < |Out(T)|^4 scan and its
+certified region the slow way.  The CLI oracle at the end reads a command
+line with argparse, from the same command tree as symreduce.cli.
 """
 
+import argparse
 from fractions import Fraction
 from math import factorial, gcd
 
-from symreduce import atlas
+from symreduce import atlas, cli
 from symreduce.atlas import Family
 from symreduce.intmath import int_nth_root, prime_power_parts
 
@@ -262,3 +264,40 @@ def out4_region_points(region: frozenset):
 def box_covers(region: frozenset, n_max: int, q_max: int) -> bool:
     """Whether the box holds every region point."""
     return all(n <= n_max and q <= q_max for _, n, q, _ in out4_region_points(region))
+
+
+# -- cli: the command line read by argparse ---------------------------------
+
+
+class ArgparseRejects(Exception):
+    """argparse refused the command line; argparse itself would exit 2."""
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseRejects(message)
+
+
+def _argparse_tree(parser, body, arguments):
+    if callable(body):
+        parser.set_defaults(func=body)
+        for name in arguments:
+            parser.add_argument(name, **cli._spec(name))
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, help_text, child, *child_arguments in body:
+            _argparse_tree(sub.add_parser(name, help=help_text), child, child_arguments)
+    return parser
+
+
+def argparse_namespace(argv: list) -> dict:
+    """The arguments argparse reads from argv, built from cli._COMMANDS and
+    cli._ARGUMENTS: the handler as func and each argument by dest.  Raises
+    ArgparseRejects where argparse rejects argv, and SystemExit(0) after
+    printing the help that -h or --help asks for."""
+    parser = _argparse_tree(_RaisingParser(prog="symreduce"), cli._COMMANDS, ())
+    namespace = vars(parser.parse_args(argv))
+    # The dest that names the chosen subcommand, which symreduce.cli does
+    # not set: func already says which command runs.
+    del namespace["command"]
+    return namespace
