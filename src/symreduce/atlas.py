@@ -73,20 +73,6 @@ _SYMBOL = {
     Family.STEINBERG_2E6: "2E6",
 }
 
-_LIE_FAMILIES = frozenset(_SYMBOL)
-
-# Classical families carry a dimension parameter n as well.
-_CLASSICAL_FAMILIES = frozenset(
-    (
-        Family.LINEAR,
-        Family.UNITARY,
-        Family.SYMPLECTIC,
-        Family.ORTHOGONAL_ODD,
-        Family.ORTHOGONAL_PLUS,
-        Family.ORTHOGONAL_MINUS,
-    )
-)
-
 # |A5|, the smallest order of a non-abelian simple group.
 MIN_SIMPLE_ORDER = 60
 
@@ -188,7 +174,7 @@ def _in_domain(fam: Family, n: int, p: int, f: int) -> bool:
         return n >= 7 and n % 2 == 1 and p != 2
     if fam in (Family.ORTHOGONAL_PLUS, Family.ORTHOGONAL_MINUS):
         return n >= 8 and n % 2 == 0
-    if fam not in _LIE_FAMILIES or n != 0:
+    if fam not in _SYMBOL or n != 0:
         return False
     if fam is Family.G2:
         # G2(2) is not simple; its derived subgroup is PSU(3,3).
@@ -201,14 +187,19 @@ def _in_domain(fam: Family, n: int, p: int, f: int) -> bool:
 
 
 def _validate(g: SimpleGroupId) -> None:
+    """Raise DomainError unless g is an id that its family's constructor
+    could return, before canonicalization.  The messages are built only on
+    failure: this runs once per scan point."""
     fam = g.family
-    if fam is Family.ALTERNATING:
-        alternating(g.n)
+    if fam not in _SYMBOL:
+        # The constructor raises on a bad degree or an unknown name; any
+        # other field that differs from its id is stray.
+        if g != (alternating(g.n) if fam is Family.ALTERNATING else sporadic(g.name)):
+            raise DomainError(f"invalid {fam.value} identifier {g!r}")
         return
-    if fam in (Family.SPORADIC, Family.TITS):
-        return
-    # q is defined as p**f, so a prime p and f >= 1 are all it needs.  The
-    # messages are built only on failure: this runs once per scan point.
+    if g.name:
+        raise DomainError(f"invalid {fam.value} identifier {g!r}")
+    # q is defined as p**f, so a prime p and f >= 1 are all it needs.
     if not (g.f >= 1 and is_prime(g.p)):
         raise DomainError(f"invalid prime power data p={g.p}, f={g.f}")
     if not _in_domain(fam, g.n, g.p, g.f):
@@ -229,6 +220,10 @@ _EXCEPTIONAL_ORDER = {
     Family.STEINBERG_3D4: (12, ((12, 1), (-4, 1), (6, 1), (2, 1)), (1, 1, 1)),
     Family.STEINBERG_2E6: (36, ((12, 1), (9, -1), (8, 1), (6, 1), (5, -1), (2, 1)), (3, 1, -1)),
 }
+
+# The classical families, the Lie-type families with no exceptional order
+# datum, carry a dimension parameter n as well.
+_CLASSICAL_FAMILIES = frozenset(fam for fam in _SYMBOL if fam not in _EXCEPTIONAL_ORDER)
 
 _TITS_NAME = "2F4(2)'"
 
@@ -333,7 +328,7 @@ def _order(g: SimpleGroupId) -> int:
     if g.family is Family.ALTERNATING:
         return factorial(g.n) // 2
     if g.family in (Family.SPORADIC, Family.TITS):
-        return _sporadic_facts(g).order
+        return _SPORADIC_FACTS[g.name].order
     num, d = _order_parts(_order_datum(g.family, g.n), g.q)
     return num // d
 
@@ -350,8 +345,14 @@ def _out_order(g: SimpleGroupId) -> int:
     if fam is Family.ALTERNATING:
         return 4 if n == 6 else 2
     if fam in (Family.SPORADIC, Family.TITS):
-        return _sporadic_facts(g).out_order
-    return _centre(_order_datum(fam, n), g.q) * g.f * _graph_factor(fam, n, g.p)
+        return _SPORADIC_FACTS[g.name].out_order
+    return _lie_out_order(g, _centre(_order_datum(fam, n), g.q))
+
+
+def _lie_out_order(g: SimpleGroupId, d: int) -> int:
+    """|Out(T)| = d*f*g of a valid Lie-type id, given the order d of its
+    centre."""
+    return d * g.f * _graph_factor(g.family, g.n, g.p)
 
 
 def out_order(g: SimpleGroupId) -> int:
@@ -359,12 +360,6 @@ def out_order(g: SimpleGroupId) -> int:
     the D4 triality factor."""
     _validate(g)
     return _out_order(g)
-
-
-def _sporadic_facts(g: SimpleGroupId) -> GroupFacts:
-    if g.name not in _SPORADIC_FACTS:
-        raise DomainError(f"group {g.name!r} not present in sporadic table")
-    return _SPORADIC_FACTS[g.name]
 
 
 def facts(g: SimpleGroupId) -> GroupFacts:
@@ -421,16 +416,24 @@ def parse_group(text: str) -> SimpleGroupId:
 # -- bounded catalog --------------------------------------------------------
 
 
-def _triples_upto(limit: int):
-    """(q, p, f) with q <= limit, ascending in q, from the one prime-power
-    table that every walk and scan row reads."""
-    return takewhile(lambda row: row[0] <= limit, prime_power_triples())
+def _row(fam: Family, n: int, q_max: int | None = None):
+    """(q, p, f) for each q = p^f in the domain of the Lie-type family at
+    dimension n, ascending in q: up to q_max, or without end when q_max is
+    None.  Every walk and scan of a (family, n) row reads it, from the one
+    prime-power table."""
+    triples = prime_power_triples()
+    if q_max is not None:
+        triples = takewhile(lambda row: row[0] <= q_max, triples)
+    return ((q, p, f) for q, p, f in triples if _in_domain(fam, n, p, f))
 
 
 def _rank_values(fam: Family):
-    """Dimensions n at which the classical family has members, smallest
-    first, without end.  q = 5 lies in every classical family's domain at
-    each of its dimensions."""
+    """Dimensions n at which the Lie-type family has members, smallest
+    first: 0 alone for an exceptional family, and without end for a
+    classical one.  q = 5 lies in every classical family's domain at each
+    of its dimensions."""
+    if fam not in _CLASSICAL_FAMILIES:
+        return (0,)
     return (n for n in count(2) if _in_domain(fam, n, 5, 1))
 
 
@@ -470,53 +473,45 @@ def _walk_q(fam: Family, n: int, max_order: int):
     (|L2(8)| = 504 > |L2(9)| = 360) and cannot stop the walk."""
     datum = _order_datum(fam, n)
     limit = _max_centre(fam, n) * max_order
-    for q, p, f in prime_power_triples():
-        if not _in_domain(fam, n, p, f):
-            continue
+    for q, p, f in _row(fam, n):
         num, d = _order_parts(datum, q)
         if num > limit:
             return
         if num <= d * max_order:
-            yield SimpleGroupId(fam, n=n, p=p, f=f), GroupFacts(num // d, d * f * _graph_factor(fam, n, p))
+            g = SimpleGroupId(fam, n=n, p=p, f=f)
+            yield g, GroupFacts(num // d, _lie_out_order(g, d))
 
 
 def _iter_family_raw(fam: Family, max_order: int):
     """(raw id, GroupFacts) for every raw (non-canonical) id in the family
-    with |T| <= max_order.  A classical family stops at the first n whose order
-    floor, at the smallest q of that n, already passes max_order."""
-    if fam not in _CLASSICAL_FAMILIES:
-        yield from _walk_q(fam, 0, max_order)
-        return
-    for n in _rank_values(fam):
-        min_q = next(q for q, p, f in prime_power_triples() if _in_domain(fam, n, p, f))
-        c, e = _order_floor(fam, n)
-        if min_q**e > c * max_order:
-            return
-        yield from _walk_q(fam, n, max_order)
+    with |T| <= max_order.  A Lie-type family stops at the first n whose
+    order floor, at the smallest q of that n, already passes max_order."""
+    if fam is Family.ALTERNATING:
+        # |A_n| = n!/2 increases with n.
+        for g in map(alternating, count(5)):
+            fct = facts(g)
+            if fct.order > max_order:
+                return
+            yield g, fct
+    elif fam not in _SYMBOL:
+        for name, fct in _SPORADIC_FACTS.items():
+            g = sporadic(name)
+            if g.family is fam and fct.order <= max_order:
+                yield g, fct
+    else:
+        for n in _rank_values(fam):
+            c, e = _order_floor(fam, n)
+            if next(_row(fam, n))[0] ** e > c * max_order:
+                return
+            yield from _walk_q(fam, n, max_order)
 
 
 def enumerate_catalog(max_order: int) -> list[tuple[SimpleGroupId, GroupFacts]]:
     """Every finite simple group of order <= max_order, once per isomorphism
     class, in nondecreasing order of |T| (ties broken by identifier)."""
     _require(max_order >= 1, "catalog bound must be positive")
-    if max_order < MIN_SIMPLE_ORDER:
-        return []
     found: dict[SimpleGroupId, GroupFacts] = {}
-
-    def _admit(g: SimpleGroupId) -> None:
-        if g in found:
-            return
-        fct = facts(g)
-        if fct.order <= max_order:
-            found[g] = fct
-
-    n = 5
-    while factorial(n) // 2 <= max_order:
-        _admit(alternating(n))
-        n += 1
-    for name in _SPORADIC_FACTS:
-        _admit(sporadic(name))
-    for fam in _SYMBOL:
+    for fam in Family:
         for raw, fct in _iter_family_raw(fam, max_order):
             g = _canonicalize(raw)
             if g not in found:
@@ -606,12 +601,12 @@ def _certified_region() -> tuple[RegionRow, ...]:
     """
     rows = []
     for fam in _SYMBOL:
-        for n in _rank_values(fam) if fam in _CLASSICAL_FAMILIES else (0,):
+        for n in _rank_values(fam):
             floor, cap = _order_floor(fam, n), _out_cap(fam, n)
             b = next(b for b in count(1) if _row_settled(floor, cap, 1 << b))
             if b == 1:
                 break
-            needed = [q for q, p, f in _triples_upto((1 << b) - 1) if _in_domain(fam, n, p, f)]
+            needed = [q for q, _, _ in _row(fam, n, (1 << b) - 1)]
             if needed:
                 rows.append(RegionRow(fam, n, needed[-1]))
     return tuple(rows)
@@ -661,9 +656,7 @@ def out4_scan(n_max: int, q_max: int) -> Out4ScanResult:
         if row.n > n_max:
             continue
         c, e = _order_floor(row.family, row.n)
-        for q, p, f in _triples_upto(min(row.q, q_max)):
-            if not _in_domain(row.family, row.n, p, f):
-                continue
+        for q, p, f in _row(row.family, row.n, min(row.q, q_max)):
             g = SimpleGroupId(row.family, n=row.n, p=p, f=f)
             if c * _out_order(g) ** 4 > q**e:
                 _examine(g)

@@ -157,15 +157,6 @@ def report_payload(report: ReductionReport) -> dict:
     }
 
 
-_TYPE_TITLES = {
-    OnanScottType.AFFINE: "Affine",
-    OnanScottType.ALMOST_SIMPLE: "Almost simple",
-    OnanScottType.SIMPLE_DIAGONAL: "Simple diagonal",
-    OnanScottType.PRODUCT: "Product",
-    OnanScottType.TWISTED_WREATH: "Twisted wreath",
-}
-
-
 def _markdown(report: ReductionReport) -> str:
     payload = report_payload(report)
     lines = ["# Reduction report", ""]
@@ -176,7 +167,7 @@ def _markdown(report: ReductionReport) -> str:
         lines.append(f"- {hyp}")
     lines.append("")
     for otype in OnanScottType:
-        lines.append(f"## {_TYPE_TITLES[otype]}")
+        lines.append(f"## {otype.value.replace('_', ' ').capitalize()}")
         lines.append("")
         lines.append(f"Verdict: `{payload['verdicts'][otype.value]}`")
         lines.append("")

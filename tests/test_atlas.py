@@ -165,7 +165,7 @@ def test_lie_display_parse_roundtrip():
         gid = lie(fam, n, q)
         assert parse_group(display_name(gid)) == gid, (fam, n, q)
         families.add(fam)
-    assert families == atlas._LIE_FAMILIES
+    assert families == set(atlas._SYMBOL)
 
 
 @pytest.mark.parametrize("fam, name", [(Family.E6, "E62(3)"), (Family.G2, "G22(3)")])
@@ -177,6 +177,11 @@ def test_exceptional_id_with_n_is_named_with_n(fam, name):
         lie(fam, 2, 3)
     with pytest.raises(DomainError, match=message):
         order(SimpleGroupId(fam, n=2, p=3, f=1))
+
+
+def test_classical_families_are_the_textbook_ones():
+    # atlas derives them as the Lie-type families with no exceptional order datum.
+    assert atlas._CLASSICAL_FAMILIES == set(oracles._CLASSICAL)
 
 
 def test_lie_rejects_other_families():
@@ -349,8 +354,8 @@ OUT4_GRID = [g for _, _, _, g in oracles.out4_grid(12, 1024)]
 
 def test_out4_grid_covers_every_lie_family():
     assert len(OUT4_GRID) == 8291
-    assert {g.family for g in OUT4_GRID} == atlas._LIE_FAMILIES
-    assert len(atlas._LIE_FAMILIES) == 16
+    assert {g.family for g in OUT4_GRID} == set(atlas._SYMBOL)
+    assert len(atlas._SYMBOL) == 16
     raw = {(g.family, g.n, g.q) for g in OUT4_GRID}
     for fam, n, q in [
         (Family.LINEAR, 2, 4),
@@ -411,7 +416,7 @@ def test_exceptional_floor_lemma():
     # q of the domain.  The degrees are distinct and at least 2, except
     # that O+_n repeats n/2 when 4 divides n, and that the groups with a
     # degree 1 have q >= 8: the cases _order_floor's bound on P(q) covers.
-    assert set(FALLING_DEGREES) == atlas._LIE_FAMILIES
+    assert set(FALLING_DEGREES) == set(atlas._SYMBOL)
     for fam, n in FLOOR_ROWS:
         degrees = FALLING_DEGREES[fam](n)
         c, e = atlas._order_floor(fam, n)
@@ -465,7 +470,7 @@ def test_out_order_bounds_sweep():
         assert out_order_bound_holds(gid), display_name(gid)
 
 
-@pytest.mark.parametrize("fam", sorted(atlas._LIE_FAMILIES, key=lambda fam: fam.value))
+@pytest.mark.parametrize("fam", sorted(atlas._SYMBOL, key=lambda fam: fam.value))
 def test_row_bound_lemma(fam):
     # The certified region closes a (family, n) row at b = bit_length(q) - 1 once
     # (b+1)^4 <= 2^e * b^4, taking U(b) = c*(K*b)^4 / 2^(b*e) to bound the
@@ -582,11 +587,17 @@ def test_validate_rejects_bad_prime_power_data():
         SimpleGroupId(Family.ORTHOGONAL_ODD, n=7, p=2, f=1),  # q even
         SimpleGroupId(Family.G2, n=5, p=3, f=1),  # exceptional ids carry no n
         SimpleGroupId(Family.SUZUKI, p=2, f=4),  # even exponent
+        SimpleGroupId(Family.TITS, name="M11"),  # a sporadic name under the Tits tag
+        SimpleGroupId(Family.SPORADIC, name="2F4(2)'"),  # the Tits name under the sporadic tag
+        SimpleGroupId(Family.ALTERNATING, n=5, name="M11"),  # stray name
+        SimpleGroupId(Family.LINEAR, n=3, p=2, f=1, name="M11"),  # stray name
     ]:
         with pytest.raises(DomainError):
             order(bad)
         with pytest.raises(DomainError):
             out_order(bad)
+        with pytest.raises(DomainError):
+            facts(bad)
 
 
 # -- the catalog walk's stop rule -------------------------------------------
@@ -625,7 +636,7 @@ def _walk_orders(fam, n, max_order, beyond=2):
                 return out
 
 
-@pytest.mark.parametrize("fam", sorted(atlas._LIE_FAMILIES, key=lambda fam: fam.value))
+@pytest.mark.parametrize("fam", sorted(atlas._SYMBOL, key=lambda fam: fam.value))
 def test_undivided_order_strictly_increases_along_each_walk(fam):
     ranks = _reached_ranks(fam, CATALOG_REACH)
     assert ranks

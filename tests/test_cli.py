@@ -409,9 +409,7 @@ def test_unknown_subcommand(capsys):
         assert [name.strip("'") for name in listed.split(", ")] == level, path
 
 
-def _help(capsys, monkeypatch, *argv):
-    # Wide enough that argparse wraps no help string.
-    monkeypatch.setenv("COLUMNS", "300")
+def _help(capsys, *argv):
     with pytest.raises(SystemExit) as exited:
         main([*argv, "--help"])
     out, err = capsys.readouterr()
@@ -420,15 +418,15 @@ def _help(capsys, monkeypatch, *argv):
 
 
 @pytest.mark.parametrize("path", sorted(_LEVELS), ids=lambda path: "-".join(path) or "symreduce")
-def test_group_help_lists_its_subcommands(capsys, monkeypatch, path):
-    rows = [line.split() for line in _help(capsys, monkeypatch, *path)]
+def test_group_help_lists_its_subcommands(capsys, path):
+    rows = [line.split() for line in _help(capsys, *path)]
     for name, help_text, *_ in _LEVELS[path]:
         assert [name, *help_text.split()] in rows
 
 
 @pytest.mark.parametrize("path, row", _LEAVES, ids=[" ".join(path) for path, _ in _LEAVES])
-def test_command_help_lists_its_arguments(capsys, monkeypatch, path, row):
-    lines = _help(capsys, monkeypatch, *path)
+def test_command_help_lists_its_arguments(capsys, path, row):
+    lines = _help(capsys, *path)
     # An entry starts at a two-space indent; a help string too long for its
     # line's help column goes on the next line, indented further.
     shown = {line.split()[0].rstrip(",") for line in lines if re.match(r"  \S", line)}

@@ -162,3 +162,18 @@ def test_factorize():
         assert all(is_prime(p) and e >= 1 for p, e in parts.items())
     with pytest.raises(ValueError):
         factorize(0)
+
+
+# is_prime, prime_power_parts and factorize share one trial division, so each
+# is checked against sympy rather than against the others.
+SYMPY_LARGE = [999999999989, 999983 * 999979, 2**39]
+
+
+def test_trial_division_matches_sympy():
+    from sympy import factorint, isprime
+
+    for n in [*range(1, 20_001), *SYMPY_LARGE]:
+        expected = factorint(n)
+        assert is_prime(n) == isprime(n), n
+        assert prime_power_parts(n) == (next(iter(expected.items())) if len(expected) == 1 else None), n
+        assert factorize(n) == expected, n
