@@ -12,7 +12,6 @@ for one.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
@@ -385,31 +384,26 @@ def display_name(g: SimpleGroupId) -> str:
     return _lie_name(fam, g.n, g.q)
 
 
-# Pattern strings, compiled by re's cache on the first parse_group call:
-# most commands never parse a name.
-_ALTERNATING_PATTERN = r"^A(\d+)$"
-_FAMILY_OF_SYMBOL = {symbol: fam for fam, symbol in _SYMBOL.items()}
-# No symbol is another symbol followed by digits, so a name splits one way.
-_LIE_PATTERN = rf"^({'|'.join(map(re.escape, _FAMILY_OF_SYMBOL))})(\d*)\((\d+)\)$"
-
-
 def parse_group(text: str) -> SimpleGroupId:
     """Inverse of display_name.  Sporadic names are matched first, so the
-    one-letter groups B and M stay reachable.  A classical symbol takes the
-    digits of n, and an exceptional symbol none."""
+    one-letter groups B and M stay reachable.  A Lie name is a symbol, the
+    decimal digits of n, then those of q in parentheses; a classical symbol
+    takes the digits of n, and an exceptional symbol none."""
     token = text.strip()
     if token in ("Tits", _TITS_NAME):
         return tits()
     if token in _SPORADIC_FACTS:
         return sporadic(token)
-    match = re.match(_ALTERNATING_PATTERN, token)
-    if match:
-        return alternating(int(match.group(1)))
-    match = re.match(_LIE_PATTERN, token)
-    if match:
-        fam = _FAMILY_OF_SYMBOL[match.group(1)]
-        if (fam in _CLASSICAL_FAMILIES) == bool(match.group(2)):
-            return lie(fam, int(match.group(2) or 0), int(match.group(3)))
+    if token.startswith("A") and token[1:].isdecimal():
+        return alternating(int(token[1:]))
+    head, paren, q = token[:-1].partition("(")
+    if token.endswith(")") and paren and q.isdecimal():
+        # No symbol is another symbol followed by digits, so a name splits
+        # at most one way.
+        for fam, symbol in _SYMBOL.items():
+            n = head[len(symbol) :]
+            if head.startswith(symbol) and (n.isdecimal() if fam in _CLASSICAL_FAMILIES else not n):
+                return lie(fam, int(n or 0), int(q))
     raise DomainError(f"cannot parse group name {token!r}")
 
 

@@ -9,11 +9,10 @@ and 1 is a usage or runtime error.
 from __future__ import annotations
 
 import importlib
-import json
-import re
 import sys
 from types import SimpleNamespace
 
+from . import jsontext
 from .errors import DomainError
 
 # A command loads only the layers it runs: each handler imports them itself
@@ -53,7 +52,7 @@ _ARGUMENTS = {
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(jsontext.dumps(payload))
 
 
 def _cmd_check(args) -> int:
@@ -268,13 +267,26 @@ def _help(prog: str, body, specs: dict) -> str:
     return "\n".join(lines)
 
 
+def _is_negative_number(word: str) -> bool:
+    """Whether argparse reads the word as a negative number: "-" and then
+    decimal digits, or digits, ".", and at least one digit.  Its pattern
+    ends in "$", which also matches before a final newline."""
+    if not word.startswith("-"):
+        return False
+    body = word[1:-1] if word.endswith("\n") else word[1:]
+    whole, point, fraction = body.partition(".")
+    if point:
+        return (not whole or whole.isdecimal()) and fraction.isdecimal()
+    return whole.isdecimal()
+
+
 def _option(word: str, options: tuple):
     """None if the word is a value, else (option, the value after "=" or
     None), the option None when the word names none.  A value is a word
     that does not start with "-", "-" itself, a negative number, or an
     unknown word holding a space.  A long option may be shortened to any
     prefix that no other option shares."""
-    if not word.startswith("-") or word == "-" or re.match(r"^-\d+$|^-\d*\.\d+$", word):
+    if not word.startswith("-") or word == "-" or _is_negative_number(word):
         return None
     name, equals, value = word.partition("=")
     value = value if equals else None

@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import isqrt, prod
 
 from .errors import DomainError
-from .intmath import factorize
+from .intmath import TRIAL_DIVISION_LIMIT, factorize
 
 # The choices of v0_min, the least component degree of a product action.
 # 2, the default, keeps every arithmetic survivor; 5 is the least degree
@@ -19,9 +19,9 @@ COMPONENT_V0_MIN = 5
 V0_MIN_CHOICES = (DEFAULT_V0_MIN, COMPONENT_V0_MIN)
 
 # The Bruck-Ryser-Chowla test factors k - lambda and lambda by trial
-# division when k - lambda is not a square; this bound on both keeps that
-# under 10^6 steps.
-BRC_FACTOR_LIMIT = 10**12
+# division when k - lambda is not a square; both must be within intmath's
+# trial-division bound, which keeps that under 10^6 steps.
+BRC_FACTOR_LIMIT = TRIAL_DIVISION_LIMIT
 
 
 def is_symmetric_admissible(v: int, k: int, lam: int) -> tuple[bool, list[str]]:

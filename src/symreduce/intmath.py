@@ -9,36 +9,51 @@ from __future__ import annotations
 from itertools import compress, islice
 from math import isqrt
 
+from .errors import DomainError
+
+# Trial division runs up to the square root of this bound, 10^6, so it
+# factors every n up to the bound, and a larger n only as far as its prime
+# factors below 10^6 go.  design's Bruck-Ryser-Chowla test shares it.
+TRIAL_DIVISION_LIMIT = 10**12
+
 
 def _least_prime_factor(n: int) -> int:
     """The least prime factor of n >= 2, by trial division by 2, 3 and then
     the 6k - 1 and 6k + 1 up to sqrt(n): about sqrt(n)/3 steps when n is
-    prime.  is_prime, prime_power_parts and factorize all ask it."""
+    prime.  is_prime, prime_power_parts and factorize all ask it.  Raises
+    DomainError when n exceeds TRIAL_DIVISION_LIMIT and has no prime factor
+    up to that bound's square root."""
     if n % 2 == 0:
         return 2
     if n % 3 == 0:
         return 3
-    i = 5
-    while i * i <= n:
+    i, stop = 5, isqrt(min(n, TRIAL_DIVISION_LIMIT))
+    while i <= stop:
         if n % i == 0:
             return i
         if n % (i + 2) == 0:
             return i + 2
         i += 6
+    if n > TRIAL_DIVISION_LIMIT:
+        raise DomainError(
+            f"{n} has no prime factor up to {stop}, and trial division "
+            f"factors only numbers up to {TRIAL_DIVISION_LIMIT}"
+        )
     return n
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by trial division.  Callers pass small values:
-    the characteristic p of an identifier being validated, or a q given by
-    the user.  The catalog and the scans take (q, p, f) from
+    """Whether n is prime, by trial division.  Callers pass the
+    characteristic p of an identifier being validated, or a q given by the
+    user.  The catalog and the scans take (q, p, f) from
     prime_power_triples and never factor q."""
     return n >= 2 and _least_prime_factor(n) == n
 
 
 def prime_power_parts(q: int) -> tuple[int, int] | None:
     """Return (p, f) with q == p**f and p prime, or None if q is not a prime
-    power.  q = 1 is not a prime power."""
+    power.  q = 1 is not a prime power.  A q above TRIAL_DIVISION_LIMIT with
+    no prime factor up to 10^6 raises DomainError."""
     if q < 2:
         return None
     p = _least_prime_factor(q)
@@ -108,7 +123,7 @@ def prime_powers_upto(limit: int) -> list[int]:
 def factorize(n: int) -> dict[int, int]:
     """{p: e} with n the product of p**e over primes p, by trial division
     (n >= 1).  It takes about sqrt(n)/3 steps; design's Bruck-Ryser-Chowla
-    test, the one caller, bounds n by its BRC_FACTOR_LIMIT."""
+    test, the one caller, bounds n by TRIAL_DIVISION_LIMIT."""
     if n < 1:
         raise ValueError("n must be positive")
     parts = {}

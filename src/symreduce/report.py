@@ -8,11 +8,10 @@ point-imprimitive parameter family is attached as its own section.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from enum import Enum
 
-from . import __version__, atlas, design, diagonal, imprimitive, product
+from . import __version__, atlas, design, diagonal, imprimitive, jsontext, product
 
 # Assumed wherever the odd-part chain is used; smaller lambda is settled by
 # cited prior work, not by this tool.
@@ -226,7 +225,7 @@ def _markdown(report: ReductionReport) -> str:
     lines.append("## Configuration")
     lines.append("")
     lines.append("```json")
-    lines.append(json.dumps(payload["config"], sort_keys=True, indent=2))
+    lines.append(jsontext.dumps(payload["config"]))
     lines.append("```")
     lines.append("")
     return "\n".join(lines)
@@ -236,7 +235,7 @@ def emit(report: ReductionReport, fmt: str) -> str:
     """Serialize deterministically.  json output is byte-stable for a given
     config; md is the human-readable rendering of the same payload."""
     if fmt == "json":
-        return json.dumps(report_payload(report), sort_keys=True, indent=2) + "\n"
+        return jsontext.dumps(report_payload(report)) + "\n"
     if fmt == "md":
         return _markdown(report)
     raise ValueError(f"unsupported format {fmt!r}: expected 'json' or 'md'")

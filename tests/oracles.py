@@ -6,15 +6,21 @@ lambda values and checks the defining identity with plain multiplication.
 Agreement between the two is what the equivalence tests assert.  The
 atlas oracles redo the catalog, the |T| < |Out(T)|^4 scan and its
 certified region the slow way.  The CLI oracle at the end reads a command
-line with argparse, from the same command tree as symreduce.cli.
+line with argparse, from the same command tree as symreduce.cli, and the
+json and re oracles restate the JSON text and the word tests that the
+package writes without those modules.
 """
 
 import argparse
+import json
+import re
 from fractions import Fraction
 from math import factorial, gcd
+from pathlib import Path
 
 from symreduce import atlas, cli
 from symreduce.atlas import Family
+from symreduce.errors import DomainError
 from symreduce.intmath import int_nth_root, prime_power_parts
 
 
@@ -301,3 +307,50 @@ def argparse_namespace(argv: list) -> dict:
     # not set: func already says which command runs.
     del namespace["command"]
     return namespace
+
+
+# -- json and re: what the package writes without them ----------------------
+
+# Words whose reading turns on what \d and $ accept: Unicode decimal
+# digits, an empty n or q, a digit glued to an exceptional symbol, and a
+# final newline.
+WORDS = ["A05", "A٥", "L2(٨)", "G22(3)", "O+8()", "-5\n", "-.5", "-٣", "--v0", "- 5", "L2(8)\n", "A5\n",
+         "A²", "L²(4)", "O(3)", "O+(3)", "L2(8))", "L2((8)", " 2F4(8) ", "2B2(٨)", "U٣(٣)"]
+
+
+def catalog_names() -> list:
+    """The display names of perfbench/catalog_1e9.txt, every simple group
+    of order up to 10^9."""
+    text = (Path(__file__).resolve().parent.parent / "perfbench" / "catalog_1e9.txt").read_text()
+    return [line.split()[0] for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def json_text(obj) -> str:
+    """The JSON text every symreduce output is byte-identical to."""
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def is_negative_number_by_regex(word: str) -> bool:
+    """argparse's negative-number pattern, matched as argparse matches it."""
+    return re.match(r"^-\d+$|^-\d*\.\d+$", word) is not None
+
+
+def parse_group_by_regex(text: str):
+    """atlas.parse_group with the alternating and Lie names matched by the
+    patterns it once compiled."""
+    token = text.strip()
+    if token in ("Tits", atlas._TITS_NAME):
+        return atlas.tits()
+    if token in atlas._SPORADIC_FACTS:
+        return atlas.sporadic(token)
+    match = re.match(r"^A(\d+)$", token)
+    if match:
+        return atlas.alternating(int(match.group(1)))
+    family_of_symbol = {symbol: fam for fam, symbol in atlas._SYMBOL.items()}
+    symbols = "|".join(map(re.escape, family_of_symbol))
+    match = re.match(rf"^({symbols})(\d*)\((\d+)\)$", token)
+    if match:
+        fam = family_of_symbol[match.group(1)]
+        if (fam in atlas._CLASSICAL_FAMILIES) == bool(match.group(2)):
+            return atlas.lie(fam, int(match.group(2) or 0), int(match.group(3)))
+    raise DomainError(f"cannot parse group name {token!r}")

@@ -9,6 +9,8 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symreduce import atlas
 from symreduce.atlas import (
@@ -156,6 +158,28 @@ def test_parse_rejects_junk():
                 "X3(2)", "A", "", "L3", "M99", "E62(3)", "L(4)", "G23(4)", "2B23(8)"]:
         with pytest.raises(DomainError):
             parse_group(bad)
+
+
+def _parse_outcome(parse, word):
+    try:
+        return parse(word)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_parse_group_reads_the_words_its_patterns_read():
+    names = oracles.catalog_names()
+    assert len(names) > 250
+    for word in names + oracles.WORDS:
+        assert _parse_outcome(parse_group, word) == _parse_outcome(oracles.parse_group_by_regex, word), word
+
+
+_NAME_PIECES = ["A", "L", "O", "O+", "G2", "2B2", "E6", "M11", "(", ")", "2", "3", "8", "٨", "²", "\n", " ", "x"]
+
+
+@given(st.lists(st.sampled_from(_NAME_PIECES), max_size=7).map("".join))
+def test_parse_group_agrees_with_its_patterns_on_generated_words(word):
+    assert _parse_outcome(parse_group, word) == _parse_outcome(oracles.parse_group_by_regex, word)
 
 
 def test_lie_display_parse_roundtrip():

@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import symreduce
-from symreduce import atlas, design, diagonal
+from symreduce import atlas, cli, design, diagonal
 from symreduce.cli import _ARGUMENTS, _COMMANDS, _parse, _UsageError, main
 from symreduce.report import emit, report_payload, run_reduce
 
@@ -90,6 +92,25 @@ def test_atlas_order_past_the_int_to_str_limit(capsys):
         assert out == f"{math.factorial(2000) // 2}\n"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# Past TRIAL_DIVISION_LIMIT a q is factored only as far as its prime
+# factors below 10^6 go: 10^20 + 39 is prime, and 2^50 factors at once.
+@pytest.mark.parametrize("command", ["order", "out"])
+def test_atlas_bounds_the_trial_division_of_q(command):
+    env = {**os.environ, "PYTHONPATH": str(Path(symreduce.__file__).resolve().parent.parent)}
+
+    def atlas_run(name):
+        argv = [sys.executable, "-m", "symreduce", "atlas", command, name]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+
+    refused = atlas_run("L2(100000000000000000039)")
+    assert (refused.returncode, refused.stdout) == (1, "")
+    assert f"up to {10**12}" in refused.stderr
+    q = 2**50
+    answered = atlas_run(f"L2({q})")
+    assert (answered.returncode, answered.stderr) == (0, "")
+    assert answered.stdout == f"{q * (q * q - 1) if command == 'order' else 50}\n"
 
 
 def test_atlas_order_alias(capsys):
@@ -461,7 +482,8 @@ def test_reduce_defaults_are_reduce_config(capsys):
 
 
 def _loads(*layers: str) -> set:
-    return {"symreduce", "symreduce.cli", "symreduce.errors", *(f"symreduce.{name}" for name in layers)}
+    base = {"symreduce", "symreduce.cli", "symreduce.errors", "symreduce.jsontext"}
+    return base | {f"symreduce.{name}" for name in layers}
 
 
 # The symreduce modules a fresh interpreter holds after `import
@@ -484,8 +506,9 @@ _LOADED = {
 
 
 # Modules no command loads: dataclasses with the inspect, ast, dis and
-# tokenize modules it brings in, the package-resource machinery, and
-# argparse with the gettext and locale modules its messages load.
+# tokenize modules it brings in, the package-resource machinery, argparse
+# with the gettext and locale modules its messages load, json, which
+# compiles regexes on import, and re.
 _HEAVY = (
     "dataclasses",
     "inspect",
@@ -496,19 +519,25 @@ _HEAVY = (
     "argparse",
     "gettext",
     "locale",
+    "json",
+    "re",
 )
 
 
 @pytest.mark.parametrize("argv", sorted(_LOADED), ids=lambda argv: "-".join(argv) or "import")
 def test_command_loads_only_its_layers(argv):
+    # The snapshot of sys.modules is taken before the probe imports json
+    # to print it.
     probe = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "import symreduce.cli\n"
         "if sys.argv[1:]:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        symreduce.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('symreduce')),"
-        f" [m for m in {_HEAVY!r} if m in sys.modules]]))"
+        "loaded = [sorted(m for m in sys.modules if m.startswith('symreduce')),"
+        f" [m for m in {_HEAVY!r} if m in sys.modules]]\n"
+        "import json\n"
+        "print(json.dumps(loaded))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(symreduce.__file__).resolve().parent.parent)}
     # Under -S no site hook runs, so a module of _HEAVY is loaded by the
@@ -519,6 +548,12 @@ def test_command_loads_only_its_layers(argv):
     modules, heavy = json.loads(child.stdout)
     assert set(modules) == _LOADED[argv]
     assert heavy == []
+
+
+@pytest.mark.parametrize("argv", sorted(argv for argv in _LOADED if argv), ids="-".join)
+def test_stdout_is_the_json_dumps_text(capsys, argv):
+    _, out, _ = run(capsys, *argv)
+    assert out == oracles.json_text(json.loads(out)) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -631,6 +666,21 @@ _ARGV_CORPUS = [
     ("reduce", "--format", "xml", "-h"),
     ("reduce", "-h", "--format", "xml"),
 ]
+
+
+# The words of argparse's negative-number pattern turn on what \d and $
+# accept: Unicode decimal digits and a final newline.
+_NUMBER_WORDS = ["-5", "-5\n", "-5\n\n", "-.5", "-5.", "-5.5", "-٣", "-²", "--v0", "- 5", "-", "-\n", "-.", "-1.2.3", "5"]
+
+
+def test_negative_numbers_are_the_words_of_argparses_pattern():
+    for word in _NUMBER_WORDS + oracles.WORDS + oracles.catalog_names():
+        assert cli._is_negative_number(word) == oracles.is_negative_number_by_regex(word), word
+
+
+@given(st.text(st.sampled_from("-.5٣²x \n"), max_size=8))
+def test_negative_numbers_agree_with_argparses_pattern_on_generated_words(word):
+    assert cli._is_negative_number(word) == oracles.is_negative_number_by_regex(word)
 
 
 @pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=lambda argv: shlex.join(argv) or "no-arguments")

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symreduce import intmath
+from symreduce.errors import DomainError
 from symreduce.intmath import (
     divisors,
     factorize,
@@ -177,3 +178,22 @@ def test_trial_division_matches_sympy():
         assert is_prime(n) == isprime(n), n
         assert prime_power_parts(n) == (next(iter(expected.items())) if len(expected) == 1 else None), n
         assert factorize(n) == expected, n
+
+
+def test_trial_division_stops_at_the_limit():
+    limit = intmath.TRIAL_DIVISION_LIMIT
+    assert limit == 10**12
+    assert is_prime(999999999989) and factorize(999999999989) == {999999999989: 1}
+    # Above the limit a number is factored only as far as its prime
+    # factors up to 10^6 go.
+    assert prime_power_parts(2**50) == (2, 50)
+    assert prime_power_parts(999983**3) == (999983, 3)
+    assert factorize(2**50 * 999983) == {2: 50, 999983: 1}
+    assert prime_power_parts(6 * (10**20 + 39)) is None
+    for n in (limit + 39, 10**20 + 39, 1000003**2, 6 * (10**20 + 39)):
+        with pytest.raises(DomainError, match=f"up to {limit}$"):
+            factorize(n)
+    for n in (limit + 39, 10**20 + 39, 1000003**2):
+        for ask in (is_prime, prime_power_parts):
+            with pytest.raises(DomainError, match=f"up to {limit}$"):
+                ask(n)
