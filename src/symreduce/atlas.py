@@ -10,16 +10,14 @@ and caps only decide where an exact value is needed, never substitute
 for one.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from itertools import count, takewhile
+from itertools import count
 from math import factorial, gcd
 
 from .errors import DomainError
-from .intmath import is_prime, prime_power_parts, prime_power_triples
+from .intmath import int_nth_root, is_prime, prime_power_parts, prime_power_triples
 
 
 class Family(Enum):
@@ -133,25 +131,22 @@ def lie(fam: Family, n: int, q: int) -> SimpleGroupId:
     parts = prime_power_parts(q)
     _require(parts is not None, f"{_lie_name(fam, n, q)}: q={q} is not a prime power")
     _require(_in_domain(fam, n, *parts), f"{_lie_name(fam, n, q)} is outside its family's domain")
-    return _canonicalize(SimpleGroupId(fam, n=n, p=parts[0], f=parts[1]))
+    g = SimpleGroupId(fam, n, *parts)
+    return _ALIASES.get(g, g)
 
 
-def _canonicalize(g: SimpleGroupId) -> SimpleGroupId:
-    """Resolve the exceptional isomorphisms that land inside our family
-    domains, so each abstract group has exactly one identifier."""
-    if g.family is Family.LINEAR:
-        key = (g.n, g.q)
-        if key in ((2, 4), (2, 5)):
-            return alternating(5)
-        if key == (2, 9):
-            return alternating(6)
-        if key == (4, 2):
-            return alternating(8)
-        if key == (3, 2):
-            return lie(Family.LINEAR, 2, 7)
-    if g.family is Family.SYMPLECTIC and (g.n, g.q) == (4, 3):
-        return lie(Family.UNITARY, 4, 2)
-    return g
+# The exceptional isomorphisms between members of the family domains, each
+# raw id mapped to the canonical id of the same group, so that each group
+# has exactly one identifier: L2(4) = L2(5) = A5, L2(9) = A6, L4(2) = A8,
+# L3(2) = L2(7) and S4(3) = U4(2).
+_ALIASES = {
+    SimpleGroupId(Family.LINEAR, 2, 2, 2): SimpleGroupId(Family.ALTERNATING, 5),
+    SimpleGroupId(Family.LINEAR, 2, 5, 1): SimpleGroupId(Family.ALTERNATING, 5),
+    SimpleGroupId(Family.LINEAR, 2, 3, 2): SimpleGroupId(Family.ALTERNATING, 6),
+    SimpleGroupId(Family.LINEAR, 4, 2, 1): SimpleGroupId(Family.ALTERNATING, 8),
+    SimpleGroupId(Family.LINEAR, 3, 2, 1): SimpleGroupId(Family.LINEAR, 2, 7, 1),
+    SimpleGroupId(Family.SYMPLECTIC, 4, 3, 1): SimpleGroupId(Family.UNITARY, 4, 2, 1),
+}
 
 
 # -- domains and exact orders -----------------------------------------------
@@ -345,13 +340,13 @@ def _out_order(g: SimpleGroupId) -> int:
         return 4 if n == 6 else 2
     if fam in (Family.SPORADIC, Family.TITS):
         return _SPORADIC_FACTS[g.name].out_order
-    return _lie_out_order(g, _centre(_order_datum(fam, n), g.q))
+    return _lie_out_order(fam, n, g.p, g.f, _centre(_order_datum(fam, n), g.q))
 
 
-def _lie_out_order(g: SimpleGroupId, d: int) -> int:
-    """|Out(T)| = d*f*g of a valid Lie-type id, given the order d of its
-    centre."""
-    return d * g.f * _graph_factor(g.family, g.n, g.p)
+def _lie_out_order(fam: Family, n: int, p: int, f: int, d: int) -> int:
+    """|Out(T)| = d*f*g of the valid Lie-type id with these fields, given
+    the order d of its centre."""
+    return d * f * _graph_factor(fam, n, p)
 
 
 def out_order(g: SimpleGroupId) -> int:
@@ -415,10 +410,7 @@ def _row(fam: Family, n: int, q_max: int | None = None):
     dimension n, ascending in q: up to q_max, or without end when q_max is
     None.  Every walk and scan of a (family, n) row reads it, from the one
     prime-power table."""
-    triples = prime_power_triples()
-    if q_max is not None:
-        triples = takewhile(lambda row: row[0] <= q_max, triples)
-    return ((q, p, f) for q, p, f in triples if _in_domain(fam, n, p, f))
+    return ((q, p, f) for q, p, f in prime_power_triples(q_max) if _in_domain(fam, n, p, f))
 
 
 def _rank_values(fam: Family):
@@ -456,30 +448,32 @@ def _out_cap(fam: Family, n: int) -> int:
     return max(_graph_factor(fam, n, p) for p in (2, 3)) * _max_centre(fam, n)
 
 
-def _walk_q(fam: Family, n: int, max_order: int):
+def _walk_q(fam: Family, n: int, max_order: int, q_top: int):
     """(raw id, GroupFacts) at one (family, n) for each in-domain q with
     |T| <= max_order, q ascending.  |Out(T)| = d*f*g is read off the centre
     order d that the walk computes anyway.
 
-    The walk stops once the undivided order N = d*|T| passes
-    d_max*max_order.  N strictly increases in q, so every later q has
-    |T| >= N/d_max > max_order.  |T| itself is not monotone
+    The walk reads the row up to q_top, the largest q that the order floor
+    c*|T| > q^e leaves open.  It stops sooner once the undivided order
+    N = d*|T| passes d_max*max_order.  N strictly increases in q, so every
+    later q has |T| >= N/d_max > max_order.  |T| itself is not monotone
     (|L2(8)| = 504 > |L2(9)| = 360) and cannot stop the walk."""
     datum = _order_datum(fam, n)
     limit = _max_centre(fam, n) * max_order
-    for q, p, f in _row(fam, n):
+    for q, p, f in _row(fam, n, q_top):
         num, d = _order_parts(datum, q)
         if num > limit:
             return
         if num <= d * max_order:
-            g = SimpleGroupId(fam, n=n, p=p, f=f)
-            yield g, GroupFacts(num // d, _lie_out_order(g, d))
+            yield SimpleGroupId(fam, n, p, f), GroupFacts(num // d, _lie_out_order(fam, n, p, f, d))
 
 
 def _iter_family_raw(fam: Family, max_order: int):
     """(raw id, GroupFacts) for every raw (non-canonical) id in the family
-    with |T| <= max_order.  A Lie-type family stops at the first n whose
-    order floor, at the smallest q of that n, already passes max_order."""
+    with |T| <= max_order.  A Lie-type family's row at n ends at q_top =
+    floor((c*max_order)^(1/e)) for its order floor c*|T| > q^e, since every
+    larger q has |T| > max_order; the family stops at the first n whose
+    smallest q is past q_top."""
     if fam is Family.ALTERNATING:
         # |A_n| = n!/2 increases with n.
         for g in map(alternating, count(5)):
@@ -495,24 +489,24 @@ def _iter_family_raw(fam: Family, max_order: int):
     else:
         for n in _rank_values(fam):
             c, e = _order_floor(fam, n)
-            if next(_row(fam, n))[0] ** e > c * max_order:
+            q_top = int_nth_root(c * max_order, e)
+            if next(_row(fam, n))[0] > q_top:
                 return
-            yield from _walk_q(fam, n, max_order)
+            yield from _walk_q(fam, n, max_order, q_top)
 
 
 def enumerate_catalog(max_order: int) -> list[tuple[SimpleGroupId, GroupFacts]]:
     """Every finite simple group of order <= max_order, once per isomorphism
-    class, in nondecreasing order of |T| (ties broken by identifier)."""
+    class, in nondecreasing order of |T| (ties broken by identifier).
+
+    The walks list each group under each id in its family domains, and only
+    the keys of _ALIASES are second ids: each is dropped, since its value
+    names the same group, with the same |T|, which its own family's walk
+    lists."""
     _require(max_order >= 1, "catalog bound must be positive")
-    found: dict[SimpleGroupId, GroupFacts] = {}
-    for fam in Family:
-        for raw, fct in _iter_family_raw(fam, max_order):
-            g = _canonicalize(raw)
-            if g not in found:
-                # Only an exceptional isomorphism changes the id, and with
-                # it possibly |Out(T)|.
-                found[g] = fct if g is raw else facts(g)
-    return sorted(found.items(), key=lambda item: (item[1].order,) + item[0].sort_key())
+    entries = [item for fam in Family for item in _iter_family_raw(fam, max_order) if item[0] not in _ALIASES]
+    entries.sort(key=lambda item: (item[1].order,) + item[0].sort_key())
+    return entries
 
 
 # -- the |T| < |Out(T)|^4 scan ----------------------------------------------
@@ -638,7 +632,7 @@ def out4_scan(n_max: int, q_max: int) -> Out4ScanResult:
     def _examine(g: SimpleGroupId) -> None:
         # out_order validates g for _order.
         if out_order(g) ** 4 > _order(g):
-            canonical = _canonicalize(g)
+            canonical = _ALIASES.get(g, g)
             candidates[canonical] = _order(canonical)
 
     _examine(alternating(5))

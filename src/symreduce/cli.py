@@ -6,8 +6,6 @@ disagreement was found (for example a survivor where none is expected),
 and 1 is a usage or runtime error.
 """
 
-from __future__ import annotations
-
 import importlib
 import sys
 from types import SimpleNamespace
@@ -80,11 +78,34 @@ def _cmd_atlas_order(args) -> int:
     except ValueError:
         # More digits than int-to-str allows, a limit Decimal does not apply;
         # the caller's limit stays as it is.
-        import decimal
-
-        text = str(decimal.Decimal(order))
+        text = _digits(order)
     print(text)
     return EXIT_AGREES
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n >= 0, in time subquadratic in their count,
+    where Decimal(n) alone is quadratic.  n is split at half its bit
+    length, each half is converted in turn, and the halves are joined as
+    high*2^k + low by decimal multiplication.  Every value met is at most
+    n, so a precision of bit_length/3 + 1 digits holds each one exactly, and
+    the context traps Inexact, so no digit can be rounded."""
+    import decimal
+
+    context = decimal.Context(
+        prec=n.bit_length() // 3 + 1, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Overflow]
+    )
+    powers = {}
+
+    def convert(part: int, bits: int) -> decimal.Decimal:
+        if bits <= 4096:
+            return decimal.Decimal(part)
+        k = bits // 2
+        if k not in powers:
+            powers[k] = context.power(2, k)
+        return context.fma(convert(part >> k, bits - k), powers[k], convert(part & ((1 << k) - 1), k))
+
+    return str(convert(n, n.bit_length()))
 
 
 def _cmd_atlas_out(args) -> int:

@@ -4,8 +4,6 @@ Every predicate is decided over the integers.  Square-root comparisons are
 done by squaring, so strict inequalities stay strict at boundary cases.
 """
 
-from __future__ import annotations
-
 from math import isqrt, prod
 
 from .errors import DomainError

@@ -7,8 +7,6 @@ satisfies.  This module mechanizes the bound on m, the odd-part chain and
 the catalog-wide scan.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import factorial
 
@@ -57,6 +55,16 @@ def _last_admissible_m() -> int:
 # The multiplicities m of the diagonal action the odd-part chain covers,
 # as an inclusive range.
 M_RANGE = (2, _last_admissible_m())
+
+
+# (m, odd_part(m!)^4) for each m of M_RANGE.  odd_part is multiplicative,
+# so the odd-part test's right side odd_part(m!^4 * |Out|^4) is
+# odd_part(m!)^4 * odd_part(|Out|)^4.
+_ODD_FACTORIALS = tuple((m, odd_part(factorial(m)) ** 4) for m in range(M_RANGE[0], M_RANGE[1] + 1))
+
+# The largest factor odd_part(m + 1)^4 by which odd_part(m!)^4 grows from
+# one m of M_RANGE to the next: 625, from m = 4 to 5.
+_LARGEST_STEP = max(b // a for (_, a), (_, b) in zip(_ODD_FACTORIALS, _ODD_FACTORIALS[1:]))
 
 
 def _require_m(m: int, what: str) -> None:
@@ -132,20 +140,28 @@ def diagonal_scan(catalog_bound: int) -> DiagonalScanResult:
     survivors: (T, m) pairs passing the test (expected none).
     near_misses: groups with |T| < |Out|^4 that still fail the odd-part
     form, reported so the almost-sharp case is visible.
+
+    The m of a group with |T| >= _LARGEST_STEP are tested up to the first
+    that fails, since every later one fails too.  Write the test at m as
+    |T|^(m-1) < F(m) * O with F(m) = odd_part(m!)^4 and O =
+    odd_part(|Out|)^4.  From m to m + 1 the left side grows by the factor
+    |T| and the right side by F(m+1)/F(m) = odd_part(m+1)^4, at most
+    _LARGEST_STEP.  So if |T|^(m-1) >= F(m) * O, then
+    |T|^m >= F(m) * O * |T| >= F(m) * O * F(m+1)/F(m) = F(m+1) * O, and the
+    test fails at m + 1 as well.
     """
     survivors: list[DiagonalCase] = []
     near_misses: list[atlas.SimpleGroupId] = []
     entries = atlas.enumerate_catalog(catalog_bound)
-    # The test of _oddpart_holds, with its constants hoisted: odd_part is
-    # multiplicative, so odd_part(m!^4 * |Out|^4) = odd_part(m!)^4 * odd_part(|Out|)^4.
-    lo, hi = M_RANGE
-    odd_factorials = [(m, odd_part(factorial(m)) ** 4) for m in range(lo, hi + 1)]
+    lo = M_RANGE[0]
     for gid, (order_t, out) in entries:
         odd_out = odd_part(out) ** 4
         power = order_t ** (lo - 1)  # |T|^(m-1)
-        for m, odd_factorial in odd_factorials:
+        for m, odd_factorial in _ODD_FACTORIALS:
             if power < odd_factorial * odd_out:
                 survivors.append(DiagonalCase(gid, m))
+            elif order_t >= _LARGEST_STEP:
+                break
             power *= order_t
         if odd_out <= order_t < out**4:
             near_misses.append(gid)

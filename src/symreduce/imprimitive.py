@@ -2,8 +2,6 @@
 (v, k, lambda) = (lambda^2*(lambda+2), lambda*(lambda+1), lambda), with two
 admissible class structures (c, d, l)."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .design import is_symmetric_admissible, satisfies_focus_condition

@@ -4,8 +4,8 @@ Everything in this module works on Python ints with no floating point, so the
 rest of the package can compare huge group orders and root bounds exactly.
 """
 
-from __future__ import annotations
-
+from bisect import bisect_left
+from functools import lru_cache
 from itertools import compress, islice
 from math import isqrt
 
@@ -20,9 +20,10 @@ TRIAL_DIVISION_LIMIT = 10**12
 def _least_prime_factor(n: int) -> int:
     """The least prime factor of n >= 2, by trial division by 2, 3 and then
     the 6k - 1 and 6k + 1 up to sqrt(n): about sqrt(n)/3 steps when n is
-    prime.  is_prime, prime_power_parts and factorize all ask it.  Raises
-    DomainError when n exceeds TRIAL_DIVISION_LIMIT and has no prime factor
-    up to that bound's square root."""
+    prime.  prime_power_parts and factorize ask it, and is_prime asks
+    prime_power_parts.  Raises DomainError when n exceeds
+    TRIAL_DIVISION_LIMIT and has no prime factor up to that bound's square
+    root."""
     if n % 2 == 0:
         return 2
     if n % 3 == 0:
@@ -44,16 +45,20 @@ def _least_prime_factor(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Whether n is prime, by trial division.  Callers pass the
-    characteristic p of an identifier being validated, or a q given by the
-    user.  The catalog and the scans take (q, p, f) from
-    prime_power_triples and never factor q."""
-    return n >= 2 and _least_prime_factor(n) == n
+    characteristic p of an identifier being validated.  The catalog and the
+    scans take (q, p, f) from prime_power_triples and never factor q."""
+    return prime_power_parts(n) == (n, 1)
 
 
+@lru_cache(maxsize=64)
 def prime_power_parts(q: int) -> tuple[int, int] | None:
     """Return (p, f) with q == p**f and p prime, or None if q is not a prime
     power.  q = 1 is not a prime power.  A q above TRIAL_DIVISION_LIMIT with
-    no prime factor up to 10^6 raises DomainError."""
+    no prime factor up to 10^6 raises DomainError.
+
+    The recent answers are kept, and is_prime asks through them, so a prime
+    q that atlas.lie has factored is not divided again when the id is
+    validated by is_prime(p)."""
     if q < 2:
         return None
     p = _least_prime_factor(q)
@@ -86,14 +91,16 @@ def prime_power_triples_upto(limit: int) -> list[tuple[int, int, int]]:
 
 class _PrimePowerTable:
     """(q, p, f) for every prime power q <= limit, ascending in q.  It only
-    grows, by doubling its limit from 64, so rows once read never change."""
+    grows, so rows once read never change, and each growth at least doubles
+    the limit, from 64 up."""
 
     def __init__(self) -> None:
         self.rows: list[tuple[int, int, int]] = []
         self.limit = 0
 
-    def double(self) -> None:
-        self.limit = max(64, 2 * self.limit)
+    def grow(self, limit: int) -> None:
+        """Sieve once, up to limit or twice the old limit, whichever is larger."""
+        self.limit = max(64, 2 * self.limit, limit)
         self.rows += prime_power_triples_upto(self.limit)[len(self.rows) :]
 
 
@@ -101,15 +108,29 @@ class _PrimePowerTable:
 _TABLE = _PrimePowerTable()
 
 
-def prime_power_triples():
-    """(q, p, f) for every prime power, ascending in q, without end.  Every
-    stream reads the one shared table, which doubles when a walk reaches its
-    end, so a process that walks up to q sieves at most about 4q entries in
-    all, however many walks it makes."""
-    table, done = _TABLE, 0
+def prime_power_triples(q_max: int | None = None):
+    """(q, p, f) for every prime power q <= q_max, ascending in q, or without
+    end when q_max is None.  Every stream reads the one shared table.  A
+    stream with a q_max past the table's limit grows it at once to q_max, or
+    to twice the limit if that is larger, and an endless one doubles it each
+    time it reaches the end.  Each growth at least doubles the limit and
+    stays within max(64, 2q) for the q that asked for it, so a process whose
+    streams reach q sieves fewer than 4*max(q, 64) entries in all, however
+    many streams it reads."""
+    table = _TABLE
+    if q_max is None:
+        return _endless(table)
+    if q_max > table.limit:
+        table.grow(q_max)
+    # (q_max + 1,) sorts after every row with q <= q_max and before the rest.
+    return islice(table.rows, bisect_left(table.rows, (q_max + 1,)))
+
+
+def _endless(table: _PrimePowerTable):
+    done = 0
     while True:
         if done == len(table.rows):
-            table.double()
+            table.grow(table.limit + 1)
         end = len(table.rows)
         yield from islice(table.rows, done, end)
         done = end

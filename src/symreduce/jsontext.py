@@ -6,8 +6,6 @@ its regexes on import and builds a pure-Python encoder on the first
 indented dump, a fixed cost that every CLI run would pay.
 """
 
-from __future__ import annotations
-
 from itertools import repeat
 
 

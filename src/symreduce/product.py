@@ -6,8 +6,6 @@ finitely many admissible (m, a, v0), keeps the exact-integer solutions,
 and handles the m = 4 interval cases separately.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Sequence
 from math import factorial, isqrt
@@ -228,7 +226,7 @@ def triples_match_reference(triples: Sequence[ProductTriple], v0_min: int) -> bo
 REFERENCE_M4_CANDIDATES = {5: (243, 256), 6: (400, 405, 432)}
 
 
-def m4_matches_reference(rep: M4Report) -> bool:
+def m4_matches_reference(rep: "M4Report") -> bool:
     """Whether an m = 4 case left exactly the reference candidates, all rejected."""
     return rep.candidates == REFERENCE_M4_CANDIDATES[rep.v0] and not rep.survivors
 

@@ -6,8 +6,6 @@ the computational sections carry their witnesses and scan bounds, and the
 point-imprimitive parameter family is attached as its own section.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from enum import Enum
 

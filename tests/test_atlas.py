@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symreduce import atlas
+from symreduce import atlas, intmath
 from symreduce.atlas import (
     Family,
     SimpleGroupId,
@@ -128,6 +128,28 @@ def test_aliases_canonicalize():
     assert parse_group("S4(3)") == parse_group("U4(2)")
     assert lie(Family.LINEAR, 2, 4) == alternating(5)
     assert lie(Family.SYMPLECTIC, 4, 3) == lie(Family.UNITARY, 4, 2)
+
+
+@pytest.mark.parametrize("raw", list(atlas._ALIASES), ids=display_name)
+def test_each_alias_names_the_same_group(raw):
+    # The catalog drops each key, so its value must be the same group,
+    # with the same |T| and |Out(T)|, and lie must resolve the key to it.
+    canonical = atlas._ALIASES[raw]
+    assert facts(raw) == facts(canonical)
+    assert lie(raw.family, raw.n, raw.q) == canonical
+    assert canonical not in atlas._ALIASES
+
+
+def test_a_parsed_q_is_trial_divided_once(monkeypatch):
+    # lie factors q; validating the id then asks is_prime(p) of the same
+    # prime, which must not walk the trial division again.
+    intmath.prime_power_parts.cache_clear()
+    walks = []
+    walk = intmath._least_prime_factor
+    monkeypatch.setattr(intmath, "_least_prime_factor", lambda n: walks.append(n) or walk(n))
+    g = parse_group("L2(999999999989)")
+    assert (order(g), out_order(g)) == facts(g)
+    assert walks == [999999999989]
 
 
 def test_display_names():
@@ -694,10 +716,11 @@ def test_catalog_size_at_1e12():
     assert len(enumerate_catalog(10**12)) == 1650
 
 
-# Each call sieves once per doubling of the shared prime-power table.  The
-# catalog's largest q at 10^11 is below 8192, so its walks sieve at 64, 128,
-# ..., 8192, however many (family, n) walks read the table.
-_SIEVE_CALLS = {"atlas.enumerate_catalog(10**11)": 8, "report.run_reduce(2)": 4}
+# The shared prime-power table is sieved at 64 by the first smallest-q
+# lookup, and then once more, straight to the q_top of the L2 row, the
+# largest any walk needs: 7,368 for the catalog at 10^11, and 341 at the
+# 10^7 catalog of run_reduce, however many (family, n) walks read it.
+_SIEVE_CALLS = {"atlas.enumerate_catalog(10**11)": 2, "report.run_reduce(2)": 2}
 
 
 @pytest.mark.parametrize("call", sorted(_SIEVE_CALLS))

@@ -94,6 +94,38 @@ def test_atlas_order_past_the_int_to_str_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_digits_match_str_past_the_limit():
+    # Sizes around the 4,096-bit cut where the halves stop splitting, powers
+    # of ten and their predecessors, and odd splits.
+    values = [0, 1, 9, 10, 2**4096 - 1, 2**4096, 2**4097 + 1, math.factorial(3000) // 2]
+    values += [10**k + d for k in (1500, 4300, 12345, 40000) for d in (-1, 0, 1)]
+    values += [(1 << bits) // 3 for bits in (8191, 8192, 8193, 100_003)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for n in values:
+            assert cli._digits(n) == str(n), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_atlas_order_of_a_large_alternating_group_is_fast():
+    # |A100000| has 456,574 digits; Decimal(order) took 5 s to print them.
+    # The digits are checked by their count and by their value modulo a
+    # prime, read off in chunks that stay below the int-to-str limit.
+    env = {**os.environ, "PYTHONPATH": str(Path(symreduce.__file__).resolve().parent.parent)}
+    argv = [sys.executable, "-m", "symreduce", "atlas", "order", "A100000"]
+    child = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=4)
+    assert (child.returncode, child.stderr) == (0, "")
+    digits = child.stdout.removesuffix("\n")
+    assert len(digits) == 456_574 and digits.isdigit() and digits[0] != "0"
+    prime, residue = 2**61 - 1, 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        residue = (residue * pow(10, len(chunk), prime) + int(chunk)) % prime
+    assert residue == math.factorial(100_000) // 2 % prime
+
+
 # Past TRIAL_DIVISION_LIMIT a q is factored only as far as its prime
 # factors below 10^6 go: 10^20 + 39 is prime, and 2^50 factors at once.
 @pytest.mark.parametrize("command", ["order", "out"])
@@ -508,7 +540,8 @@ _LOADED = {
 # Modules no command loads: dataclasses with the inspect, ast, dis and
 # tokenize modules it brings in, the package-resource machinery, argparse
 # with the gettext and locale modules its messages load, json, which
-# compiles regexes on import, and re.
+# compiles regexes on import, re, and __future__, which annotations on
+# Python 3.10 and later do not need.
 _HEAVY = (
     "dataclasses",
     "inspect",
@@ -521,6 +554,7 @@ _HEAVY = (
     "locale",
     "json",
     "re",
+    "__future__",
 )
 
 

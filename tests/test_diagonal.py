@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from symreduce import atlas
+from symreduce import atlas, diagonal
 from symreduce.atlas import (
     MIN_SIMPLE_ORDER,
     Family,
@@ -134,12 +136,35 @@ def test_scan_implication_everywhere():
 
 
 def test_scan_keeps_survivors_of_a_custom_sporadic_row(monkeypatch):
-    # |T| = 100, |Out| = 50 passes the odd-part test at every m.
+    # |T| = 100, |Out| = 50 passes the odd-part test at every m.  |T| = 300,
+    # |Out| = 21 fails at m = 4 and passes at m = 5: 300^3 >= 81 * 21^4, but
+    # 300^4 < 50625 * 21^4.  The scan stops at a failed m only from
+    # |T| >= 625 on, so it must keep (T, 5).
+    passing = {"FAKE": (2, 3, 4, 5, 6), "FAKE300": (2, 3, 5)}
     monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", atlas.GroupFacts(100, 50))
-    fake = sporadic("FAKE")
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE300", atlas.GroupFacts(300, 21))
     result = diagonal_scan(10_000_000)
-    assert result.survivors == tuple(DiagonalCase(fake, m) for m in range(2, 7))
-    assert all(diag_oddpart_test(fake, m) for m in range(2, 7))
+    assert result.survivors == tuple(DiagonalCase(sporadic(name), m) for name, ms in passing.items() for m in ms)
+    for name, ms in passing.items():
+        assert tuple(m for m in range(2, 7) if diag_oddpart_test(sporadic(name), m)) == ms
+
+
+def test_largest_step_of_the_odd_factorials():
+    # odd_part(m!)^4 grows from m to m + 1 by odd_part(m + 1)^4: 81, 1,
+    # 625 and 81 across M_RANGE = (2, 6).
+    assert diagonal._LARGEST_STEP == 625
+    assert diagonal._LARGEST_STEP == max(odd_part(m + 1) ** 4 for m in range(M_RANGE[0], M_RANGE[1]))
+
+
+@given(
+    st.integers(diagonal._LARGEST_STEP, 10**15), st.integers(1, 10**4), st.integers(M_RANGE[0], M_RANGE[1] - 1)
+)
+def test_a_failed_m_stays_failed_past_the_largest_step(order_t, out, m):
+    # The lemma behind the scan's early exit, at |T| >= 625.
+    def holds(m):
+        return order_t ** (m - 1) < odd_part(math.factorial(m) ** 4 * out**4)
+
+    assert holds(m) or not holds(m + 1)
 
 
 def _scan_by_definition(bound):
@@ -157,14 +182,18 @@ def _scan_by_definition(bound):
     return survivors, tuple(near_misses)
 
 
-@pytest.mark.parametrize("row", [None, atlas.GroupFacts(100, 4), atlas.GroupFacts(100, 50)])
+@pytest.mark.parametrize(
+    "row", [None, atlas.GroupFacts(100, 4), atlas.GroupFacts(100, 50), atlas.GroupFacts(300, 21)]
+)
 def test_scan_equals_its_per_group_definition(monkeypatch, row):
     # diagonal_scan hoists odd_part(m!)^4 and odd_part(|Out|)^4 out of the
-    # test; it must still agree with the test stated per (T, m).
+    # test and stops at a group's first failed m; it must still agree with
+    # the test stated per (T, m).
     if row is not None:
         monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", row)
-    result = diagonal_scan(10**9)
-    assert (result.survivors, result.near_misses) == _scan_by_definition(10**9)
+    for bound in (10**5, 10**7, 10**9):
+        result = diagonal_scan(bound)
+        assert (result.survivors, result.near_misses) == _scan_by_definition(bound), bound
 
 
 def test_scan_near_miss_takes_the_odd_part_of_out(monkeypatch):

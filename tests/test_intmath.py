@@ -83,6 +83,24 @@ def test_prime_power_triples_stream_crosses_doublings(monkeypatch):
     assert table.rows == prime_power_triples_upto(table.limit)
 
 
+def test_bounded_prime_power_streams_grow_the_table_straight_to_q_max(monkeypatch):
+    # A stream with a q_max sieves once, to q_max, or to twice the old limit
+    # when that is larger; an endless stream open across the growths still
+    # reads every prime power once.
+    monkeypatch.setattr(intmath, "_TABLE", intmath._PrimePowerTable())
+    table = intmath._TABLE
+    endless = prime_power_triples()
+    head = [next(endless) for _ in range(5)]
+    assert table.limit == 64
+    for q_max, limit in [(7368, 7368), (100, 7368), (7369, 14736), (1, 14736)]:
+        assert list(prime_power_triples(q_max)) == prime_power_triples_upto(q_max)
+        assert table.limit == limit
+    assert table.rows == prime_power_triples_upto(14736)
+    expected = prime_power_triples_upto(20000)
+    assert head + [next(endless) for _ in expected[5:]] == expected
+    assert list(prime_power_triples(64))[-1] == (64, 2, 6)
+
+
 def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]

@@ -24,7 +24,6 @@ UNREFERENCED_ON_PURPOSE = {
     "out_order_bound_holds": "tests check at every scan grid point the |Out| cap that out4_scan prunes with",
     "implication_check": "the diagonal step of ROADMAP item 1 uses it",
     "diag_oddpart_test": "the tested per-group form of the diagonal scan predicate",
-    "int_nth_root": "tests/oracles.py uses it",
     "prime_powers_upto": "perfbench times it",
 }
 
