@@ -405,11 +405,10 @@ def parse_group(text: str) -> SimpleGroupId:
 # -- bounded catalog --------------------------------------------------------
 
 
-def _row(fam: Family, n: int, q_max: int | None = None):
-    """(q, p, f) for each q = p^f in the domain of the Lie-type family at
-    dimension n, ascending in q: up to q_max, or without end when q_max is
-    None.  Every walk and scan of a (family, n) row reads it, from the one
-    prime-power table."""
+def _row(fam: Family, n: int, q_max: int):
+    """(q, p, f) for each q = p^f <= q_max in the domain of the Lie-type
+    family at dimension n, ascending in q.  Every walk and scan of a
+    (family, n) row reads it, from the one prime-power table."""
     return ((q, p, f) for q, p, f in prime_power_triples(q_max) if _in_domain(fam, n, p, f))
 
 
@@ -473,7 +472,7 @@ def _iter_family_raw(fam: Family, max_order: int):
     with |T| <= max_order.  A Lie-type family's row at n ends at q_top =
     floor((c*max_order)^(1/e)) for its order floor c*|T| > q^e, since every
     larger q has |T| > max_order; the family stops at the first n whose
-    smallest q is past q_top."""
+    row has no q up to q_top."""
     if fam is Family.ALTERNATING:
         # |A_n| = n!/2 increases with n.
         for g in map(alternating, count(5)):
@@ -490,7 +489,7 @@ def _iter_family_raw(fam: Family, max_order: int):
         for n in _rank_values(fam):
             c, e = _order_floor(fam, n)
             q_top = int_nth_root(c * max_order, e)
-            if next(_row(fam, n))[0] > q_top:
+            if next(_row(fam, n, q_top), None) is None:
                 return
             yield from _walk_q(fam, n, max_order, q_top)
 

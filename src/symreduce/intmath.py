@@ -108,32 +108,19 @@ class _PrimePowerTable:
 _TABLE = _PrimePowerTable()
 
 
-def prime_power_triples(q_max: int | None = None):
-    """(q, p, f) for every prime power q <= q_max, ascending in q, or without
-    end when q_max is None.  Every stream reads the one shared table.  A
-    stream with a q_max past the table's limit grows it at once to q_max, or
-    to twice the limit if that is larger, and an endless one doubles it each
-    time it reaches the end.  Each growth at least doubles the limit and
-    stays within max(64, 2q) for the q that asked for it, so a process whose
-    streams reach q sieves fewer than 4*max(q, 64) entries in all, however
-    many streams it reads."""
+def prime_power_triples(q_max: int):
+    """(q, p, f) for every prime power q <= q_max, ascending in q.  Every
+    stream reads the one shared table.  A stream with a q_max past the
+    table's limit grows it at once to q_max, or to twice the limit if that
+    is larger.  Each growth at least doubles the limit and stays within
+    max(64, 2q) for the q that asked for it, so a process whose streams
+    reach q sieves fewer than 4*max(q, 64) entries in all, however many
+    streams it reads."""
     table = _TABLE
-    if q_max is None:
-        return _endless(table)
     if q_max > table.limit:
         table.grow(q_max)
     # (q_max + 1,) sorts after every row with q <= q_max and before the rest.
     return islice(table.rows, bisect_left(table.rows, (q_max + 1,)))
-
-
-def _endless(table: _PrimePowerTable):
-    done = 0
-    while True:
-        if done == len(table.rows):
-            table.grow(table.limit + 1)
-        end = len(table.rows)
-        yield from islice(table.rows, done, end)
-        done = end
 
 
 def prime_powers_upto(limit: int) -> list[int]:

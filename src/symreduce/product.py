@@ -2,8 +2,10 @@
 
 On v = v0^m points the flag-transitivity relation k*a = lambda*m*(v0-1)
 pins lambda and k rationally in (m, a, v0); the enumeration walks the
-finitely many admissible (m, a, v0), keeps the exact-integer solutions,
-and handles the m = 4 interval cases separately.
+finitely many (m, a, v0) that a_upper_bound and v0_candidates leave, keeps
+those that pass its four gates (the v0 floor, lambda integrality, the focus
+condition and admissibility), and handles the m = 4 interval cases
+separately.
 """
 
 from collections import namedtuple
@@ -18,7 +20,18 @@ from .intmath import divisors
 
 def a_upper_bound(m: int) -> int:
     """Largest integer a strictly below
-    (m^4 + m*sqrt(m^6 + (20m-36)(m^2+2))) / (10m-18).
+    (m^4 + m*sqrt(m^6 + (20m-36)(m^2+2))) / (10m-18), the positive root of
+    (5m-9)a^2 - m^4*a - m^2(m^2+2); every surviving case has a below it.
+
+    With k = lambda*m*(v0-1)/a, admissibility's k^2 > lambda*v gives
+    a^2 < lambda*m^2*(v0-1)^2 / v0^m <= lambda*m^2 / (5m-9), by the lemma
+    (5m-9)(v0-1)^2 <= v0^m for m, v0 >= 2: at m = 2 it is plain; at m = 3,
+    v0^3 - 6(v0-1)^2 has derivative 3(v0-2)^2 and is 2 at v0 = 2; for
+    m >= 4, v0^m >= 2^(m-3)*v0^3 and 6*2^(m-3) >= 5m-9.  The focus
+    condition k > lambda(lambda-2) gives lambda < m(v0-1)/a + 2, and lambda
+    integrality gives v0-1 | m*a(a+1) (v0_candidates), so
+    lambda < m^2(a+1) + 2.  Together, (5m-9)a^2 < m^2*lambda <
+    m^4(a+1) + 2m^2.
 
     Search upward: a is below the bound iff (10m-18)a - m^4 <= 0, or its
     square stays under m^2 * (m^6 + (20m-36)(m^2+2)).
@@ -38,7 +51,8 @@ def a_upper_bound(m: int) -> int:
 
 
 def v0_candidates(m: int, a: int) -> list[int]:
-    """All v0 >= 2 with (v0 - 1) dividing m*a*(a+1), ascending."""
+    """All v0 >= 2 with (v0 - 1) dividing m*a*(a+1), ascending: lambda_from
+    is integral only there, since (v0^m - 1)/(v0 - 1) is m mod (v0 - 1)."""
     if m < 2 or a < 1:
         raise DomainError(f"need m >= 2, a >= 1; got {m}, {a}")
     return [d + 1 for d in divisors(m * a * (a + 1))]
@@ -55,23 +69,6 @@ def lambda_from(m: int, a: int, v0: int) -> int | None:
     if num % den != 0:
         return None
     return num // den
-
-
-def k_from(m: int, a: int, v0: int, lam: int) -> int | None:
-    """k = lambda*m*(v0-1)/a when integral, else None."""
-    if min(m, a, v0, lam) < 1:
-        raise DomainError("inputs must be positive")
-    num = lam * m * (v0 - 1)
-    if num % a != 0:
-        return None
-    return num // a
-
-
-def multiplier_bound_holds(m: int, a: int, lam: int) -> bool:
-    """a < m*sqrt(lambda)/sqrt(5m-9), exactly: a^2*(5m-9) < m^2*lambda."""
-    if m < 2 or a < 1 or lam < 1:
-        raise DomainError(f"need m >= 2, a >= 1, lambda >= 1; got {m}, {a}, {lam}")
-    return a * a * (5 * m - 9) < m * m * lam
 
 
 def power_gap_feasible(m: int, v0: int) -> bool:
@@ -169,10 +166,10 @@ class ProductTriple(namedtuple("ProductTriple", "v k lam witnesses")):
 def enumerate_product_cases(
     v0_min: int = DEFAULT_V0_MIN, m_values: tuple[int, ...] = M_VALUES
 ) -> list[ProductTriple]:
-    """Walk a <= a_upper_bound(m), v0 over the divisor candidates, then the
-    exact lambda and k, keeping triples that survive every stated filter:
-    the focus condition, the multiplier bound, and admissibility, which
-    includes the symmetric identity."""
+    """Walk a <= a_upper_bound(m) and v0 over v0_candidates(m, a), keeping
+    the (v, k, lambda) that pass four gates: the v0 floor, lambda
+    integrality, the focus condition, and admissibility, which includes the
+    symmetric identity and k^2 > lambda*v."""
     _require_v0_min(v0_min)
     by_triple: dict[tuple[int, int, int], list[ProductCase]] = {}
     for m in m_values:
@@ -183,14 +180,12 @@ def enumerate_product_cases(
                 lam = lambda_from(m, a, v0)
                 if lam is None:
                     continue
-                k = k_from(m, a, v0, lam)
-                if k is None:
-                    continue
+                # k is a rational root of the monic x^2 - x - lambda(v-1),
+                # so an integer.
+                k = lam * m * (v0 - 1) // a
                 if not satisfies_focus_condition(k, lam):
                     continue
                 v = v0**m
-                if not multiplier_bound_holds(m, a, lam):
-                    continue
                 admissible, _ = is_symmetric_admissible(v, k, lam)
                 if not admissible:
                     continue

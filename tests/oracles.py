@@ -2,8 +2,10 @@
 
 These deliberately avoid the closed forms used by the package: instead of
 computing lambda from (m, a, v0) directly, lambda_by_scan walks candidate
-lambda values and checks the defining identity with plain multiplication.
-Agreement between the two is what the equivalence tests assert.  The
+lambda values and checks the defining identity with plain multiplication,
+and product_triples_by_brute_force finds the product triples with no
+multiplier a at all.  Agreement between the two is what the equivalence
+tests assert.  The
 atlas oracles redo the catalog, the |T| < |Out(T)|^4 scan and its
 certified region the slow way.  The CLI oracle at the end reads a command
 line with argparse, from the same command tree as symreduce.cli, and the
@@ -15,11 +17,12 @@ import argparse
 import json
 import re
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from pathlib import Path
 
 from symreduce import atlas, cli
 from symreduce.atlas import Family
+from symreduce.design import is_symmetric_admissible
 from symreduce.errors import DomainError
 from symreduce.intmath import int_nth_root, prime_power_parts
 
@@ -47,6 +50,31 @@ def lambda_by_scan(m: int, a: int, v0: int, cap: int = 10**6) -> int | None:
             # but lhs is quadratic in lambda: once past, always past.
             return None
     return None
+
+
+def product_triples_by_brute_force(m: int, v0_values, k_divides: bool = True) -> list:
+    """(m, v0, v, k, lambda) for each v0 in v0_values and each lambda with
+    lambda(lambda - 2) < v = v0**m, where k(k - 1) = lambda(v - 1) has an
+    integer root k (read off by isqrt), k > lambda(lambda - 2), k divides
+    lambda*m*(v0 - 1) (unless k_divides is false) and (v, k, lambda) is
+    admissible.  It uses no multiplier a and no bound on one."""
+    found = []
+    for v0 in v0_values:
+        v = v0**m
+        lam = 1
+        while lam * (lam - 2) < v:
+            disc = 1 + 4 * lam * (v - 1)
+            root = isqrt(disc)
+            k = (1 + root) // 2
+            if (
+                root * root == disc
+                and k > lam * (lam - 2)
+                and (not k_divides or lam * m * (v0 - 1) % k == 0)
+                and is_symmetric_admissible(v, k, lam)[0]
+            ):
+                found.append((m, v0, v, k, lam))
+            lam += 1
+    return found
 
 
 # -- atlas: the catalog and the |T| < |Out(T)|^4 scan -----------------------

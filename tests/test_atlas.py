@@ -31,7 +31,7 @@ from symreduce.atlas import (
     tits,
 )
 from symreduce.errors import DomainError
-from symreduce.intmath import prime_power_triples
+from symreduce.intmath import int_nth_root, prime_power_triples_upto
 
 from . import oracles
 
@@ -654,12 +654,15 @@ CATALOG_REACH = 10**12
 def _reached_ranks(fam, max_order):
     """The dimensions the catalog walk visits at max_order: 0 for an
     exceptional family, else each n until the order floor at its smallest q
-    passes max_order."""
+    passes max_order.  Each smallest q is looked for up to 64, and must be
+    found there."""
     if fam not in atlas._CLASSICAL_FAMILIES:
         return [0]
+    triples = prime_power_triples_upto(64)
     ranks = []
     for n in atlas._rank_values(fam):
-        min_q = next(q for q, p, f in prime_power_triples() if atlas._in_domain(fam, n, p, f))
+        min_q = next((q for q, p, f in triples if atlas._in_domain(fam, n, p, f)), None)
+        assert min_q is not None, (fam, n)
         c, e = atlas._order_floor(fam, n)
         if min_q**e > c * max_order:
             return ranks
@@ -668,10 +671,19 @@ def _reached_ranks(fam, max_order):
 
 def _walk_orders(fam, n, max_order, beyond=2):
     """(id, N, d) for each in-domain q of one walk, through the q where the
-    walk stops and `beyond` in-domain q past it."""
+    walk stops and `beyond` in-domain q past it.
+
+    The row is read up to a bound: N >= |T| > q^e/c passes the walk's limit
+    at every q past t = (c*limit)^(1/e), and the bound leaves room for
+    `beyond` + 1 in-domain q after t at the ratio of the row's two smallest
+    (9 for 2G2, whose q are the odd powers of 3).  The walk must stop
+    before it."""
+    c, e = atlas._order_floor(fam, n)
     limit = atlas._max_centre(fam, n) * max_order
+    q1, q2 = [q for q, p, f in prime_power_triples_upto(1000) if atlas._in_domain(fam, n, p, f)][:2]
+    bound = (int_nth_root(c * limit, e) + 1) * -(-q2 // q1) ** (beyond + 1)
     out, past = [], 0
-    for q, p, f in prime_power_triples():
+    for q, p, f in prime_power_triples_upto(bound):
         if not atlas._in_domain(fam, n, p, f):
             continue
         num, d = atlas._order_parts(atlas._order_datum(fam, n), q)
@@ -680,6 +692,7 @@ def _walk_orders(fam, n, max_order, beyond=2):
             past += 1
             if past > beyond:
                 return out
+    raise AssertionError(f"the walk at {fam.name}, n = {n} did not stop below {bound}")
 
 
 @pytest.mark.parametrize("fam", sorted(atlas._SYMBOL, key=lambda fam: fam.value))
@@ -716,11 +729,11 @@ def test_catalog_size_at_1e12():
     assert len(enumerate_catalog(10**12)) == 1650
 
 
-# The shared prime-power table is sieved at 64 by the first smallest-q
-# lookup, and then once more, straight to the q_top of the L2 row, the
-# largest any walk needs: 7,368 for the catalog at 10^11, and 341 at the
-# 10^7 catalog of run_reduce, however many (family, n) walks read it.
-_SIEVE_CALLS = {"atlas.enumerate_catalog(10**11)": 2, "report.run_reduce(2)": 2}
+# The shared prime-power table is sieved once, straight to the q_top of the
+# L2 row, the largest any walk needs: 7,368 for the catalog at 10^11, and
+# 341 at the 10^7 catalog of run_reduce, however many (family, n) walks
+# read it.
+_SIEVE_CALLS = {"atlas.enumerate_catalog(10**11)": 1, "report.run_reduce(2)": 1}
 
 
 @pytest.mark.parametrize("call", sorted(_SIEVE_CALLS))

@@ -61,43 +61,15 @@ def test_prime_power_triples_upto_carries_parts():
     assert prime_powers_upto(5000) == [q for q, _, _ in triples]
 
 
-def test_prime_power_triples_stream_crosses_doublings(monkeypatch):
-    # Every stream reads one table that doubles from 64 when a stream
-    # reaches its end; no prime power is lost or repeated where a stream
-    # passes an end it grew itself, one another stream grew, or one that
-    # had already grown when the stream opened.
-    monkeypatch.setattr(intmath, "_TABLE", intmath._PrimePowerTable())
-    expected = prime_power_triples_upto(3000)
-    ahead, behind = prime_power_triples(), prime_power_triples()
-    got_ahead, got_behind = [], []
-    for i in range(len(expected)):
-        got_ahead.append(next(ahead))
-        if i % 3 == 0:
-            got_behind.append(next(behind))
-    got_behind += [next(behind) for _ in range(len(expected) - len(got_behind))]
-    assert got_ahead == got_behind == expected
-    fresh = prime_power_triples()
-    assert [next(fresh) for _ in expected] == expected
-    table = intmath._TABLE
-    assert table.limit > 3000
-    assert table.rows == prime_power_triples_upto(table.limit)
-
-
 def test_bounded_prime_power_streams_grow_the_table_straight_to_q_max(monkeypatch):
     # A stream with a q_max sieves once, to q_max, or to twice the old limit
-    # when that is larger; an endless stream open across the growths still
-    # reads every prime power once.
+    # when that is larger, and reads the rows of the sieve to q_max.
     monkeypatch.setattr(intmath, "_TABLE", intmath._PrimePowerTable())
     table = intmath._TABLE
-    endless = prime_power_triples()
-    head = [next(endless) for _ in range(5)]
-    assert table.limit == 64
     for q_max, limit in [(7368, 7368), (100, 7368), (7369, 14736), (1, 14736)]:
         assert list(prime_power_triples(q_max)) == prime_power_triples_upto(q_max)
         assert table.limit == limit
     assert table.rows == prime_power_triples_upto(14736)
-    expected = prime_power_triples_upto(20000)
-    assert head + [next(endless) for _ in expected[5:]] == expected
     assert list(prime_power_triples(64))[-1] == (64, 2, 6)
 
 

@@ -11,16 +11,14 @@ from symreduce.product import (
     ProductCase,
     a_upper_bound,
     enumerate_product_cases,
-    k_from,
     lambda_from,
     m4_case,
-    multiplier_bound_holds,
     power_gap_feasible,
     reference_triples,
     v0_candidates,
 )
 
-from .oracles import lambda_by_scan
+from .oracles import lambda_by_scan, product_triples_by_brute_force
 
 
 def test_a_upper_bound_values():
@@ -60,20 +58,15 @@ def test_lambda_from_examples():
     assert lambda_from(2, 3, 11) is None  # not integral
 
 
-def test_k_from_examples():
-    assert k_from(2, 4, 11, 5) == 25
-    assert k_from(2, 5, 21, 7) == 56
-    assert k_from(2, 3, 11, 5) is None
-
-
 def test_integral_lambda_forces_integral_k():
-    # wherever lambda_from is integral, k_from is too
-    for m in (2, 3):
+    # Wherever lambda_from is integral, k = lambda*m*(v0-1)/a is an integer:
+    # it is a rational root of the monic x^2 - x - lambda(v-1).
+    for m in range(2, 11):
         for a in range(1, a_upper_bound(m) + 1):
             for v0 in v0_candidates(m, a):
                 lam = lambda_from(m, a, v0)
                 if lam is not None:
-                    assert k_from(m, a, v0, lam) is not None, (m, a, v0)
+                    assert lam * m * (v0 - 1) % a == 0, (m, a, v0)
 
 
 def test_lambda_from_agrees_with_scan_oracle():
@@ -88,10 +81,52 @@ def test_lambda_from_agrees_with_scan_oracle():
                     assert scanned == lam, (m, a, v0)
 
 
-def test_multiplier_bound_examples():
-    assert multiplier_bound_holds(2, 6, 7) is False  # 36 >= 28
-    assert multiplier_bound_holds(2, 2, 2) is True  # 4 < 8
-    assert multiplier_bound_holds(2, 5, 7) is True  # 25 < 28
+def test_multiplier_lemma():
+    # (5m-9)(v0-1)^2 <= v0^m, which turns admissibility's k^2 > lambda*v
+    # into the multiplier bound a^2(5m-9) < m^2*lambda behind a_upper_bound.
+    for m in range(2, 40):
+        for v0 in range(2, 2000):
+            assert (5 * m - 9) * (v0 - 1) ** 2 <= v0**m, (m, v0)
+
+
+def test_witnesses_satisfy_the_multiplier_bound():
+    # The bound is no filter of the enumeration; admissibility implies it.
+    for t in enumerate_product_cases(2, tuple(range(2, 11))):
+        for c in t.witnesses:
+            assert c.a * c.a * (5 * c.m - 9) < c.m * c.m * c.lam, c
+
+
+# The brute force walks v0 past the enumeration's largest candidate
+# m*a(a+1) + 1 at a = a_upper_bound(m): 613 at m = 2 and 631 at m = 3.
+BRUTE_FORCE_BOX = {2: 1000, 3: 632}
+
+
+@pytest.mark.parametrize("m", sorted(BRUTE_FORCE_BOX))
+def test_enumeration_agrees_with_brute_force(m):
+    top = BRUTE_FORCE_BOX[m]
+    a_max = a_upper_bound(m)
+    assert max(v0_candidates(m, a_max)) < top
+    brute = product_triples_by_brute_force(m, range(2, top))
+    cases = sorted(
+        (c.m, c.v0, t.v, t.k, t.lam) for t in enumerate_product_cases(2, (m,)) for c in t.witnesses
+    )
+    assert sorted(brute) == cases
+
+
+def test_power_gap_points_below_the_component_floor_admit_nothing():
+    # power_gap_feasible holds at m = 4, v0 = 2, 3, 4 and m = 5, v0 = 2
+    # (test_power_gap_below_component_floor), and the arithmetic settles
+    # them: neither the enumeration nor the brute force admits a triple.
+    assert enumerate_product_cases(2, (4,)) == []
+    assert enumerate_product_cases(2, (5,)) == []
+    assert product_triples_by_brute_force(4, (2, 3, 4)) == []
+    assert product_triples_by_brute_force(5, (2,)) == []
+    # k | lambda*m*(v0-1) is what settles them.
+    assert product_triples_by_brute_force(4, (2, 3, 4), k_divides=False) == [
+        (4, 2, 16, 6, 2),
+        (4, 3, 81, 16, 3),
+    ]
+    assert product_triples_by_brute_force(5, (2,), k_divides=False) == []
 
 
 def test_power_gap_examples():
@@ -142,9 +177,10 @@ def test_enumerate_default():
     got = [t.triple for t in triples]
     # Three of these match the reference outcome; (81, 16, 3) also passes
     # every stated filter (checked by hand: lambda = (9*91 + 6)/(2*2*8) = 3,
-    # k = 3*2*8/3 = 16, identity 16*15 = 3*80, multiplier 9 < 12, focus
-    # 16 > 3, admissible), so the enumeration reports it and the reference
-    # comparison flags the disagreement.
+    # k = 3*2*8/3 = 16, identity 16*15 = 3*80, focus 16 > 3, admissible with
+    # k^2 = 256 > 243 = lambda*v, which gives the multiplier bound 9 < 12),
+    # so the enumeration reports it and the reference comparison flags the
+    # disagreement.
     assert (16, 6, 2) in got
     assert (121, 25, 5) in got
     assert (441, 56, 7) in got
