@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -411,6 +412,62 @@ def test_reduce_output_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert json.loads(target.read_text())["version"] == "0.1.0"
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_main_entry_freezes_the_heap_after_main_returns(monkeypatch, unfreeze, code):
+    calls = []
+    freeze = gc.freeze
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze") or freeze())
+    with pytest.raises(SystemExit) as exited:
+        cli.main_entry()
+    assert exited.value.code == code
+    assert calls == ["main", "freeze"]
+    assert gc.get_freeze_count() > 0
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "check", "16", "6", "2")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_atexit_handlers_run_on_a_frozen_heap():
+    # The handler runs after main_entry's sys.exit, and what it prints is
+    # still flushed.
+    probe = (
+        "import atexit, gc\n"
+        "import symreduce.cli\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "symreduce.cli.main_entry()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(symreduce.__file__).resolve().parent.parent)}
+    child = subprocess.run(
+        [sys.executable, "-c", probe, "check", "16", "6", "2"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    report, _, tail = child.stdout.rpartition("}\n")
+    assert json.loads(report + "}")["admissible"] is True
+    assert tail == "frozen at exit: True\n"
+
+
+def test_reduce_output_file_holds_the_printed_bytes_at_exit(tmp_path):
+    target = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(symreduce.__file__).resolve().parent.parent)}
+    printed, written = [
+        subprocess.run([sys.executable, "-m", "symreduce", *argv], capture_output=True, env=env, timeout=60)
+        for argv in (["reduce"], ["reduce", "--output", str(target)])
+    ]
+    assert printed.returncode == written.returncode == 2
+    assert (written.stdout, written.stderr, printed.stderr) == (b"", b"", b"")
+    assert target.read_bytes() == printed.stdout
 
 
 def test_reduce_empty_output_path(capsys):
