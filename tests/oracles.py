@@ -5,7 +5,8 @@ computing lambda from (m, a, v0) directly, lambda_by_scan walks candidate
 lambda values and checks the defining identity with plain multiplication,
 and product_triples_by_brute_force finds the product triples with no
 multiplier a at all.  Agreement between the two is what the equivalence
-tests assert.  The
+tests assert.  imprimitive_family_violations re-checks, at one lambda,
+the identities that imprimitive_family's docstring proves.  The
 atlas oracles redo the catalog, the |T| < |Out(T)|^4 scan and its
 certified region the slow way.  The CLI oracle at the end reads a command
 line with argparse, from the same command tree as symreduce.cli, and the
@@ -75,6 +76,32 @@ def product_triples_by_brute_force(m: int, v0_values, k_divides: bool = True) ->
                 found.append((m, v0, v, k, lam))
             lam += 1
     return found
+
+
+def imprimitive_family_violations(fam) -> list[str]:
+    """The invariants of the point-imprimitive family that fam breaks, one
+    message each; [] when there are none.  They are the family's formula
+    at fam.lam, symmetric admissibility, the focus condition
+    k > lambda(lambda - 2) and, for each class option (c, d, l), c*d = v,
+    l <= c, l | k and k/l <= d: d classes of size c, each block meeting
+    k/l of them in l points."""
+    lam, v, k = fam.lam, fam.v, fam.k
+    broken = []
+    if (v, k) != (lam * lam * (lam + 2), lam * (lam + 1)):
+        broken.append(f"(v, k) = ({v}, {k}) is not the family at lambda = {lam}")
+    broken += is_symmetric_admissible(v, k, lam)[1]
+    if k <= lam * (lam - 2):
+        broken.append(f"focus condition fails: k = {k} <= {lam * (lam - 2)}")
+    for c, d, l in fam.options:
+        if c * d != v:
+            broken.append(f"(c, d, l) = ({c}, {d}, {l}): c*d != v = {v}")
+        if l > c:
+            broken.append(f"(c, d, l) = ({c}, {d}, {l}): l > c")
+        if k % l != 0:
+            broken.append(f"(c, d, l) = ({c}, {d}, {l}): l does not divide k = {k}")
+        elif k // l > d:
+            broken.append(f"(c, d, l) = ({c}, {d}, {l}): a block meets k/l = {k // l} > d classes")
+    return broken
 
 
 # -- atlas: the catalog and the |T| < |Out(T)|^4 scan -----------------------

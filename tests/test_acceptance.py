@@ -22,7 +22,7 @@ from symreduce.design import k_lambda_ratio_exceeds_sqrt, satisfies_focus_condit
 from symreduce.imprimitive import imprimitive_family
 from symreduce.product import a_upper_bound, lambda_from, power_gap_feasible
 
-from .oracles import lambda_by_scan, out4_grid
+from .oracles import imprimitive_family_violations, lambda_by_scan, out4_grid
 
 
 @contextmanager
@@ -161,10 +161,10 @@ def test_acceptance_07_lambda_oracle_equivalence():
 def test_acceptance_08_imprimitive_sweep():
     with criterion(8, "imprimitive families valid for 2 <= lambda <= 10^4, spots (45,12,3), (96,20,4)"):
         started = time.perf_counter()
-        # the constructor re-validates every invariant internally and
-        # raises on any violation
+        # imprimitive_family checks nothing past lambda >= 2: its docstring
+        # proves the invariants, and the oracle re-checks each one here
         for lam in range(2, 10**4 + 1):
-            imprimitive_family(lam)
+            assert imprimitive_family_violations(imprimitive_family(lam)) == [], lam
         f3 = imprimitive_family(3)
         f4 = imprimitive_family(4)
         elapsed = time.perf_counter() - started

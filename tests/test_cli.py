@@ -68,6 +68,19 @@ def test_check_refuses_to_factor_above_the_limit(capsys):
     assert "Bruck-Ryser-Chowla needs" in err
 
 
+def test_check_reports_every_violation(capsys):
+    # (7, 7, 7) meets the identity 7*6 = 7*6 but fails two others at once.
+    code, out, _ = run(capsys, "check", "7", "7", "7")
+    assert code == 2
+    assert json.loads(out)["violations"] == ["k^2 = 49 <= 49 = lambda*v", "need 2 <= k < v, got k=7, v=7"]
+
+
+def test_check_rejects_nonpositive_parameters(capsys):
+    code, out, err = run(capsys, "check", "0", "0", "0")
+    assert code == 1 and out == ""
+    assert err == "error: v, k, lambda must be positive\n"
+
+
 def test_check_usage_error(capsys):
     code, _, err = run(capsys, "check", "7", "3")
     assert code == 1
@@ -587,7 +600,7 @@ _LOADED = {
     ("product", "enumerate"): _loads("product", "design", "intmath"),
     ("product", "enumerate", "--v0-min", "5"): _loads("product", "design", "intmath"),
     ("product", "m4", "6"): _loads("product", "design", "intmath"),
-    ("imprimitive", "family", "7"): _loads("imprimitive", "design", "intmath"),
+    ("imprimitive", "family", "7"): _loads("imprimitive"),
     ("diagonal", "scan"): _loads("diagonal", "atlas", "intmath"),
     ("diagonal", "scan", "--catalog-bound", "10000000"): _loads("diagonal", "atlas", "intmath"),
     ("reduce",): _loads("atlas", "design", "diagonal", "imprimitive", "intmath", "product", "report"),

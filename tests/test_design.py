@@ -100,6 +100,14 @@ def test_focus_condition():
     assert not satisfies_focus_condition(15, 5)  # 15 = 5*3
 
 
+@pytest.mark.parametrize(
+    "predicate, args", [(satisfies_focus_condition, (0, 1)), (k_lambda_ratio_exceeds_sqrt, (1, 0))]
+)
+def test_predicates_reject_nonpositive_parameters(predicate, args):
+    with pytest.raises(DomainError, match="k and lambda must be positive"):
+        predicate(*args)
+
+
 def test_ratio_examples():
     assert k_lambda_ratio_exceeds_sqrt(25, 5) is True  # 900 > 650
     assert k_lambda_ratio_exceeds_sqrt(3, 3) is False  # 36 <= 36

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symreduce import design
-from symreduce.design import is_symmetric_admissible
 from symreduce.errors import DomainError
-from symreduce.imprimitive import imprimitive_family
+from symreduce.imprimitive import ClassOption, imprimitive_family
+
+from .oracles import imprimitive_family_violations
 
 
 def test_lambda_2():
@@ -36,18 +39,30 @@ def test_domain():
 
 @pytest.mark.parametrize("lam", list(range(2, 60)))
 def test_family_always_admissible(lam):
-    fam = imprimitive_family(lam)
-    ok, violations = is_symmetric_admissible(fam.v, fam.k, fam.lam)
-    assert ok, violations
-    assert fam.v == lam * lam * (lam + 2)
-    assert fam.k == lam * (lam + 1)
-    # the family sits exactly on the focus boundary's admissible side
-    assert fam.k > lam * (lam - 2)
-    for opt in fam.options:
-        assert opt.c * opt.d == fam.v
-        assert opt.l <= opt.c
-        assert fam.k % opt.l == 0
-        assert fam.k // opt.l <= opt.d
+    assert imprimitive_family_violations(imprimitive_family(lam)) == []
+
+
+@given(st.integers(min_value=2, max_value=10**12))
+def test_family_invariants_hold_at_large_lambda(lam):
+    assert imprimitive_family_violations(imprimitive_family(lam)) == []
+
+
+@pytest.mark.parametrize(
+    "change, violation",
+    [
+        ({"v": 17}, "!= 30 = k(k-1)"),
+        ({"k": 5}, "is not the family"),
+        ({"lam": 5}, "focus condition fails"),
+        ({"options": (ClassOption(4, 4, 4),)}, "l does not divide k"),
+        ({"options": (ClassOption(2, 8, 3),)}, "l > c"),
+        ({"options": (ClassOption(4, 2, 2),)}, "c*d != v"),
+        ({"options": (ClassOption(16, 1, 2),)}, "a block meets k/l = 3 > d classes"),
+    ],
+    ids=["identity", "formula", "focus", "l-divides-k", "l-fits-c", "c-d-tile-v", "k-l-fits-d"],
+)
+def test_violations_name_a_broken_family(change, violation):
+    broken = imprimitive_family_violations(imprimitive_family(2)._replace(**change))
+    assert any(violation in message for message in broken), broken
 
 
 def test_sweep_smoke():
@@ -63,4 +78,5 @@ def test_family_needs_no_factoring(monkeypatch):
 
     monkeypatch.setattr(design, "factorize", no_factoring)
     for lam in (9_999, 10_000):  # v odd, then v even
-        imprimitive_family(lam)
+        fam = imprimitive_family(lam)
+        assert design.is_symmetric_admissible(fam.v, fam.k, fam.lam) == (True, [])

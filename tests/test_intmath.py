@@ -136,6 +136,15 @@ def test_divisors_complete(n):
     assert ds == [d for d in range(1, n + 1) if n % d == 0]
 
 
+@pytest.mark.parametrize(
+    "function, args, message",
+    [(int_nth_root, (-1, 2), "x must be >= 0 and n >= 1"), (odd_part, (0,), "x must be positive")],
+)
+def test_guards_reject_out_of_domain_input(function, args, message):
+    with pytest.raises(ValueError, match=message):
+        function(*args)
+
+
 def test_divisors_rejects_nonpositive():
     with pytest.raises(ValueError):
         divisors(0)

@@ -201,6 +201,20 @@ def test_enumerate_m3_contributes_nothing():
     assert [t.triple for t in triples] == []
 
 
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (a_upper_bound, (1,), "need m >= 2, got 1"),
+        (v0_candidates, (1, 1), "need m >= 2, a >= 1; got 1, 1"),
+        (lambda_from, (2, 1, 1), "need m >= 2, a >= 1, v0 >= 2; got 2, 1, 1"),
+        (power_gap_feasible, (1, 5), "need m >= 2, v0 >= 2; got 1, 5"),
+    ],
+)
+def test_guards_reject_out_of_domain_input(function, args, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        function(*args)
+
+
 def test_enumerate_rejects_other_floors():
     with pytest.raises(DomainError):
         enumerate_product_cases(3)
