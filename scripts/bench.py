@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Record one benchmark pass in a file: `perfbench/run.py` once per workload
-declared in BENCHMARK.json, then once with --trace 1, all at one seed and
-length.  Each run's final JSON summary line (correct, attempted, failed,
-metrics) is kept with its `# env` line.
+declared in BENCHMARK.json, then TRACED_PASSES times with --trace 1, all at
+one seed and length.  Each run's final JSON summary line (correct,
+attempted, failed, metrics) is kept with its `# env` line, and
+`per_layer_median` holds the median of each per-layer metric over the
+traced passes, so that one slow pass does not set a layer's figure.
 
 Usage, from the root of a source checkout:
 
@@ -17,9 +19,12 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "# env "
+# Odd, so each median is one pass's value and a count stays an int.
+TRACED_PASSES = 3
 
 
 def run_once(
@@ -40,6 +45,17 @@ def run_once(
     }, proc.stderr
 
 
+def per_layer_median(summaries: list, names: list) -> dict:
+    """{name: {"unit", "value"}} with the median value over the summaries of
+    each per-layer metric in names that they all report."""
+    medians = {}
+    for name in names:
+        entries = [summary["metrics"].get(name) for summary in summaries]
+        if entries and None not in entries:
+            medians[name] = {"unit": entries[0]["unit"], "value": median(entry["value"] for entry in entries)}
+    return medians
+
+
 def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", type=Path, help="file to write, e.g. BENCH_<n>.json")
@@ -50,7 +66,7 @@ def main(argv: list | None = None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     command = [sys.executable if part == "python3" else part for part in declared["command"]]
     workloads = [w["name"] for w in declared["workloads"]]
-    plan = [(w, 0) for w in workloads] + [(workloads[0], 1)]
+    plan = [(w, 0) for w in workloads] + [(workloads[0], 1)] * TRACED_PASSES
     runs = []
     ok = True
     for workload, trace in plan:
@@ -60,7 +76,14 @@ def main(argv: list | None = None) -> int:
             ok = False
             print(f"run failed: {workload} --trace {trace}, exit {run['returncode']}\n{stderr}", file=sys.stderr)
 
-    record = {"seed": args.seed, "seconds": args.seconds, "runs": runs}
+    traced = [run["summary"] for run in runs if run["trace"] and run["summary"] is not None]
+    layers = [metric["name"] for metric in declared["per_layer"]]
+    record = {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "runs": runs,
+        "per_layer_median": per_layer_median(traced, layers),
+    }
     args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0 if ok else 1
 

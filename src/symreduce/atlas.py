@@ -651,19 +651,3 @@ def out4_scan(n_max: int, q_max: int) -> Out4ScanResult:
     ordered = sorted(candidates, key=lambda g: (candidates[g],) + g.sort_key())
     return Out4ScanResult(candidates=tuple(ordered), region=region, n_max=n_max, q_max=q_max)
 
-
-# -- order floors and |Out| caps as predicates ------------------------------
-
-
-def order_lower_bound_holds(g: SimpleGroupId) -> bool:
-    """Whether |T| passes the order floor of _order_floor, which cuts
-    off the catalog walk and prunes the out4 scan.  Only defined for
-    Lie-type families."""
-    c, e = _order_floor(g.family, g.n)
-    return c * order(g) > g.q**e
-
-
-def out_order_bound_holds(g: SimpleGroupId) -> bool:
-    """Whether |Out(T)| is within the cap of _out_cap, which prunes
-    the out4 scan.  Only defined for Lie-type families."""
-    return _out_cap(g.family, g.n) * g.f >= out_order(g)

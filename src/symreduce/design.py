@@ -16,11 +16,6 @@ DEFAULT_V0_MIN = 2
 COMPONENT_V0_MIN = 5
 V0_MIN_CHOICES = (DEFAULT_V0_MIN, COMPONENT_V0_MIN)
 
-# The Bruck-Ryser-Chowla test factors k - lambda and lambda by trial
-# division when k - lambda is not a square; both must be within intmath's
-# trial-division bound, which keeps that under 10^6 steps.
-BRC_FACTOR_LIMIT = TRIAL_DIVISION_LIMIT
-
 
 def is_symmetric_admissible(v: int, k: int, lam: int) -> tuple[bool, list[str]]:
     """Checks the symmetric-design identities; returns all violations
@@ -60,12 +55,13 @@ def _has_rational_point(n: int, c: int) -> bool:
     those at the odd p dividing n*c.  So it suffices that they are 1: with
     n = p^a u and c = p^b w, a, b in {0, 1}, (n, c)_p is the Legendre
     symbol of (-1)^(ab) u^b w^a mod p.  Raises DomainError when n is not a
-    square and n or |c| exceeds BRC_FACTOR_LIMIT."""
+    square and n or |c| exceeds TRIAL_DIVISION_LIMIT, the bound up to which
+    intmath factors."""
     if isqrt(n) ** 2 == n:
         return True
-    if max(n, abs(c)) > BRC_FACTOR_LIMIT:
+    if max(n, abs(c)) > TRIAL_DIVISION_LIMIT:
         raise DomainError(
-            f"Bruck-Ryser-Chowla needs k - lambda and lambda <= {BRC_FACTOR_LIMIT} "
+            f"Bruck-Ryser-Chowla needs k - lambda and lambda <= {TRIAL_DIVISION_LIMIT} "
             f"when k - lambda is not a square, got {n} and {abs(c)}"
         )
     n_odd = {p for p, e in factorize(n).items() if e % 2}
@@ -81,14 +77,14 @@ def _has_rational_point(n: int, c: int) -> bool:
 
 
 def satisfies_focus_condition(k: int, lam: int) -> bool:
-    """k > lambda(lambda-2), the hypothesis the whole reduction runs under."""
+    """k > lambda(lambda-2), the hypothesis the whole reduction runs under.
+
+    For k, lambda >= 1 it is the same condition as the ratio bound
+    k/lambda > sqrt(k+1) - 1.  Both sides of (k+lambda)/lambda > sqrt(k+1)
+    are positive, so that bound is (k+lambda)^2 > lambda^2 (k+1), and
+    (k+lambda)^2 - lambda^2 (k+1) = k^2 + 2k*lambda - k*lambda^2
+    = k(k - lambda(lambda-2)), which is positive iff k > lambda(lambda-2)
+    since k > 0."""
     if k < 1 or lam < 1:
         raise DomainError("k and lambda must be positive")
     return k > lam * (lam - 2)
-
-
-def k_lambda_ratio_exceeds_sqrt(k: int, lam: int) -> bool:
-    """k/lambda > sqrt(k+1) - 1, decided as (k+lambda)^2 > lambda^2 (k+1)."""
-    if k < 1 or lam < 1:
-        raise DomainError("k and lambda must be positive")
-    return (k + lam) ** 2 > lam * lam * (k + 1)

@@ -5,13 +5,16 @@ computing lambda from (m, a, v0) directly, lambda_by_scan walks candidate
 lambda values and checks the defining identity with plain multiplication,
 and product_triples_by_brute_force finds the product triples with no
 multiplier a at all.  Agreement between the two is what the equivalence
-tests assert.  imprimitive_family_violations re-checks, at one lambda,
-the identities that imprimitive_family's docstring proves.  The
-atlas oracles redo the catalog, the |T| < |Out(T)|^4 scan and its
-certified region the slow way.  The CLI oracle at the end reads a command
-line with argparse, from the same command tree as symreduce.cli, and the
-json and re oracles restate the JSON text and the word tests that the
-package writes without those modules.
+tests assert.  ratio_bound_holds states the k/lambda ratio bound that
+satisfies_focus_condition's docstring proves equal to the focus condition,
+and imprimitive_family_violations re-checks, at one lambda, the
+identities that imprimitive_family's docstring proves.  The atlas oracles
+redo the catalog, the |T| < |Out(T)|^4 scan and its certified region the
+slow way; order_floor_holds and out_cap_holds check one group against the
+order floor and the |Out| cap the scan prunes with.  The CLI oracle at the
+end reads a command line with argparse, from the same command tree as
+symreduce.cli, and the json and re oracles restate the JSON text and the
+word tests that the package writes without those modules.
 """
 
 import argparse
@@ -76,6 +79,12 @@ def product_triples_by_brute_force(m: int, v0_values, k_divides: bool = True) ->
                 found.append((m, v0, v, k, lam))
             lam += 1
     return found
+
+
+def ratio_bound_holds(k: int, lam: int) -> bool:
+    """k/lambda > sqrt(k+1) - 1 for k, lambda >= 1, decided as
+    (k+lambda)^2 > lambda^2 (k+1)."""
+    return (k + lam) ** 2 > lam * lam * (k + 1)
 
 
 def imprimitive_family_violations(fam) -> list[str]:
@@ -240,6 +249,20 @@ def out4_grid(n_max: int, q_max: int):
                 if textbook_domain(fam, n, q):
                     p, f = prime_power_parts(q)
                     yield fam, n, q, atlas.SimpleGroupId(fam, n=n, p=p, f=f)
+
+
+def order_floor_holds(g: atlas.SimpleGroupId) -> bool:
+    """Whether c*|T| > q^e for the (c, e) of atlas._order_floor, which cuts
+    off the catalog walk and prunes the out4 scan.  Raises DomainError on a
+    group of no Lie-type family."""
+    c, e = atlas._order_floor(g.family, g.n)
+    return c * atlas.order(g) > g.q**e
+
+
+def out_cap_holds(g: atlas.SimpleGroupId) -> bool:
+    """Whether |Out(T)| <= K*f for the K of atlas._out_cap, which prunes the
+    out4 scan.  Raises DomainError on a group of no Lie-type family."""
+    return atlas._out_cap(g.family, g.n) * g.f >= atlas.out_order(g)
 
 
 def out4_scan_by_fractions(n_max: int, q_max: int) -> tuple:

@@ -13,16 +13,21 @@ from symreduce.atlas import (
     display_name,
     enumerate_catalog,
     order,
-    order_lower_bound_holds,
     out_order,
     parse_group,
 )
 from symreduce.cli import main
-from symreduce.design import k_lambda_ratio_exceeds_sqrt, satisfies_focus_condition
+from symreduce.design import satisfies_focus_condition
 from symreduce.imprimitive import imprimitive_family
 from symreduce.product import a_upper_bound, lambda_from, power_gap_feasible
 
-from .oracles import imprimitive_family_violations, lambda_by_scan, out4_grid
+from .oracles import (
+    imprimitive_family_violations,
+    lambda_by_scan,
+    order_floor_holds,
+    out4_grid,
+    ratio_bound_holds,
+)
 
 
 @contextmanager
@@ -135,7 +140,7 @@ def test_acceptance_06_focus_implies_ratio():
             for lam in range(1, 201)
             for k in range(2, 10**4 + 1)
             if satisfies_focus_condition(k, lam)
-            and not k_lambda_ratio_exceeds_sqrt(k, lam)
+            and not ratio_bound_holds(k, lam)
         ]
         elapsed = time.perf_counter() - started
         assert counterexamples == []
@@ -199,6 +204,6 @@ def test_acceptance_10_order_sanity():
         grid = [gid for _, _, _, gid in out4_grid(12, 64)]
         assert len(grid) == 1116
         for gid in grid:
-            assert order_lower_bound_holds(gid), display_name(gid)
+            assert order_floor_holds(gid), display_name(gid)
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.2f}s"

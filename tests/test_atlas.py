@@ -22,10 +22,8 @@ from symreduce.atlas import (
     facts,
     lie,
     order,
-    order_lower_bound_holds,
     out4_scan,
     out_order,
-    out_order_bound_holds,
     parse_group,
     sporadic,
     tits,
@@ -272,7 +270,7 @@ def test_constructor_domains():
 
 def test_g2_smallest_is_3():
     assert order(lie(Family.G2, 0, 3)) == 4245696
-    assert order_lower_bound_holds(lie(Family.G2, 0, 3))
+    assert oracles.order_floor_holds(lie(Family.G2, 0, 3))
 
 
 # The orders of the 26 sporadic groups and the Tits group as the ATLAS of
@@ -389,7 +387,7 @@ def test_facts_consistency():
 # and the bound predicate is only defined for Lie identifiers.
 @pytest.mark.parametrize("q", [7, 8, 11, 13, 16, 25, 27, 32, 64])
 def test_linear2_lower_bound(q):
-    assert order_lower_bound_holds(lie(Family.LINEAR, 2, q))
+    assert oracles.order_floor_holds(lie(Family.LINEAR, 2, q))
 
 
 # Every raw Lie-type id of the out4 scan grid at the default box, the ids
@@ -418,7 +416,7 @@ def test_order_lower_bounds_sweep():
     # |T| exceeds the order floor that cuts off the catalog walk and prunes
     # the out4 scan, at every raw id of the scan grid.
     for gid in OUT4_GRID:
-        assert order_lower_bound_holds(gid), display_name(gid)
+        assert oracles.order_floor_holds(gid), display_name(gid)
 
 
 # The degrees d of the factors (1 - q^-d) of P(q) = d*|T| / q^e for each
@@ -498,7 +496,7 @@ def test_exceptional_floor_sweep():
         num, _ = atlas._order_parts(atlas._order_datum(fam, n), q)
         low, high = _falling_product(FALLING_DEGREES[fam](n), q)
         assert num * high >= q**e * low, display_name(gid)
-        assert order_lower_bound_holds(gid), display_name(gid)
+        assert oracles.order_floor_holds(gid), display_name(gid)
         points[fam in atlas._CLASSICAL_FAMILIES] += 1
     assert points == {False: 4240, True: CLASSICAL_SWEEP_POINTS}
 
@@ -506,14 +504,14 @@ def test_exceptional_floor_sweep():
 def test_bound_predicates_reject_other_families():
     for gid in (alternating(5), sporadic("M11"), tits()):
         with pytest.raises(DomainError, match="is not a Lie-type family"):
-            order_lower_bound_holds(gid)
+            oracles.order_floor_holds(gid)
         with pytest.raises(DomainError, match="is not a Lie-type family"):
-            out_order_bound_holds(gid)
+            oracles.out_cap_holds(gid)
 
 
 def test_out_order_bounds_sweep():
     for gid in OUT4_GRID:
-        assert out_order_bound_holds(gid), display_name(gid)
+        assert oracles.out_cap_holds(gid), display_name(gid)
 
 
 @pytest.mark.parametrize("fam", sorted(atlas._SYMBOL, key=lambda fam: fam.value))
@@ -597,6 +595,29 @@ def test_out4_scan_tiny_box_is_not_ok():
     assert scan.candidates == ()
     assert not scan.ok
     assert [row.label for row in scan.failing_checks()] == ["L2(q <= 61)", "L3(q <= 7)", "U3(q <= 7)"]
+
+
+def test_out4_scan_skips_region_rows_beyond_n_max(monkeypatch):
+    # Every row of the certified region has n <= 3, so no box with
+    # n_max >= 5 misses one by n; a row at n = 6 must be skipped by the scan
+    # and reported as missed.
+    extra = atlas.RegionRow(Family.LINEAR, 6, 2)
+    region = atlas._certified_region() + (extra,)
+    monkeypatch.setattr(atlas, "_certified_region", lambda: region)
+    walked = []
+    real_row = atlas._row
+
+    def recording_row(fam, n, q_max):
+        walked.append((fam, n))
+        return real_row(fam, n, q_max)
+
+    monkeypatch.setattr(atlas, "_row", recording_row)
+    scan = out4_scan(5, 61)
+    assert (Family.LINEAR, 6) not in walked
+    assert walked == [(row.family, row.n) for row in region[:-1]]
+    assert [display_name(g) for g in scan.candidates] == ["L3(4)"]
+    assert scan.failing_checks() == [extra]
+    assert not scan.ok
 
 
 def test_certified_region_shape():
@@ -794,8 +815,8 @@ def _region_sweep_points():
 
 def _sweep_bounds():
     for gid in _region_sweep_points():
-        assert order_lower_bound_holds(gid), display_name(gid)
-        assert out_order_bound_holds(gid), display_name(gid)
+        assert oracles.order_floor_holds(gid), display_name(gid)
+        assert oracles.out_cap_holds(gid), display_name(gid)
 
 
 def test_bounds_hold_around_the_region():

@@ -41,3 +41,17 @@ def test_run_once_failed_run_has_no_summary(tmp_path):
     assert run["summary"] is None
     assert run["env"] == {"python": "stub"}
     assert stderr == "stub stderr\n"
+
+
+def _summary(a_s, a_count, wall):
+    # A traced run's summary with two per-layer metrics and one end-to-end one.
+    values = {"a.s": ("s", a_s), "a.count": ("count", a_count), "wall": ("s", wall)}
+    return {"metrics": {name: {"unit": unit, "value": value} for name, (unit, value) in values.items()}}
+
+
+def test_per_layer_median_takes_each_metric_middle_value():
+    summaries = [_summary(0.3, 30, 1.0), _summary(0.1, 10, 2.0), _summary(0.2, 31, 3.0)]
+    medians = bench.per_layer_median(summaries, ["a.s", "a.count", "b.s"])
+    # wall is not asked for; b.s is reported by no pass.
+    assert medians == {"a.s": {"unit": "s", "value": 0.2}, "a.count": {"unit": "count", "value": 30}}
+    assert type(medians["a.count"]["value"]) is int

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import symreduce
 from symreduce import atlas, cli, design, diagonal
 from symreduce.cli import _ARGUMENTS, _COMMANDS, _parse, _UsageError, main
+from symreduce.intmath import TRIAL_DIVISION_LIMIT
 from symreduce.report import emit, report_payload, run_reduce
 
 from . import oracles
@@ -557,6 +558,14 @@ def test_command_help_lists_its_arguments(capsys, path, row):
     text = " ".join(" ".join(lines).split())
     for name in row[3:]:
         assert _ARGUMENTS[name].get("help", "") in text
+
+
+def test_check_help_states_the_trial_division_limit(capsys):
+    # cli loads no layer at start, so the help text writes the limit out;
+    # the check command's row of the top-level help must name intmath's.
+    row = " ".join(line for line in _help(capsys) if line.split()[:1] == ["check"])
+    exponent = int(re.fullmatch(r".* must be <= 10\^(\d+)", row).group(1))
+    assert 10**exponent == TRIAL_DIVISION_LIMIT
 
 
 def test_outputs_match_report_sections(capsys):

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symreduce.design import (
-    BRC_FACTOR_LIMIT,
-    is_symmetric_admissible,
-    k_lambda_ratio_exceeds_sqrt,
-    satisfies_focus_condition,
-)
+from symreduce.design import is_symmetric_admissible, satisfies_focus_condition
 from symreduce.errors import DomainError
+from symreduce.intmath import TRIAL_DIVISION_LIMIT
+
+from .oracles import ratio_bound_holds
 
 
 def test_is_symmetric_admissible():
@@ -49,12 +47,16 @@ def test_bruck_ryser_chowla_factor_limit():
     # k - lambda = n, not a square: up to the limit it is factored, above it
     # the test refuses rather than trial-divide without bound.
     # 999999999989, a prime = 1 mod 4 near the limit, is the slow case.
-    assert BRC_FACTOR_LIMIT == 10**12
+    assert TRIAL_DIVISION_LIMIT == 10**12
     assert is_symmetric_admissible(*_plane(999_999_999_989)) == (True, [])
-    assert is_symmetric_admissible(*_plane(BRC_FACTOR_LIMIT - 2))[0] is False
-    for n in (BRC_FACTOR_LIMIT + 1, 10**18 + 3):
-        with pytest.raises(DomainError, match="Bruck-Ryser-Chowla needs"):
+    assert is_symmetric_admissible(*_plane(TRIAL_DIVISION_LIMIT - 2))[0] is False
+    for n in (TRIAL_DIVISION_LIMIT + 1, 10**18 + 3):
+        with pytest.raises(DomainError) as refused:
             is_symmetric_admissible(*_plane(n))
+        assert str(refused.value) == (
+            "Bruck-Ryser-Chowla needs k - lambda and lambda <= 1000000000000 "
+            f"when k - lambda is not a square, got {n} and 1"
+        )
     # A square k - lambda needs no factoring, however large.
     assert is_symmetric_admissible(*_plane((10**9 + 7) ** 2)) == (True, [])
 
@@ -101,32 +103,42 @@ def test_focus_condition():
 
 
 @pytest.mark.parametrize(
-    "predicate, args", [(satisfies_focus_condition, (0, 1)), (k_lambda_ratio_exceeds_sqrt, (1, 0))]
+    "predicate, args", [(satisfies_focus_condition, (0, 1)), (satisfies_focus_condition, (1, 0))]
 )
 def test_predicates_reject_nonpositive_parameters(predicate, args):
     with pytest.raises(DomainError, match="k and lambda must be positive"):
         predicate(*args)
 
 
+# satisfies_focus_condition's docstring proves that for k, lambda >= 1 the
+# focus condition is the ratio bound k/lambda > sqrt(k+1) - 1; the tests
+# below check it against the oracle's (k+lambda)^2 > lambda^2 (k+1).
+
+
 def test_ratio_examples():
-    assert k_lambda_ratio_exceeds_sqrt(25, 5) is True  # 900 > 650
-    assert k_lambda_ratio_exceeds_sqrt(3, 3) is False  # 36 <= 36
-    assert k_lambda_ratio_exceeds_sqrt(56, 7) is True  # 3969 > 2793
+    # 900 > 650, 36 <= 36 and 3969 > 2793
+    for k, lam, holds in ((25, 5, True), (3, 3, False), (56, 7, True)):
+        assert ratio_bound_holds(k, lam) is holds
+        assert satisfies_focus_condition(k, lam) is holds
 
 
 @given(st.integers(min_value=2, max_value=2000), st.integers(min_value=1, max_value=2000))
 def test_ratio_matches_float_when_safe(k, lam):
     # (k + lam)/lam > sqrt(k + 1); in this range floats are an adequate
     # oracle away from the boundary.
-    exact = k_lambda_ratio_exceeds_sqrt(k, lam)
+    exact = satisfies_focus_condition(k, lam)
+    assert exact == ratio_bound_holds(k, lam)
     approx = (k + lam) / lam > math.sqrt(k + 1)
     if abs((k + lam) / lam - math.sqrt(k + 1)) > 1e-9:
         assert exact == approx
 
 
 def test_ratio_boundary_exact():
-    # k/lambda = sqrt(k+1) exactly at k = 3, lambda = 3 must not pass
-    assert not k_lambda_ratio_exceeds_sqrt(3, 3)
+    # k/lambda = sqrt(k+1) - 1 exactly at k = 3, lambda = 3, where
+    # k = lambda(lambda-2): neither passes
+    assert not ratio_bound_holds(3, 3)
+    assert not satisfies_focus_condition(3, 3)
     # and at k = 8, lambda such that 8/lam = 3: lam isn't integral, but
     # (k, lam) = (8, 2): 100 > 36 passes
-    assert k_lambda_ratio_exceeds_sqrt(8, 2)
+    assert ratio_bound_holds(8, 2)
+    assert satisfies_focus_condition(8, 2)

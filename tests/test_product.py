@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symreduce import product
 from symreduce.design import is_symmetric_admissible
 from symreduce.errors import DomainError
 from symreduce.intmath import divisors
@@ -166,10 +167,29 @@ def test_power_gap_below_component_floor():
 def test_product_case_validates():
     case = ProductCase(m=2, a=4, v0=11, lam=5, k=25)
     assert case.v == 121
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^k\*a = lambda\*m\*\(v0-1\) violated$"):
         ProductCase(m=2, a=4, v0=11, lam=5, k=24)
     with pytest.raises(DomainError):
         case._replace(k=24)
+    # k*a = 2 = lambda*m*(v0 - 1), but lambda(v - 1) = 3 != 2 = k(k - 1).
+    fields = dict(m=2, a=1, v0=2, lam=1, k=2)
+    with pytest.raises(DomainError, match=r"^lambda\(v-1\) = k\(k-1\) violated$"):
+        ProductCase(**fields)
+    with pytest.raises(DomainError, match=r"^lambda\(v-1\) = k\(k-1\) violated$"):
+        case._replace(**fields)
+
+
+def test_enumeration_drops_what_admissibility_rejects(monkeypatch):
+    # No enumeration in the suite's boxes reaches the admissibility gate
+    # with an inadmissible triple; one that rejects (81, 16, 3) leaves the
+    # reference triples.
+    real = product.is_symmetric_admissible
+
+    def rejecting(v, k, lam):
+        return (False, ["rejected"]) if (v, k, lam) == (81, 16, 3) else real(v, k, lam)
+
+    monkeypatch.setattr(product, "is_symmetric_admissible", rejecting)
+    assert tuple(t.triple for t in enumerate_product_cases(2)) == reference_triples(2)
 
 
 def test_enumerate_default():
@@ -262,6 +282,17 @@ def test_m4_case_v0_6():
     assert rep.stabilizer_order == 2**15 * 3**5 * 5**4
     assert rep.candidates == (400, 405, 432)
     assert rep.survivors == ()
+
+
+def test_exact_lower_bound_matches_brute_force():
+    # 4X a square: k + 1 > X + 2 - 2*sqrt(X) is met with equality one below.
+    assert product._exact_lower_bound(4) == 2
+    assert product._exact_lower_bound(9) == 5
+    # The least k with k + 1 > X + 2 - 2*sqrt(X), that is 2*sqrt(X) > X + 1 - k,
+    # decided in integers by squaring when both sides are non-negative.
+    for x in range(200):
+        k = next(k for k in range(x + 3) if x + 1 - k < 0 or 4 * x > (x + 1 - k) ** 2)
+        assert product._exact_lower_bound(x) == k, x
 
 
 def test_m4_case_domain():
