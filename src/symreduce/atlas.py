@@ -96,8 +96,7 @@ class SimpleGroupId(namedtuple("SimpleGroupId", "family n p f name", defaults=(0
         return (_FAMILY_INDEX[self.family], self.n, self.p, self.f, self.name)
 
 
-class GroupFacts(namedtuple("GroupFacts", "order out_order")):
-    __slots__ = ()
+GroupFacts = namedtuple("GroupFacts", "order out_order")
 
 
 # -- constructors (validate, then canonicalize) ----------------------------

@@ -76,6 +76,33 @@ def _has_rational_point(n: int, c: int) -> bool:
     return True
 
 
+def flag_parameters(v: int, delta: int, c: int) -> tuple[int, int] | None:
+    """(lambda, k) of a flag-transitive symmetric design on v points where a
+    G_alpha-invariant set Delta of delta points, alpha not in it, meets each
+    block through alpha in c points; None when that lambda is not integral.
+
+    The flag lemma: G_alpha is transitive on the k blocks through alpha and
+    fixes Delta, so each meets Delta in the same c points.  Counting the
+    pairs (beta in Delta, block through alpha and beta) both ways gives
+    k*c = lambda*delta.  Put k = lambda*delta/c into lambda(v-1) = k(k-1):
+    (v-1)c^2 = delta(lambda*delta - c), so lambda = c((v-1)c + delta)/delta^2.
+    When lambda is an integer, k is a rational root of the monic integer
+    polynomial x^2 - x - lambda(v-1), so k is an integer too.
+
+    Corollaries: the G_alpha-orbits partition the other v - 1 points and
+    each orbit size divides |G_alpha|, so k | lambda*d with
+    d = gcd(v - 1, |G_alpha|).  Then the focus condition
+    lambda(lambda-2) < k <= lambda*d gives lambda <= d + 1, and
+    k^2 > lambda*v gives v < lambda*d^2 <= (d + 1)d^2."""
+    if v < 2 or delta < 1 or c < 1:
+        raise DomainError(f"need v >= 2, delta >= 1, c >= 1; got {v}, {delta}, {c}")
+    num, den = c * ((v - 1) * c + delta), delta * delta
+    if num % den:
+        return None
+    lam = num // den
+    return lam, lam * delta // c
+
+
 def satisfies_focus_condition(k: int, lam: int) -> bool:
     """k > lambda(lambda-2), the hypothesis the whole reduction runs under.
 

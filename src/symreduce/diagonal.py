@@ -15,18 +15,7 @@ from .errors import DomainError
 from .intmath import odd_part
 
 
-class DiagonalCase(namedtuple("DiagonalCase", "group m")):
-    __slots__ = ()
-
-    def __new__(cls, group, m):
-        if m < 2:
-            raise DomainError(f"diagonal case needs m >= 2, got {m}")
-        return super().__new__(cls, group, m)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would bypass __new__.
-        return cls(*iterable)
+DiagonalCase = namedtuple("DiagonalCase", "group m")
 
 
 def diag_m_admissible(order_t: int, m: int) -> bool:
@@ -137,7 +126,8 @@ class DiagonalScanResult(
 def diagonal_scan(catalog_bound: int) -> DiagonalScanResult:
     """Run the odd-part test for every cataloged T and every m in M_RANGE.
 
-    survivors: (T, m) pairs passing the test (expected none).
+    survivors: (T, m) pairs passing the test (expected none), as
+    DiagonalCase records; m >= 2 in each, since M_RANGE starts at 2.
     near_misses: groups with |T| < |Out|^4 that still fail the odd-part
     form, reported so the almost-sharp case is visible.
 

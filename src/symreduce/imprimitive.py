@@ -7,10 +7,8 @@ from collections import namedtuple
 from .errors import DomainError
 
 
-class ClassOption(namedtuple("ClassOption", "c d l")):
-    """d classes of size c; every block meets a class in 0 or l points."""
-
-    __slots__ = ()
+# d classes of size c; every block meets a class in 0 or l points.
+ClassOption = namedtuple("ClassOption", "c d l")
 
 
 class ImprimitiveFamily(namedtuple("ImprimitiveFamily", "lam v k options")):

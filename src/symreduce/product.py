@@ -1,11 +1,11 @@
 """Elimination of the product socle type.
 
-On v = v0^m points the flag-transitivity relation k*a = lambda*m*(v0-1)
-pins lambda and k rationally in (m, a, v0); the enumeration walks the
-finitely many (m, a, v0) that a_upper_bound and v0_candidates leave, keeps
-those that pass its four gates (the v0 floor, lambda integrality, the focus
-condition and admissibility), and handles the m = 4 interval cases
-separately.
+On v = v0^m points the flag lemma of design.flag_parameters, read with
+k*a = lambda*m*(v0-1), pins lambda and k rationally in (m, a, v0); the
+enumeration walks the finitely many (m, a, v0) that a_upper_bound and
+v0_candidates leave, keeps those that pass its four gates (the v0 floor,
+lambda integrality, the focus condition and admissibility), and handles
+the m = 4 interval cases separately.
 """
 
 from collections import namedtuple
@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from math import factorial, isqrt
 
 from .design import COMPONENT_V0_MIN, DEFAULT_V0_MIN, V0_MIN_CHOICES
-from .design import is_symmetric_admissible, satisfies_focus_condition
+from .design import flag_parameters, is_symmetric_admissible, satisfies_focus_condition
 from .errors import DomainError
 from .intmath import divisors
 
@@ -60,15 +60,12 @@ def v0_candidates(m: int, a: int) -> list[int]:
 
 def lambda_from(m: int, a: int, v0: int) -> int | None:
     """lambda = (a^2*(v0^(m-1)+...+v0+1) + m*a) / (m^2*(v0-1)) when that is
-    a positive integer, else None."""
+    a positive integer, else None: the lambda of flag_parameters at
+    v = v0^m, delta = m(v0-1) and c = a."""
     if m < 2 or a < 1 or v0 < 2:
         raise DomainError(f"need m >= 2, a >= 1, v0 >= 2; got {m}, {a}, {v0}")
-    geom = (v0**m - 1) // (v0 - 1)
-    num = a * a * geom + m * a
-    den = m * m * (v0 - 1)
-    if num % den != 0:
-        return None
-    return num // den
+    params = flag_parameters(v0**m, m * (v0 - 1), a)
+    return None if params is None else params[0]
 
 
 def power_gap_feasible(m: int, v0: int) -> bool:
@@ -115,25 +112,7 @@ def _m4_v0() -> tuple[int, ...]:
 M4_V0 = _m4_v0()
 
 
-class ProductCase(namedtuple("ProductCase", "m a v0 lam k")):
-    __slots__ = ()
-
-    @property
-    def v(self) -> int:
-        return self.v0**self.m
-
-    def __new__(cls, m, a, v0, lam, k):
-        self = super().__new__(cls, m, a, v0, lam, k)
-        if self.k * self.a != self.lam * self.m * (self.v0 - 1):
-            raise DomainError("k*a = lambda*m*(v0-1) violated")
-        if self.lam * (self.v - 1) != self.k * (self.k - 1):
-            raise DomainError("lambda(v-1) = k(k-1) violated")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would bypass __new__.
-        return cls(*iterable)
+ProductCase = namedtuple("ProductCase", "m a v0 lam k")
 
 
 class ProductTriple(namedtuple("ProductTriple", "v k lam witnesses")):
@@ -169,7 +148,12 @@ def enumerate_product_cases(
     """Walk a <= a_upper_bound(m) and v0 over v0_candidates(m, a), keeping
     the (v, k, lambda) that pass four gates: the v0 floor, lambda
     integrality, the focus condition, and admissibility, which includes the
-    symmetric identity and k^2 > lambda*v."""
+    symmetric identity and k^2 > lambda*v.
+
+    (lambda, k) is flag_parameters(v0^m, m(v0-1), a): G_alpha preserves
+    the number of coordinates in which a point differs from alpha, so the
+    m(v0-1) points that differ in one coordinate form a G_alpha-invariant
+    set, and a is how many of them each block through alpha holds."""
     _require_v0_min(v0_min)
     by_triple: dict[tuple[int, int, int], list[ProductCase]] = {}
     for m in m_values:
@@ -177,15 +161,13 @@ def enumerate_product_cases(
             for v0 in v0_candidates(m, a):
                 if v0 < v0_min:
                     continue
-                lam = lambda_from(m, a, v0)
-                if lam is None:
+                v = v0**m
+                params = flag_parameters(v, m * (v0 - 1), a)
+                if params is None:
                     continue
-                # k is a rational root of the monic x^2 - x - lambda(v-1),
-                # so an integer.
-                k = lam * m * (v0 - 1) // a
+                lam, k = params
                 if not satisfies_focus_condition(k, lam):
                     continue
-                v = v0**m
                 admissible, _ = is_symmetric_admissible(v, k, lam)
                 if not admissible:
                     continue

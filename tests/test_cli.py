@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -813,3 +814,39 @@ def test_reads_the_command_line_as_argparse_does(capsys, argv):
         assert capsys.readouterr().out.startswith("usage: symreduce")
     else:
         assert vars(_parse(list(argv))) == expected
+
+
+# The stdout sha256 prefix, exit code and stderr of each command but
+# `reduce`, whose reports tests/test_report.py pins.  A change to one of
+# these outputs updates its pin and says why in CHANGES.md.
+_OUTPUT_PINS = [
+    ("atlas scan", "a50aaa7a27459736", 0, ""),
+    (
+        "atlas scan --out4-nmax 5 --out4-qmax 31",
+        "d6390202441e3f95",
+        1,
+        "the box misses the certified region: bounds too small to trust the scan\n",
+    ),
+    ("atlas order L3(4)", "8a507f2f56c38c3d", 0, ""),
+    ("atlas out L3(4)", "a1fb50e6c86fae16", 0, ""),
+    ("check 16 6 2", "8f282521ebd3e089", 0, ""),
+    ("check 7 7 7", "4dd7a3feabcd86fd", 2, ""),
+    ("check --help", "6cc24fb88b02bac5", 0, ""),
+    ("diagonal scan --catalog-bound 100000000000", "0ea0936080e13c79", 0, ""),
+    ("product enumerate", "b7c5ba20c87a2f74", 2, ""),
+    ("product enumerate --v0-min 5", "962ba245855aa62f", 2, ""),
+    ("product m4 5", "8dd6fa4a6221b9d8", 0, ""),
+    ("product m4 6", "a7010df3c54a40a7", 0, ""),
+    ("imprimitive family 7", "3582be0b0af8ee55", 0, ""),
+]
+
+
+@pytest.mark.parametrize("command, digest, code, err", _OUTPUT_PINS, ids=[p[0] for p in _OUTPUT_PINS])
+def test_command_output_is_pinned(capsys, command, digest, code, err):
+    try:
+        got = main(command.split())
+    except SystemExit as exited:  # --help
+        got = exited.code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == digest
+    assert (got, captured.err) == (code, err)

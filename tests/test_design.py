@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symreduce.design import is_symmetric_admissible, satisfies_focus_condition
+from symreduce.design import flag_parameters, is_symmetric_admissible, satisfies_focus_condition
 from symreduce.errors import DomainError
 from symreduce.intmath import TRIAL_DIVISION_LIMIT
 
@@ -108,6 +109,28 @@ def test_focus_condition():
 def test_predicates_reject_nonpositive_parameters(predicate, args):
     with pytest.raises(DomainError, match="k and lambda must be positive"):
         predicate(*args)
+
+
+@given(
+    st.integers(min_value=2, max_value=10**6),
+    st.integers(min_value=1, max_value=10**3),
+    st.integers(min_value=1, max_value=10**3),
+)
+def test_flag_parameters_solve_both_relations(v, delta, c):
+    # None exactly when lambda = c((v-1)c + delta)/delta^2 is fractional;
+    # otherwise k*c = lambda*delta and lambda(v-1) = k(k-1).
+    params = flag_parameters(v, delta, c)
+    assert (params is None) == (Fraction(c * ((v - 1) * c + delta), delta**2).denominator != 1)
+    if params is not None:
+        lam, k = params
+        assert k * c == lam * delta
+        assert lam * (v - 1) == k * (k - 1)
+
+
+@pytest.mark.parametrize("args", [(1, 1, 1), (2, 0, 1), (2, 1, 0)])
+def test_flag_parameters_reject_out_of_domain_input(args):
+    with pytest.raises(DomainError, match=r"^need v >= 2, delta >= 1, c >= 1; got "):
+        flag_parameters(*args)
 
 
 # satisfies_focus_condition's docstring proves that for k, lambda >= 1 the

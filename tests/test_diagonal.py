@@ -72,15 +72,6 @@ def test_oddpart_test_domain():
         diag_oddpart_test(alternating(5), 7)
 
 
-def test_diagonal_case_validates():
-    case = DiagonalCase(alternating(5), 2)
-    assert case._replace(m=3).m == 3
-    with pytest.raises(DomainError, match="diagonal case needs m >= 2, got 1"):
-        DiagonalCase(alternating(5), 1)
-    with pytest.raises(DomainError, match="diagonal case needs m >= 2, got 1"):
-        case._replace(m=1)
-
-
 def test_oddpart_never_passes_in_catalog():
     # the elimination rests on this being False everywhere
     for m in range(2, 7):

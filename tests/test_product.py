@@ -3,13 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symreduce import product
-from symreduce.design import is_symmetric_admissible
+from symreduce.design import flag_parameters, is_symmetric_admissible
 from symreduce.errors import DomainError
 from symreduce.intmath import divisors
 from symreduce.product import (
     COMPONENT_V0_MIN,
     M4_V0,
-    ProductCase,
     a_upper_bound,
     enumerate_product_cases,
     lambda_from,
@@ -90,6 +89,14 @@ def test_multiplier_lemma():
             assert (5 * m - 9) * (v0 - 1) ** 2 <= v0**m, (m, v0)
 
 
+def test_witnesses_satisfy_the_flag_relations():
+    # The enumeration reads each witness from flag_parameters, which proves both.
+    for t in enumerate_product_cases(2, tuple(range(2, 11))):
+        for c in t.witnesses:
+            assert c.k * c.a == c.lam * c.m * (c.v0 - 1), c
+            assert c.lam * (c.v0**c.m - 1) == c.k * (c.k - 1), c
+
+
 def test_witnesses_satisfy_the_multiplier_bound():
     # The bound is no filter of the enumeration; admissibility implies it.
     for t in enumerate_product_cases(2, tuple(range(2, 11))):
@@ -112,6 +119,12 @@ def test_enumeration_agrees_with_brute_force(m):
         (c.m, c.v0, t.v, t.k, t.lam) for t in enumerate_product_cases(2, (m,)) for c in t.witnesses
     )
     assert sorted(brute) == cases
+    # Each brute-force row is the flag lemma's (lambda, k) at the integer c
+    # that k | lambda*m*(v0-1) leaves.
+    for _, v0, v, k, lam in brute:
+        c, rest = divmod(lam * m * (v0 - 1), k)
+        assert rest == 0
+        assert flag_parameters(v, m * (v0 - 1), c) == (lam, k)
 
 
 def test_power_gap_points_below_the_component_floor_admit_nothing():
@@ -128,6 +141,10 @@ def test_power_gap_points_below_the_component_floor_admit_nothing():
         (4, 3, 81, 16, 3),
     ]
     assert product_triples_by_brute_force(5, (2,), k_divides=False) == []
+    # The flag lemma is that gate: at no c does it give those (lambda, k).
+    for m, v0, v, k, lam in [(4, 2, 16, 6, 2), (4, 3, 81, 16, 3)]:
+        delta = m * (v0 - 1)
+        assert all(flag_parameters(v, delta, c) != (lam, k) for c in range(1, delta + 1))
 
 
 def test_power_gap_examples():
@@ -162,21 +179,6 @@ def test_power_gap_below_component_floor():
     # power gap is feasible at m = 4 and at m = 5.
     assert [v0 for v0 in range(2, 5) if power_gap_feasible(4, v0)] == [2, 3, 4]
     assert [v0 for v0 in range(2, 5) if power_gap_feasible(5, v0)] == [2]
-
-
-def test_product_case_validates():
-    case = ProductCase(m=2, a=4, v0=11, lam=5, k=25)
-    assert case.v == 121
-    with pytest.raises(DomainError, match=r"^k\*a = lambda\*m\*\(v0-1\) violated$"):
-        ProductCase(m=2, a=4, v0=11, lam=5, k=24)
-    with pytest.raises(DomainError):
-        case._replace(k=24)
-    # k*a = 2 = lambda*m*(v0 - 1), but lambda(v - 1) = 3 != 2 = k(k - 1).
-    fields = dict(m=2, a=1, v0=2, lam=1, k=2)
-    with pytest.raises(DomainError, match=r"^lambda\(v-1\) = k\(k-1\) violated$"):
-        ProductCase(**fields)
-    with pytest.raises(DomainError, match=r"^lambda\(v-1\) = k\(k-1\) violated$"):
-        case._replace(**fields)
 
 
 def test_enumeration_drops_what_admissibility_rejects(monkeypatch):

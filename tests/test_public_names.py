@@ -24,6 +24,7 @@ UNREFERENCED_ON_PURPOSE = {
     "implication_check": "the diagonal step of ROADMAP item 1 uses it",
     "diag_oddpart_test": "the tested per-group form of the diagonal scan predicate",
     "prime_powers_upto": "perfbench times it",
+    "lambda_from": "acceptance criterion 7 reads it",
 }
 
 
