@@ -46,7 +46,8 @@ class Family(Enum):
     __hash__ = object.__hash__
 
 
-_FAMILY_INDEX = {fam: i for i, fam in enumerate(Family)}
+_FAMILIES = tuple(Family)
+_FAMILY_INDEX = {fam: i for i, fam in enumerate(_FAMILIES)}
 
 # The display symbol of each family parameterized by q = p^f: a classical
 # group is written symbol, n, (q), as O+8(2), and an exceptional one symbol,
@@ -333,19 +334,14 @@ def order(g: SimpleGroupId) -> int:
 
 
 def _out_order(g: SimpleGroupId) -> int:
-    """|Out(T)| for an id already known to be valid."""
+    """|Out(T)| for an id already known to be valid; d*f*g for a Lie-type
+    id, with d the order of its centre."""
     fam, n = g.family, g.n
     if fam is Family.ALTERNATING:
         return 4 if n == 6 else 2
     if fam in (Family.SPORADIC, Family.TITS):
         return _SPORADIC_FACTS[g.name].out_order
-    return _lie_out_order(fam, n, g.p, g.f, _centre(_order_datum(fam, n), g.q))
-
-
-def _lie_out_order(fam: Family, n: int, p: int, f: int, d: int) -> int:
-    """|Out(T)| = d*f*g of the valid Lie-type id with these fields, given
-    the order d of its centre."""
-    return d * f * _graph_factor(fam, n, p)
+    return _centre(_order_datum(fam, n), g.q) * g.f * _graph_factor(fam, n, g.p)
 
 
 def out_order(g: SimpleGroupId) -> int:
@@ -446,10 +442,12 @@ def _out_cap(fam: Family, n: int) -> int:
     return max(_graph_factor(fam, n, p) for p in (2, 3)) * _max_centre(fam, n)
 
 
-def _walk_q(fam: Family, n: int, max_order: int, q_top: int):
-    """(raw id, GroupFacts) at one (family, n) for each in-domain q with
-    |T| <= max_order, q ascending.  |Out(T)| = d*f*g is read off the centre
-    order d that the walk computes anyway.
+def _walk_q(fam: Family, n: int, max_order: int, q_top: int, rows: list) -> None:
+    """Append the catalog row of each in-domain q at one (family, n) with
+    |T| <= max_order, q ascending, except the keys of _ALIASES.  |Out(T)| =
+    d*f*g is read off the centre order d that the walk computes anyway,
+    and the graph factor g, which depends on p only at p = 2 and p = 3, is
+    found once for the other p.
 
     The walk reads the row up to q_top, the largest q that the order floor
     c*|T| > q^e leaves open.  It stops sooner once the undivided order
@@ -458,53 +456,64 @@ def _walk_q(fam: Family, n: int, max_order: int, q_top: int):
     (|L2(8)| = 504 > |L2(9)| = 360) and cannot stop the walk."""
     datum = _order_datum(fam, n)
     limit = _max_centre(fam, n) * max_order
+    index = _FAMILY_INDEX[fam]
+    graph = _graph_factor(fam, n, 5)
     for q, p, f in _row(fam, n, q_top):
         num, d = _order_parts(datum, q)
         if num > limit:
             return
-        if num <= d * max_order:
-            yield SimpleGroupId(fam, n, p, f), GroupFacts(num // d, _lie_out_order(fam, n, p, f, d))
+        # A SimpleGroupId is a tuple, so the plain tuple of its fields finds
+        # its key in _ALIASES.
+        if num <= d * max_order and (fam, n, p, f, "") not in _ALIASES:
+            rows.append((num // d, index, n, p, f, "", d * f * (graph if p > 3 else _graph_factor(fam, n, p))))
 
 
-def _iter_family_raw(fam: Family, max_order: int):
-    """(raw id, GroupFacts) for every raw (non-canonical) id in the family
-    with |T| <= max_order.  A Lie-type family's row at n ends at q_top =
-    floor((c*max_order)^(1/e)) for its order floor c*|T| > q^e, since every
-    larger q has |T| > max_order; the family stops at the first n whose
-    row has no q up to q_top."""
-    if fam is Family.ALTERNATING:
-        # |A_n| = n!/2 increases with n.
-        for g in map(alternating, count(5)):
-            fct = facts(g)
-            if fct.order > max_order:
-                return
-            yield g, fct
-    elif fam not in _SYMBOL:
-        for name, fct in _SPORADIC_FACTS.items():
-            g = sporadic(name)
-            if g.family is fam and fct.order <= max_order:
-                yield g, fct
-    else:
-        for n in _rank_values(fam):
-            c, e = _order_floor(fam, n)
-            q_top = int_nth_root(c * max_order, e)
-            if next(_row(fam, n, q_top), None) is None:
-                return
-            yield from _walk_q(fam, n, max_order, q_top)
-
-
-def enumerate_catalog(max_order: int) -> list[tuple[SimpleGroupId, GroupFacts]]:
-    """Every finite simple group of order <= max_order, once per isomorphism
-    class, in nondecreasing order of |T| (ties broken by identifier).
+def catalog_rows(max_order: int) -> list[tuple]:
+    """The catalog as flat rows (|T|, family index, n, p, f, name,
+    |Out(T)|): every finite simple group of order <= max_order, once per
+    isomorphism class.  The fields from the family index to the name are
+    SimpleGroupId.sort_key(), so the rows sort without a key function in
+    nondecreasing order of |T|, ties broken by identifier; catalog_group
+    builds a row's id.
 
     The walks list each group under each id in its family domains, and only
     the keys of _ALIASES are second ids: each is dropped, since its value
     names the same group, with the same |T|, which its own family's walk
-    lists."""
+    lists.  A Lie-type family's row at n ends at q_top =
+    floor((c*max_order)^(1/e)) for its order floor c*|T| > q^e, since every
+    larger q has |T| > max_order; the family stops at the first n whose row
+    has no q up to q_top."""
     _require(max_order >= 1, "catalog bound must be positive")
-    entries = [item for fam in Family for item in _iter_family_raw(fam, max_order) if item[0] not in _ALIASES]
-    entries.sort(key=lambda item: (item[1].order,) + item[0].sort_key())
-    return entries
+    rows = []
+    # |A_n| = n!/2 increases with n.
+    for g in map(alternating, count(5)):
+        fct = facts(g)
+        if fct.order > max_order:
+            break
+        rows.append((fct.order, *g.sort_key(), fct.out_order))
+    for name, fct in _SPORADIC_FACTS.items():
+        if fct.order <= max_order:
+            rows.append((fct.order, *sporadic(name).sort_key(), fct.out_order))
+    for fam in _SYMBOL:
+        for n in _rank_values(fam):
+            c, e = _order_floor(fam, n)
+            q_top = int_nth_root(c * max_order, e)
+            if next(_row(fam, n, q_top), None) is None:
+                break
+            _walk_q(fam, n, max_order, q_top, rows)
+    rows.sort()
+    return rows
+
+
+def catalog_group(row: tuple) -> SimpleGroupId:
+    """The id of the group of a catalog row."""
+    return SimpleGroupId(_FAMILIES[row[1]], *row[2:6])
+
+
+def enumerate_catalog(max_order: int) -> list[tuple[SimpleGroupId, GroupFacts]]:
+    """Every finite simple group of order <= max_order, once per isomorphism
+    class, as (id, GroupFacts), in the order of catalog_rows."""
+    return [(catalog_group(row), GroupFacts(row[0], row[6])) for row in catalog_rows(max_order)]
 
 
 # -- the |T| < |Out(T)|^4 scan ----------------------------------------------

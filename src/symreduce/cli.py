@@ -410,11 +410,16 @@ def main(argv: list[str] | None = None) -> int:
 def main_entry() -> None:
     """Run `main` on the process's command line and exit with its code.
 
-    The process ends here, so no object needs collecting: freezing the
-    heap spares the interpreter's last full-heap collection at exit.
-    atexit handlers, the flush of stdout and stderr and file closing still
-    run.  `main` leaves the heap unfrozen for in-process callers.
+    The process ends here, so no object needs collecting.  The collector
+    is off while `main` runs: reference counting frees the tuples a catalog
+    walk makes, and a young-generation collection would only walk them.
+    Freezing the heap then spares the interpreter's last full-heap
+    collection at exit, which runs even with the collector off.  atexit
+    handlers, the flush of stdout and stderr and file closing still run.
+    `main` neither turns the collector off nor freezes the heap, so
+    in-process callers collect as before.
     """
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -129,7 +129,9 @@ def diagonal_scan(catalog_bound: int) -> DiagonalScanResult:
     survivors: (T, m) pairs passing the test (expected none), as
     DiagonalCase records; m >= 2 in each, since M_RANGE starts at 2.
     near_misses: groups with |T| < |Out|^4 that still fail the odd-part
-    form, reported so the almost-sharp case is visible.
+    form, reported so the almost-sharp case is visible.  The scan reads
+    |T| and |Out| off atlas.catalog_rows and builds the id of a group only
+    when it reports it.
 
     The m of a group with |T| >= _LARGEST_STEP are tested up to the first
     that fails, since every later one fails too.  Write the test at m as
@@ -142,22 +144,23 @@ def diagonal_scan(catalog_bound: int) -> DiagonalScanResult:
     """
     survivors: list[DiagonalCase] = []
     near_misses: list[atlas.SimpleGroupId] = []
-    entries = atlas.enumerate_catalog(catalog_bound)
+    rows = atlas.catalog_rows(catalog_bound)
     lo = M_RANGE[0]
-    for gid, (order_t, out) in entries:
+    for row in rows:
+        order_t, out = row[0], row[6]
         odd_out = odd_part(out) ** 4
         power = order_t ** (lo - 1)  # |T|^(m-1)
         for m, odd_factorial in _ODD_FACTORIALS:
             if power < odd_factorial * odd_out:
-                survivors.append(DiagonalCase(gid, m))
+                survivors.append(DiagonalCase(atlas.catalog_group(row), m))
             elif order_t >= _LARGEST_STEP:
                 break
             power *= order_t
         if odd_out <= order_t < out**4:
-            near_misses.append(gid)
+            near_misses.append(atlas.catalog_group(row))
     return DiagonalScanResult(
         survivors=tuple(survivors),
         near_misses=tuple(near_misses),
         catalog_bound=catalog_bound,
-        catalog_size=len(entries),
+        catalog_size=len(rows),
     )

@@ -8,6 +8,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress, islice
 from math import isqrt
+from operator import itemgetter
 
 from .errors import DomainError
 
@@ -78,14 +79,17 @@ def prime_power_triples_upto(limit: int) -> list[tuple[int, int, int]]:
     for i in range(2, isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    out = []
-    for p in compress(range(limit + 1), sieve):
-        q, f = p, 1
+    out = [(p, p, 1) for p in compress(range(limit + 1), sieve)]
+    # Only a prime p <= sqrt(limit) has a square up to limit.
+    for p in compress(range(isqrt(limit) + 1), sieve):
+        q, f = p * p, 2
         while q <= limit:
             out.append((q, p, f))
             q *= p
             f += 1
-    out.sort()
+    # Each q is a power of one prime, so no two rows share a q and q alone
+    # orders them.
+    out.sort(key=itemgetter(0))
     return out
 
 

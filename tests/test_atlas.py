@@ -357,6 +357,9 @@ def test_catalog_order_and_dedup():
     assert "U4(2)" in names and "S4(3)" not in names
     assert "M11" in names
     assert "2B2(8)" in names
+    # The only other tie below 10^12: |S6(3)| = |O7(3)| = 4,585,351,680.
+    names = [display_name(g) for g, _ in enumerate_catalog(10**10)]
+    assert names.index("S6(3)") + 1 == names.index("O7(3)")
 
 
 def test_catalog_includes_borderline():

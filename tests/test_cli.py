@@ -431,27 +431,33 @@ def test_reduce_output_file(capsys, tmp_path):
 
 @pytest.fixture
 def unfreeze():
+    # main_entry leaves the collector off and the heap frozen; later tests
+    # in this process need both undone.
     yield
     gc.unfreeze()
+    gc.enable()
 
 
 @pytest.mark.parametrize("code", [0, 1, 2])
 def test_main_entry_freezes_the_heap_after_main_returns(monkeypatch, unfreeze, code):
     calls = []
-    freeze = gc.freeze
+    disable, freeze = gc.disable, gc.freeze
     monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable") or disable())
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze") or freeze())
     with pytest.raises(SystemExit) as exited:
         cli.main_entry()
     assert exited.value.code == code
-    assert calls == ["main", "freeze"]
+    assert calls == ["disable", "main", "freeze"]
     assert gc.get_freeze_count() > 0
+    assert not gc.isenabled()
 
 
 def test_main_in_process_leaves_the_heap_unfrozen(capsys):
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert run(capsys, "check", "16", "6", "2")[0] == 0
     assert gc.get_freeze_count() == frozen
+    assert gc.isenabled() == enabled
 
 
 def test_atexit_handlers_run_on_a_frozen_heap():

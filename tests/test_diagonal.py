@@ -185,6 +185,7 @@ def test_scan_equals_its_per_group_definition(monkeypatch, row):
     for bound in (10**5, 10**7, 10**9):
         result = diagonal_scan(bound)
         assert (result.survivors, result.near_misses) == _scan_by_definition(bound), bound
+        assert result.catalog_size == len(atlas.enumerate_catalog(bound)), bound
 
 
 def test_scan_near_miss_takes_the_odd_part_of_out(monkeypatch):

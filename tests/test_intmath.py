@@ -53,12 +53,14 @@ def test_prime_powers_upto():
 
 
 def test_prime_power_triples_upto_carries_parts():
-    triples = prime_power_triples_upto(5000)
-    assert [q for q, _, _ in triples] == [q for q in range(5001) if prime_power_parts(q)]
+    # Past 7,368, the largest limit a cold catalog walk at 10^11 sieves to,
+    # so the higher powers merged among the primes are checked there too.
+    triples = prime_power_triples_upto(10**5)
+    assert [q for q, _, _ in triples] == [q for q in range(10**5 + 1) if prime_power_parts(q)]
     for q, p, f in triples:
         assert prime_power_parts(q) == (p, f)
     assert prime_power_triples_upto(1) == []
-    assert prime_powers_upto(5000) == [q for q, _, _ in triples]
+    assert prime_powers_upto(10**5) == [q for q, _, _ in triples]
 
 
 def test_bounded_prime_power_streams_grow_the_table_straight_to_q_max(monkeypatch):
