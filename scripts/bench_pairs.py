@@ -15,9 +15,10 @@ Before each run the side's bytecode caches under src/ are deleted, so both
 sides start alike.
 
 For each end-to-end metric of BENCHMARK.json it prints each side's median
-[first quartile, third quartile], the pairs the checkout won (ties count
-for neither), and whether a gain could be claimed: at least nine tenths of
-the pairs won and a median gap larger than the parent's interquartile range.
+[first quartile, third quartile], the median paired difference (checkout
+minus parent, over the pairs), the pairs the checkout won (ties count for
+neither), and whether a gain could be claimed: at least nine tenths of the
+pairs won and a median gap larger than the parent's interquartile range.
 Exits 1 when a run fails or reports an incorrect output.
 """
 
@@ -40,7 +41,9 @@ WIN_SHARE = 0.9
 
 def compare(parent: list, change: list, better: str) -> dict:
     """Paired statistics of one metric: parent[i] and change[i] come from
-    pair i, and better is "lower" or "higher"."""
+    pair i, and better is "lower" or "higher".  "diff" is the median of
+    change[i] - parent[i], which resolves an effect smaller than either
+    side's spread when the pairs share their drift."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two or more pairs, as many parent runs as change runs")
     sign = 1 if better == "lower" else -1
@@ -51,6 +54,7 @@ def compare(parent: list, change: list, better: str) -> dict:
     return {
         "parent": (median(parent), p_q1, p_q3),
         "change": (median(change), c_q1, c_q3),
+        "diff": median(c - p for p, c in zip(parent, change)),
         "wins": wins,
         "pairs": len(parent),
         "gain": wins >= WIN_SHARE * len(parent) and gap > p_q3 - p_q1,
@@ -121,7 +125,7 @@ def main(argv: list | None = None) -> int:
         (p_med, p_q1, p_q3), (c_med, c_q1, c_q3) = stats["parent"], stats["change"]
         print(
             f"{name}: parent {p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}] -> change {c_med:.4g} "
-            f"[{c_q1:.4g}, {c_q3:.4g}] ({(c_med - p_med) / p_med:+.1%}), "
+            f"[{c_q1:.4g}, {c_q3:.4g}] ({(c_med - p_med) / p_med:+.1%}), paired difference {stats['diff']:+.4g}, "
             f"change wins {stats['wins']}/{stats['pairs']}, gain holds: {'yes' if stats['gain'] else 'no'}"
         )
     return 1 if failed else 0

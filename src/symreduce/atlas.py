@@ -359,7 +359,7 @@ def facts(g: SimpleGroupId) -> GroupFacts:
 # -- display / parse --------------------------------------------------------
 
 
-def _lie_name(fam: Family, n: int, q: int) -> str:
+def _lie_name(fam: Family, n: int, q: int | str) -> str:
     # An exceptional id is valid only with n = 0.  Any other n is written, so
     # an invalid id is never shown under the name of a valid group.
     return f"{_SYMBOL[fam]}{n if n or fam in _CLASSICAL_FAMILIES else ''}({q})"
@@ -442,12 +442,13 @@ def _out_cap(fam: Family, n: int) -> int:
     return max(_graph_factor(fam, n, p) for p in (2, 3)) * _max_centre(fam, n)
 
 
-def _walk_q(fam: Family, n: int, max_order: int, q_top: int, rows: list) -> None:
+def _walk_q(fam: Family, n: int, max_order: int, q_top: int, rows: list) -> bool:
     """Append the catalog row of each in-domain q at one (family, n) with
-    |T| <= max_order, q ascending, except the keys of _ALIASES.  |Out(T)| =
-    d*f*g is read off the centre order d that the walk computes anyway,
-    and the graph factor g, which depends on p only at p = 2 and p = 3, is
-    found once for the other p.
+    |T| <= max_order, q ascending, except the keys of _ALIASES, and return
+    whether the row has any q up to q_top.  |Out(T)| = d*f*g is read off
+    the centre order d that the walk computes anyway, and the graph factor
+    g, which depends on p only at p = 2 and p = 3, is found once for the
+    other p.
 
     The walk reads the row up to q_top, the largest q that the order floor
     c*|T| > q^e leaves open.  It stops sooner once the undivided order
@@ -458,14 +459,16 @@ def _walk_q(fam: Family, n: int, max_order: int, q_top: int, rows: list) -> None
     limit = _max_centre(fam, n) * max_order
     index = _FAMILY_INDEX[fam]
     graph = _graph_factor(fam, n, 5)
+    q = 0
     for q, p, f in _row(fam, n, q_top):
         num, d = _order_parts(datum, q)
         if num > limit:
-            return
+            break
         # A SimpleGroupId is a tuple, so the plain tuple of its fields finds
         # its key in _ALIASES.
         if num <= d * max_order and (fam, n, p, f, "") not in _ALIASES:
             rows.append((num // d, index, n, p, f, "", d * f * (graph if p > 3 else _graph_factor(fam, n, p))))
+    return q > 0
 
 
 def catalog_rows(max_order: int) -> list[tuple]:
@@ -497,10 +500,8 @@ def catalog_rows(max_order: int) -> list[tuple]:
     for fam in _SYMBOL:
         for n in _rank_values(fam):
             c, e = _order_floor(fam, n)
-            q_top = int_nth_root(c * max_order, e)
-            if next(_row(fam, n, q_top), None) is None:
+            if not _walk_q(fam, n, max_order, int_nth_root(c * max_order, e), rows):
                 break
-            _walk_q(fam, n, max_order, q_top, rows)
     rows.sort()
     return rows
 
@@ -528,7 +529,7 @@ class RegionRow(namedtuple("RegionRow", "family n q")):
 
     @property
     def label(self) -> str:
-        return f"{_SYMBOL[self.family]}{self.n or ''}(q <= {self.q})"
+        return _lie_name(self.family, self.n, f"q <= {self.q}")
 
 
 class Out4ScanResult(namedtuple("Out4ScanResult", "candidates region n_max q_max")):
@@ -637,10 +638,10 @@ def out4_scan(n_max: int, q_max: int) -> Out4ScanResult:
     candidates: dict[SimpleGroupId, int] = {}
 
     def _examine(g: SimpleGroupId) -> None:
-        # out_order validates g for _order.
-        if out_order(g) ** 4 > _order(g):
-            canonical = _ALIASES.get(g, g)
-            candidates[canonical] = _order(canonical)
+        # out_order validates g for _order.  An alias names the same group,
+        # so its |T| is the canonical id's.
+        if out_order(g) ** 4 > (size := _order(g)):
+            candidates[_ALIASES.get(g, g)] = size
 
     _examine(alternating(5))
     for name in _SPORADIC_FACTS:

@@ -94,18 +94,17 @@ def prime_power_triples_upto(limit: int) -> list[tuple[int, int, int]]:
 
 
 class _PrimePowerTable:
-    """(q, p, f) for every prime power q <= limit, ascending in q.  It only
-    grows, so rows once read never change, and each growth at least doubles
-    the limit, from 64 up."""
+    """(q, p, f) for every prime power q <= limit, ascending in q."""
 
     def __init__(self) -> None:
         self.rows: list[tuple[int, int, int]] = []
         self.limit = 0
 
     def grow(self, limit: int) -> None:
-        """Sieve once, up to limit or twice the old limit, whichever is larger."""
-        self.limit = max(64, 2 * self.limit, limit)
-        self.rows += prime_power_triples_upto(self.limit)[len(self.rows) :]
+        """Sieve once, up to limit.  A stream already reading the old rows
+        keeps them."""
+        self.rows = prime_power_triples_upto(limit)
+        self.limit = limit
 
 
 # The one table per process behind every prime_power_triples stream.
@@ -115,11 +114,8 @@ _TABLE = _PrimePowerTable()
 def prime_power_triples(q_max: int):
     """(q, p, f) for every prime power q <= q_max, ascending in q.  Every
     stream reads the one shared table.  A stream with a q_max past the
-    table's limit grows it at once to q_max, or to twice the limit if that
-    is larger.  Each growth at least doubles the limit and stays within
-    max(64, 2q) for the q that asked for it, so a process whose streams
-    reach q sieves fewer than 4*max(q, 64) entries in all, however many
-    streams it reads."""
+    table's limit sieves it again, to exactly q_max.  Each command asks for
+    its largest q first, so it sieves once."""
     table = _TABLE
     if q_max > table.limit:
         table.grow(q_max)

@@ -623,6 +623,29 @@ def test_out4_scan_skips_region_rows_beyond_n_max(monkeypatch):
     assert not scan.ok
 
 
+def test_region_row_label_is_the_lie_name_of_its_bound():
+    # A classical row writes its n and an exceptional row, at n = 0, none.
+    rows = [(Family.LINEAR, 2, 61), (Family.ORTHOGONAL_PLUS, 8, 2), (Family.G2, 0, 7), (Family.SUZUKI, 0, 8)]
+    assert [atlas.RegionRow(*row).label for row in rows] == [
+        "L2(q <= 61)", "O+8(q <= 2)", "G2(q <= 7)", "2B2(q <= 8)"
+    ]
+
+
+@pytest.mark.parametrize("box", [atlas.certified_box(), (12, 1024), (16, 2048), (24, 4096)])
+def test_out4_scan_calls_out_order_once_per_examined_point(monkeypatch, box):
+    # perfbench counts the grid points of a scan as its calls to out_order:
+    # A5, the 26 sporadic groups, the Tits group and the 2 region points
+    # that pass the floor check, in every box that covers the region.
+    calls = []
+    real = atlas.out_order
+    monkeypatch.setattr(atlas, "out_order", lambda g: calls.append(g) or real(g))
+    scan = out4_scan(*box)
+    assert len(calls) == 30
+    assert calls[0] == atlas.alternating(5)
+    assert {g.family for g in calls[1:28]} == {Family.SPORADIC, Family.TITS}
+    assert [display_name(g) for g in scan.candidates] == ["L3(4)"]
+
+
 def test_certified_region_shape():
     # The rows where the floor and cap leave |T| < |Out(T)|^4 open, with the
     # largest q each needs: the same rows as the brute-force region.

@@ -41,6 +41,15 @@ def test_compare_needs_a_gap_beyond_the_parents_iqr():
     assert stats["wins"] == 10 and stats["gain"] is False
 
 
+def test_compare_reports_the_median_paired_difference():
+    # Each pair moves by its own amount; the median of change - parent is
+    # the middle move, whatever the medians of the two sides.
+    change = [p + d for p, d in zip(PARENT, [-0.003, 0.001, 0.002, -0.001, 0.0005, 0.004, -0.002, 0.001, 0.003, 0.0])]
+    assert compare(PARENT, change, "lower")["diff"] == pytest.approx(0.00075)
+    assert compare(PARENT, change, "higher")["diff"] == pytest.approx(0.00075)
+    assert compare(PARENT, [p - 0.02 for p in PARENT], "lower")["diff"] == pytest.approx(-0.02)
+
+
 def test_compare_respects_the_direction():
     higher = [p + 0.02 for p in PARENT]
     assert compare(PARENT, higher, "higher")["gain"] is True

@@ -838,6 +838,8 @@ _OUTPUT_PINS = [
     ("check 16 6 2", "8f282521ebd3e089", 0, ""),
     ("check 7 7 7", "4dd7a3feabcd86fd", 2, ""),
     ("check --help", "6cc24fb88b02bac5", 0, ""),
+    ("atlas catalog", "56b0026fd9f72883", 0, ""),
+    ("atlas catalog --catalog-bound 1000000000000", "2ac63e6e0494fe89", 0, ""),
     ("diagonal scan --catalog-bound 100000000000", "0ea0936080e13c79", 0, ""),
     ("product enumerate", "b7c5ba20c87a2f74", 2, ""),
     ("product enumerate --v0-min 5", "962ba245855aa62f", 2, ""),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symreduce import intmath
+from symreduce import atlas, cli, intmath
 from symreduce.errors import DomainError
 from symreduce.intmath import (
     divisors,
@@ -64,15 +64,43 @@ def test_prime_power_triples_upto_carries_parts():
 
 
 def test_bounded_prime_power_streams_grow_the_table_straight_to_q_max(monkeypatch):
-    # A stream with a q_max sieves once, to q_max, or to twice the old limit
-    # when that is larger, and reads the rows of the sieve to q_max.
+    # A stream with a q_max past the table's limit sieves once, to exactly
+    # q_max, and reads the rows of the sieve to q_max.
     monkeypatch.setattr(intmath, "_TABLE", intmath._PrimePowerTable())
     table = intmath._TABLE
-    for q_max, limit in [(7368, 7368), (100, 7368), (7369, 14736), (1, 14736)]:
+    for q_max, limit in [(7368, 7368), (100, 7368), (7369, 7369), (1, 7369)]:
         assert list(prime_power_triples(q_max)) == prime_power_triples_upto(q_max)
         assert table.limit == limit
-    assert table.rows == prime_power_triples_upto(14736)
+    assert table.rows == prime_power_triples_upto(7369)
     assert list(prime_power_triples(64))[-1] == (64, 2, 6)
+    # A stream opened before a growth still reads its own rows.
+    stream = prime_power_triples(8000)
+    next(stream)
+    prime_power_triples(9000)
+    assert [(2, 2, 1), *stream] == prime_power_triples_upto(8000)
+
+
+# The largest q of each command, which it asks of the table first.
+_FIRST_Q = {
+    "reduce": 341,
+    "atlas scan": 63,
+    "atlas catalog --catalog-bound 1000000000000": 15874,
+    "diagonal scan --catalog-bound 100000000000": 7368,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FIRST_Q))
+def test_each_command_sieves_once_to_the_first_q_it_asks(monkeypatch, capsys, command):
+    # A fresh table and a certified region not yet computed, as in a new
+    # process; the table grows to exactly the q asked, so a command that
+    # asked a smaller q first would sieve twice.
+    monkeypatch.setattr(intmath, "_TABLE", intmath._PrimePowerTable())
+    atlas._certified_region.cache_clear()
+    sieve, limits = intmath.prime_power_triples_upto, []
+    monkeypatch.setattr(intmath, "prime_power_triples_upto", lambda limit: limits.append(limit) or sieve(limit))
+    cli.main(command.split())
+    capsys.readouterr()
+    assert limits == [_FIRST_Q[command]]
 
 
 def test_divisors():
