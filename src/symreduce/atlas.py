@@ -488,12 +488,12 @@ def catalog_rows(max_order: int) -> list[tuple]:
     has no q up to q_top."""
     _require(max_order >= 1, "catalog bound must be positive")
     rows = []
-    # |A_n| = n!/2 increases with n.
+    # |A_n| = n!/2 increases with n; alternating builds a valid id.
     for g in map(alternating, count(5)):
-        fct = facts(g)
-        if fct.order > max_order:
+        size = _order(g)
+        if size > max_order:
             break
-        rows.append((fct.order, *g.sort_key(), fct.out_order))
+        rows.append((size, *g.sort_key(), _out_order(g)))
     for name, fct in _SPORADIC_FACTS.items():
         if fct.order <= max_order:
             rows.append((fct.order, *sporadic(name).sort_key(), fct.out_order))
@@ -620,10 +620,11 @@ def certified_box() -> tuple[int, int]:
 REFERENCE_OUT4_CANDIDATES = ("L3(4)",)
 
 
-def out4_scan(n_max: int, q_max: int) -> Out4ScanResult:
+def out4_scan(n_max: int | None = None, q_max: int | None = None) -> Out4ScanResult:
     """Find the groups with |T| < |Out(T)|^4 among A5, ..., A_{n_max}, the
     sporadic groups and the Lie-type groups with n <= n_max, q <= q_max.
-    Candidate ids are canonicalized before reporting.
+    A side not given is certified_box()'s.  Candidate ids are canonicalized
+    before reporting.
 
     No alternating group but A5 can be a candidate: |Out(A_n)| <= 4, and
     |A_n| >= 360 > 4^4 for n >= 6, so A5 is the only one examined.  Only
@@ -633,6 +634,9 @@ def out4_scan(n_max: int, q_max: int) -> Out4ScanResult:
     exact order; out_order is called once per point whose order is
     computed.  So when the box covers the region (ok), the candidates are
     every simple group with |T| < |Out(T)|^4."""
+    n_box, q_box = certified_box()
+    n_max = n_box if n_max is None else n_max
+    q_max = q_box if q_max is None else q_max
     _require(n_max >= 5, f"n_max must be >= 5, got {n_max}")
     _require(q_max >= 2, f"q_max must be >= 2, got {q_max}")
     candidates: dict[SimpleGroupId, int] = {}

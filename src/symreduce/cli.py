@@ -119,11 +119,7 @@ def _cmd_atlas_out(args) -> int:
 def _cmd_atlas_scan(args) -> int:
     from . import atlas
 
-    n_max, q_max = atlas.certified_box()
-    result = atlas.out4_scan(
-        n_max if args.out4_nmax is None else args.out4_nmax,
-        q_max if args.out4_qmax is None else args.out4_qmax,
-    )
+    result = atlas.out4_scan(args.out4_nmax, args.out4_qmax)
     payload = result.as_payload()
     payload["expected"] = list(atlas.REFERENCE_OUT4_CANDIDATES)
     payload["failing_checks"] = [row.label for row in result.failing_checks()]
@@ -164,19 +160,10 @@ def _cmd_diagonal_scan(args) -> int:
 def _cmd_product_enumerate(args) -> int:
     from . import product
 
-    triples = product.enumerate_product_cases(args.v0_min)
-    reference = product.reference_triples(args.v0_min)
-    matches = product.triples_match_reference(triples, args.v0_min)
-    _print_json(
-        {
-            "v0_min": args.v0_min,
-            "m_values": list(product.M_VALUES),
-            "triples": [t.as_payload() for t in triples],
-            "reference": [list(t) for t in reference],
-            "matches_reference": matches,
-        }
-    )
-    return EXIT_AGREES if matches else EXIT_DISAGREES
+    payload = product.enumeration_payload(product.enumerate_product_cases(args.v0_min), args.v0_min)
+    payload["reference"] = [list(t) for t in product.reference_triples(args.v0_min)]
+    _print_json(payload)
+    return EXIT_AGREES if payload["matches_reference"] else EXIT_DISAGREES
 
 
 def _cmd_product_m4(args) -> int:

@@ -46,14 +46,14 @@ def _last_admissible_m() -> int:
 M_RANGE = (2, _last_admissible_m())
 
 
-# (m, odd_part(m!)^4) for each m of M_RANGE.  odd_part is multiplicative,
-# so the odd-part test's right side odd_part(m!^4 * |Out|^4) is
-# odd_part(m!)^4 * odd_part(|Out|)^4.
-_ODD_FACTORIALS = tuple((m, odd_part(factorial(m)) ** 4) for m in range(M_RANGE[0], M_RANGE[1] + 1))
+# {m: odd_part(m!)^4} for each m of M_RANGE, m ascending.  odd_part is
+# multiplicative, so the odd-part test's right side odd_part(m!^4 * |Out|^4)
+# is odd_part(m!)^4 * odd_part(|Out|)^4.
+_ODD_FACTORIALS = {m: odd_part(factorial(m)) ** 4 for m in range(M_RANGE[0], M_RANGE[1] + 1)}
 
 # The largest factor odd_part(m + 1)^4 by which odd_part(m!)^4 grows from
 # one m of M_RANGE to the next: 625, from m = 4 to 5.
-_LARGEST_STEP = max(b // a for (_, a), (_, b) in zip(_ODD_FACTORIALS, _ODD_FACTORIALS[1:]))
+_LARGEST_STEP = max(_ODD_FACTORIALS[m + 1] // _ODD_FACTORIALS[m] for m in range(M_RANGE[0], M_RANGE[1]))
 
 
 def _require_m(m: int, what: str) -> None:
@@ -91,7 +91,7 @@ def implication_check(g: atlas.SimpleGroupId, m: int) -> ImplicationCheck:
     implication is settled by evaluating the premise directly."""
     _require_m(m, "implication check")
     fct = atlas.facts(g)
-    constant = odd_part(factorial(m)) ** 4
+    constant = _ODD_FACTORIALS[m]
     # constant < |T|^(m-2) lets the m! factor be absorbed into |T| powers.
     constant_step_ok = constant < fct.order ** (m - 2) if m > 2 else constant == 1
     premise = _oddpart_holds(fct, m)
@@ -150,7 +150,7 @@ def diagonal_scan(catalog_bound: int) -> DiagonalScanResult:
         order_t, out = row[0], row[6]
         odd_out = odd_part(out) ** 4
         power = order_t ** (lo - 1)  # |T|^(m-1)
-        for m, odd_factorial in _ODD_FACTORIALS:
+        for m, odd_factorial in _ODD_FACTORIALS.items():
             if power < odd_factorial * odd_out:
                 survivors.append(DiagonalCase(atlas.catalog_group(row), m))
             elif order_t >= _LARGEST_STEP:

@@ -198,6 +198,18 @@ def triples_match_reference(triples: Sequence[ProductTriple], v0_min: int) -> bo
     return tuple(t.triple for t in triples) == reference_triples(v0_min)
 
 
+def enumeration_payload(triples: Sequence[ProductTriple], v0_min: int) -> dict:
+    """The payload of an enumeration at v0_min that `product enumerate` and
+    the report's product section share; each adds the reference triples
+    under its own key."""
+    return {
+        "v0_min": v0_min,
+        "m_values": list(M_VALUES),
+        "triples": [t.as_payload() for t in triples],
+        "matches_reference": triples_match_reference(triples, v0_min),
+    }
+
+
 # The divisors of the point stabilizer each m = 4 case leaves in its
 # k-interval, all of which the lambda integrality test must reject.
 REFERENCE_M4_CANDIDATES = {5: (243, 256), 6: (400, 405, 432)}

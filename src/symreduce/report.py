@@ -98,7 +98,7 @@ def run_reduce(v0_min: int = design.DEFAULT_V0_MIN) -> ReductionReport:
     return ReductionReport(
         v0_min=v0_min,
         diagonal_result=diagonal.diagonal_scan(atlas.DEFAULT_CATALOG_BOUND),
-        out4_result=atlas.out4_scan(*atlas.certified_box()),
+        out4_result=atlas.out4_scan(),
         product_triples=tuple(product.enumerate_product_cases(v0_min)),
         m4_reports=tuple(product.m4_case(v0) for v0 in product.M4_V0),
         imprimitive_families=tuple(map(imprimitive.imprimitive_family, IMPRIMITIVE_SAMPLES)),
@@ -114,7 +114,6 @@ def report_payload(report: ReductionReport) -> dict:
     and lists, so byte-identical serialization is just sorted keys."""
     diag = report.diagonal_result
     out4 = report.out4_result
-    reference = product.reference_triples(report.v0_min)
     evidence = {
         "simple_diagonal": {
             **diag.as_payload(),
@@ -127,11 +126,8 @@ def report_payload(report: ReductionReport) -> dict:
             },
         },
         "product": {
-            "v0_min": report.v0_min,
-            "m_values": list(product.M_VALUES),
-            "triples": [t.as_payload() for t in report.product_triples],
-            "reference_triples": [list(t) for t in reference],
-            "matches_reference": report.product_matches_reference,
+            **product.enumeration_payload(report.product_triples, report.v0_min),
+            "reference_triples": [list(t) for t in product.reference_triples(report.v0_min)],
             "m4_cases": [rep.as_payload() for rep in report.m4_reports],
             "surviving_triples_note": (
                 "surviving triples are dismissed by external citation, not "

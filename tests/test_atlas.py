@@ -1,12 +1,8 @@
 import hashlib
 import math
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import takewhile
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -776,29 +772,6 @@ def test_catalog_size_at_1e12():
     assert len(enumerate_catalog(10**12)) == 1650
 
 
-# The shared prime-power table is sieved once, straight to the q_top of the
-# L2 row, the largest any walk needs: 7,368 for the catalog at 10^11, and
-# 341 at the 10^7 catalog of run_reduce, however many (family, n) walks
-# read it.
-_SIEVE_CALLS = {"atlas.enumerate_catalog(10**11)": 1, "report.run_reduce(2)": 1}
-
-
-@pytest.mark.parametrize("call", sorted(_SIEVE_CALLS))
-def test_walks_share_one_prime_power_table(call):
-    # A fresh interpreter starts with an empty table.
-    probe = (
-        "import symreduce.intmath as intmath\n"
-        "sieve, limits = intmath.prime_power_triples_upto, []\n"
-        "intmath.prime_power_triples_upto = lambda limit: limits.append(limit) or sieve(limit)\n"
-        "from symreduce import atlas, report\n"
-        f"{call}\n"
-        "print(len(limits))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(atlas.__file__).resolve().parent.parent)}
-    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert int(child.stdout) <= _SIEVE_CALLS[call]
-
-
 OUT4_ORACLE_BOXES = [
     (5, 2), (5, 3), (6, 3), (7, 9), (9, 8), (11, 2), (5, 60), (5, 61), (5, 250), (5, 251), (12, 1024)
 ]
@@ -825,6 +798,14 @@ def test_certified_box_is_the_smallest_covering_box():
     assert not oracles.box_covers(ORACLE_REGION, n_max, q_max - 1)
     assert out4_scan(n_max, q_max).ok
     assert not out4_scan(n_max, q_max - 1).ok
+
+
+def test_out4_scan_fills_a_missing_side_from_the_certified_box():
+    assert out4_scan() == out4_scan(*atlas.certified_box())
+    short = out4_scan(q_max=31)
+    assert (short.n_max, short.q_max) == (5, 31)
+    assert [row.label for row in short.failing_checks()] == ["L2(q <= 61)"]
+    assert out4_scan(n_max=12) == out4_scan(12, 61)
 
 
 def _region_sweep_points():

@@ -588,9 +588,13 @@ def test_outputs_match_report_sections(capsys):
     assert m4 == evidence["product"]["m4_cases"][0]
     family = json.loads(run(capsys, "imprimitive", "family", "3")[1])
     assert family == evidence["point_imprimitive"]["samples"][1]
-    enum = json.loads(run(capsys, "product", "enumerate")[1])
-    assert enum["triples"] == evidence["product"]["triples"]
-    assert enum["m_values"] == evidence["product"]["m_values"]
+    for v0_min in (2, 5):
+        enum = json.loads(run(capsys, "product", "enumerate", "--v0-min", str(v0_min))[1])
+        section = report_payload(run_reduce(v0_min))["evidence"]["product"]
+        shared = enum.keys() & section.keys()
+        assert shared == {"v0_min", "m_values", "triples", "matches_reference"}
+        assert {key: enum[key] for key in shared} == {key: section[key] for key in shared}
+        assert enum["reference"] == section["reference_triples"]
 
 
 def test_reduce_defaults_are_reduce_config(capsys):

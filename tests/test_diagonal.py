@@ -140,6 +140,13 @@ def test_scan_keeps_survivors_of_a_custom_sporadic_row(monkeypatch):
         assert tuple(m for m in range(2, 7) if diag_oddpart_test(sporadic(name), m)) == ms
 
 
+def test_odd_factorials_are_the_constants_of_the_implication_step():
+    # odd_part(m!)^4 for m = 2..6, the constants the step from the odd-part
+    # test down to |T| < odd_part(|Out|^4) compares with |T|^(m-2).
+    assert diagonal._ODD_FACTORIALS == {2: 1, 3: 81, 4: 81, 5: 15**4, 6: 45**4}
+    assert list(diagonal._ODD_FACTORIALS) == list(range(M_RANGE[0], M_RANGE[1] + 1))
+
+
 def test_largest_step_of_the_odd_factorials():
     # odd_part(m!)^4 grows from m to m + 1 by odd_part(m + 1)^4: 81, 1,
     # 625 and 81 across M_RANGE = (2, 6).

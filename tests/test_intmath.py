@@ -84,6 +84,7 @@ def test_bounded_prime_power_streams_grow_the_table_straight_to_q_max(monkeypatc
 _FIRST_Q = {
     "reduce": 341,
     "atlas scan": 63,
+    "atlas catalog --catalog-bound 100000000000": 7368,
     "atlas catalog --catalog-bound 1000000000000": 15874,
     "diagonal scan --catalog-bound 100000000000": 7368,
 }
