@@ -1,13 +1,35 @@
 """Elimination of the simple-diagonal socle type.
 
-For a diagonal action on |T|^(m-1) points the block size is pinned between
-a divisibility gate and an odd-part inequality chain; under lambda > 100
-the chain forces |T| < odd_part(|Out(T)|^4), which no simple group
-satisfies.  This module mechanizes the bound on m, the odd-part chain and
-the catalog-wide scan.
+In this type G <= W = T^m.(Out(T) x S_m) (O'Nan-Scott; Liebeck, Praeger &
+Saxl, J. Austral. Math. Soc. 1988), acting on the v = |T|^(m-1) cosets of
+the diagonal subgroup, with |W_alpha| = |T|*|Out(T)|*m!.  The odd-part test
+|T|^(m-1) < odd_part(m!^4 * |Out(T)|^4) holds for every such design, at
+every lambda:
+
+- gcd(v - 1, |T|) = 1, so the flag lemma (design.flag_parameters) gives
+  k | lambda*d with d = gcd(v - 1, |Out(T)|*m!).  |T| is even
+  (Feit-Thompson), so v - 1 is odd, and d divides odd_part(|Out(T)|*m!).
+- The focus condition lambda(lambda - 2) < k <= lambda*d gives
+  lambda <= d + 1, and k^2 > lambda*v gives v < lambda*d^2 <= (d + 1)d^2.
+- d = 1 would give v < 2.  For odd d >= 3, (d + 1)d^2 < d^4, so
+  v < d^4 <= odd_part(|Out(T)|*m!)^4 = odd_part(m!^4 * |Out(T)|^4).
+
+For m >= 3 the m(|T| - 1) points that differ from alpha in one coordinate
+form a G_alpha-invariant set, so k | lambda*m(|T| - 1) too.  The same steps
+with d' = gcd(d, m(|T| - 1)) <= m(|T| - 1) give
+|T|^(m-1) < (d' + 1)d'^2 < (m|T|)^3, the m bound |T|^(m-4) < m^3, which
+leaves m <= 5 (M_RANGE).
+
+Where odd_part(m!)^4 <= |T|^(m-2), the odd-part test gives
+|T| < odd_part(|Out(T)|)^4 <= |Out(T)|^4, so T is a candidate of the
+|T| < |Out(T)|^4 scan.  At every m of M_RANGE that holds from
+CONSTANT_STEP_FLOOR on, and only A5 lies below it.  This module mechanizes
+the m bound, the odd-part test and the catalog-wide scan;
+report.simple_diagonal_verdict puts them together with the out4 scan.
 """
 
 from collections import namedtuple
+from itertools import count
 from math import factorial
 
 from . import atlas
@@ -18,32 +40,26 @@ from .intmath import odd_part
 DiagonalCase = namedtuple("DiagonalCase", "group m")
 
 
-def diag_m_admissible(order_t: int, m: int) -> bool:
-    """|T|^(m-5) < m^4.  For m <= 5 the left side is a non-positive power,
-    so the inequality is automatic."""
-    if order_t < atlas.MIN_SIMPLE_ORDER or m < 3:
-        raise DomainError(
-            f"need order >= {atlas.MIN_SIMPLE_ORDER} and m >= 3, got {order_t}, {m}"
-        )
-    if m <= 5:
-        return True
-    return order_t ** (m - 5) < m**4
+def _m_bound_holds(order_t: int, m: int) -> bool:
+    """|T|^(m-4) < m^3, the m bound of the module docstring.  For m <= 4
+    the left side is a non-positive power of |T|, so it holds."""
+    return m <= 4 or order_t ** (m - 4) < m**3
 
 
-def _last_admissible_m() -> int:
-    """The last m at which diag_m_admissible holds at the smallest simple
-    order.  It bounds m for every T, since |T|^(m-5) grows with |T|, and the
-    first failure is final: from there each step multiplies the left side by
-    |T| and the right side by (1 + 1/m)^4 < 2."""
+def _last_m() -> int:
+    """The last m at which _m_bound_holds holds at the smallest simple
+    order.  It bounds m for every T, since |T|^(m-4) grows with |T|, and the
+    first failure, at some m >= 5, is final: from there each step multiplies
+    the left side by |T| >= 60 and the right side by (1 + 1/m)^3 < 2."""
     m = 3
-    while diag_m_admissible(atlas.MIN_SIMPLE_ORDER, m + 1):
+    while _m_bound_holds(atlas.MIN_SIMPLE_ORDER, m + 1):
         m += 1
     return m
 
 
 # The multiplicities m of the diagonal action the odd-part chain covers,
 # as an inclusive range.
-M_RANGE = (2, _last_admissible_m())
+M_RANGE = (2, _last_m())
 
 
 # {m: odd_part(m!)^4} for each m of M_RANGE, m ascending.  odd_part is
@@ -55,55 +71,19 @@ _ODD_FACTORIALS = {m: odd_part(factorial(m)) ** 4 for m in range(M_RANGE[0], M_R
 # one m of M_RANGE to the next: 625, from m = 4 to 5.
 _LARGEST_STEP = max(_ODD_FACTORIALS[m + 1] // _ODD_FACTORIALS[m] for m in range(M_RANGE[0], M_RANGE[1]))
 
-
-def _require_m(m: int, what: str) -> None:
-    lo, hi = M_RANGE
-    if not lo <= m <= hi:
-        raise DomainError(f"{what} defined for {lo} <= m <= {hi}, got m={m}")
+# The least order from which odd_part(m!)^4 <= |T|^(m-2) at every m of
+# M_RANGE, so that the odd-part test gives |T| < odd_part(|Out(T)|)^4: 81,
+# set by m = 3.
+CONSTANT_STEP_FLOOR = max(next(t for t in count(1) if c <= t ** (m - 2)) for m, c in _ODD_FACTORIALS.items())
 
 
 def diag_oddpart_test(g: atlas.SimpleGroupId, m: int) -> bool:
     """|T|^(m-1) < odd_part(m!^4 * |Out(T)|^4)."""
-    _require_m(m, "odd-part test")
-    return _oddpart_holds(atlas.facts(g), m)
-
-
-def _oddpart_holds(fct: atlas.GroupFacts, m: int) -> bool:
-    return fct.order ** (m - 1) < odd_part(factorial(m) ** 4 * fct.out_order**4)
-
-
-class ImplicationCheck(
-    namedtuple("ImplicationCheck", "group m premise conclusion constant_step_ok handled_by")
-):
-    """How the step from |T|^(m-1) < odd_part(m!^4 |Out|^4) down to
-    |T| < odd_part(|Out|^4) was discharged for one (group, m)."""
-
-    __slots__ = ()  # handled_by: "constant-step" or "direct-check"
-
-    @property
-    def valid(self) -> bool:
-        return (not self.premise) or self.conclusion
-
-
-def implication_check(g: atlas.SimpleGroupId, m: int) -> ImplicationCheck:
-    """The generic route compares the constant odd_part(m!)^4 against
-    |T|^(m-2); when that fails (only A5 at m=3, where 81 > 60) the
-    implication is settled by evaluating the premise directly."""
-    _require_m(m, "implication check")
+    lo, hi = M_RANGE
+    if not lo <= m <= hi:
+        raise DomainError(f"odd-part test defined for {lo} <= m <= {hi}, got m={m}")
     fct = atlas.facts(g)
-    constant = _ODD_FACTORIALS[m]
-    # constant < |T|^(m-2) lets the m! factor be absorbed into |T| powers.
-    constant_step_ok = constant < fct.order ** (m - 2) if m > 2 else constant == 1
-    premise = _oddpart_holds(fct, m)
-    conclusion = fct.order < odd_part(fct.out_order**4)
-    return ImplicationCheck(
-        group=g,
-        m=m,
-        premise=premise,
-        conclusion=conclusion,
-        constant_step_ok=constant_step_ok,
-        handled_by="constant-step" if constant_step_ok else "direct-check",
-    )
+    return fct.order ** (m - 1) < odd_part(factorial(m) ** 4 * fct.out_order**4)
 
 
 class DiagonalScanResult(

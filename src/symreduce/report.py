@@ -11,14 +11,15 @@ from enum import Enum
 
 from . import __version__, atlas, design, diagonal, imprimitive, jsontext, product
 
-# Assumed wherever the odd-part chain is used; smaller lambda is settled by
-# cited prior work, not by this tool.
-LAMBDA_FLOOR_HYPOTHESIS = (
-    "lambda > 100 is assumed in the simple-diagonal elimination; "
-    "lambda <= 100 is covered by cited external classifications"
-)
-BOUNDED_SCAN_HYPOTHESIS = (
-    "scan emptiness claims are verified within the configured bounds only"
+# What the computed verdicts assume; diagonal's module docstring derives
+# the simple-diagonal elimination from these and nothing else.
+HYPOTHESES = (
+    "k > lambda(lambda - 2), the focus condition",
+    "a simple-diagonal G satisfies G <= T^m.(Out(T) x S_m) "
+    "(O'Nan-Scott; Liebeck, Praeger & Saxl, J. Austral. Math. Soc. 1988)",
+    "every non-abelian finite simple group has even order (Feit-Thompson)",
+    "the cited orders and outer automorphism group orders of the finite simple groups "
+    "(Kleidman & Liebeck, Table 5.1.A; ATLAS of Finite Groups)",
 )
 
 TWISTED_WREATH_CITATION = (
@@ -77,6 +78,7 @@ class ReductionReport(
     def agrees_with_reference(self) -> bool:
         return (
             self.verdicts[OnanScottType.SIMPLE_DIAGONAL] is Verdict.ELIMINATED_BY_COMPUTATION
+            and self.out4_result.matches_reference
             and self.product_matches_reference
             and all(map(product.m4_matches_reference, self.m4_reports))
         )
@@ -85,11 +87,19 @@ class ReductionReport(
 def simple_diagonal_verdict(
     diag_result: diagonal.DiagonalScanResult, out4_result: atlas.Out4ScanResult
 ) -> Verdict:
-    """eliminated_by_computation only when the evidence carries it: a
-    non-empty catalog, no survivor of the odd-part scan, and an out4 scan
-    whose box covers the certified region with exactly the reference
-    candidates; open otherwise."""
-    eliminated = diag_result.catalog_size > 0 and not diag_result.survivors and out4_result.matches_reference
+    """eliminated_by_computation only when the evidence covers every finite
+    simple group T at every m of M_RANGE (diagonal's module docstring): the
+    catalog scan reaches every order below CONSTANT_STEP_FLOOR and leaves no
+    survivor, and the out4 scan is ok, so that its candidates include every
+    T from the floor on that passes the odd-part test, and none of them
+    passes it.  open otherwise."""
+    lo, hi = diagonal.M_RANGE
+    eliminated = (
+        diag_result.catalog_bound >= diagonal.CONSTANT_STEP_FLOOR - 1
+        and not diag_result.survivors
+        and out4_result.ok
+        and not any(diagonal.diag_oddpart_test(g, m) for g in out4_result.candidates for m in range(lo, hi + 1))
+    )
     return Verdict.ELIMINATED_BY_COMPUTATION if eliminated else Verdict.OPEN
 
 
@@ -117,7 +127,10 @@ def report_payload(report: ReductionReport) -> dict:
     evidence = {
         "simple_diagonal": {
             **diag.as_payload(),
-            "label": f"verified within catalog bound {diag.catalog_bound}",
+            "label": (
+                f"orders below the constant-step floor {diagonal.CONSTANT_STEP_FLOOR} from the catalog "
+                f"to {diag.catalog_bound}, orders from it on from the out4 candidates"
+            ),
             "out4_scan": {
                 **out4.as_payload(),
                 "certified_region": [
@@ -144,7 +157,7 @@ def report_payload(report: ReductionReport) -> dict:
     return {
         "verdicts": {t.value: v.value for t, v in report.verdicts.items()},
         "evidence": evidence,
-        "hypotheses": [LAMBDA_FLOOR_HYPOTHESIS, BOUNDED_SCAN_HYPOTHESIS],
+        "hypotheses": list(HYPOTHESES),
         "config": {"v0_min": report.v0_min, "imprimitive_samples": list(IMPRIMITIVE_SAMPLES)},
         "version": __version__,
     }

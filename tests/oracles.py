@@ -8,7 +8,10 @@ multiplier a at all.  Agreement between the two is what the equivalence
 tests assert.  ratio_bound_holds states the k/lambda ratio bound that
 satisfies_focus_condition's docstring proves equal to the focus condition,
 and imprimitive_family_violations re-checks, at one lambda, the
-identities that imprimitive_family's docstring proves.  The atlas oracles
+identities that imprimitive_family's docstring proves.  implication_check
+restates the constant step of the simple-diagonal odd-part chain, and
+diagonal_designs_by_walk walks (lambda, k) for the simple-diagonal action
+with no odd-part bound.  The atlas oracles
 redo the catalog, the |T| < |Out(T)|^4 scan and its certified region the
 slow way; order_floor_holds and out_cap_holds check one group against the
 order floor and the |Out| cap the scan prunes with.  The CLI oracle at the
@@ -20,6 +23,7 @@ word tests that the package writes without those modules.
 import argparse
 import json
 import re
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 from pathlib import Path
@@ -111,6 +115,77 @@ def imprimitive_family_violations(fam) -> list[str]:
         elif k // l > d:
             broken.append(f"(c, d, l) = ({c}, {d}, {l}): a block meets k/l = {k // l} > d classes")
     return broken
+
+
+# -- diagonal: the odd-part chain ------------------------------------------
+#
+# Neither oracle imports design or diagonal: each states its step with its
+# own odd part and reads |T| and |Out(T)| off atlas.facts.
+
+
+def _odd(n: int) -> int:
+    while n % 2 == 0:
+        n //= 2
+    return n
+
+
+class ImplicationCheck(
+    namedtuple("ImplicationCheck", "group m premise conclusion constant_step_ok handled_by")
+):
+    """How the step from the odd-part test |T|^(m-1) < odd(m!^4 |Out|^4)
+    down to |T| < odd(|Out|^4) is discharged for one (group, m)."""
+
+    __slots__ = ()  # handled_by: "constant-step" or "direct-check"
+
+    @property
+    def valid(self) -> bool:
+        return (not self.premise) or self.conclusion
+
+
+def implication_check(g: atlas.SimpleGroupId, m: int) -> ImplicationCheck:
+    """The constant step: where odd(m!)^4 <= |T|^(m-2), the premise gives
+    |T|^(m-1) < |T|^(m-2) * odd(|Out|)^4, hence the conclusion.  Where it
+    fails (A5 at m = 3, since 81 > 60) only the direct evaluation of the
+    premise and the conclusion settles the step."""
+    fct = atlas.facts(g)
+    constant_step_ok = _odd(factorial(m)) ** 4 <= fct.order ** (m - 2)
+    return ImplicationCheck(
+        group=g,
+        m=m,
+        premise=fct.order ** (m - 1) < _odd(factorial(m) ** 4 * fct.out_order**4),
+        conclusion=fct.order < _odd(fct.out_order**4),
+        constant_step_ok=constant_step_ok,
+        handled_by="constant-step" if constant_step_ok else "direct-check",
+    )
+
+
+def diagonal_designs_by_walk(max_order: int, m_max: int) -> list:
+    """(group, m, v, k, lambda) for each cataloged T with |T| <= max_order,
+    each 2 <= m <= m_max and each lambda <= d + 1 where the simple-diagonal
+    action on v = |T|^(m-1) points leaves a symmetric design by the flag
+    lemma: d = gcd(v - 1, |Out(T)|*m!), k is read off
+    k(k - 1) = lambda(v - 1) by isqrt, and k is kept only if k | lambda*d,
+    k > lambda(lambda - 2), 2 <= k < v and k^2 > lambda*v.  It walks every
+    lambda the focus condition allows, with no odd-part bound."""
+    found = []
+    for g, _ in atlas.enumerate_catalog(max_order):
+        fct = atlas.facts(g)
+        for m in range(2, m_max + 1):
+            v = fct.order ** (m - 1)
+            d = gcd(v - 1, fct.out_order * factorial(m))
+            for lam in range(1, d + 2):
+                disc = 1 + 4 * lam * (v - 1)
+                root = isqrt(disc)
+                k = (1 + root) // 2
+                if (
+                    root * root == disc
+                    and lam * d % k == 0
+                    and k > lam * (lam - 2)
+                    and 2 <= k < v
+                    and k * k > lam * v
+                ):
+                    found.append((g, m, v, k, lam))
+    return found
 
 
 # -- atlas: the catalog and the |T| < |Out(T)|^4 scan -----------------------

@@ -844,7 +844,7 @@ _OUTPUT_PINS = [
     ("check --help", "6cc24fb88b02bac5", 0, ""),
     ("atlas catalog", "56b0026fd9f72883", 0, ""),
     ("atlas catalog --catalog-bound 1000000000000", "2ac63e6e0494fe89", 0, ""),
-    ("diagonal scan --catalog-bound 100000000000", "0ea0936080e13c79", 0, ""),
+    ("diagonal scan --catalog-bound 100000000000", "22f6a3cf22789104", 0, ""),
     ("product enumerate", "b7c5ba20c87a2f74", 2, ""),
     ("product enumerate --v0-min 5", "962ba245855aa62f", 2, ""),
     ("product m4 5", "8dd6fa4a6221b9d8", 0, ""),

@@ -21,8 +21,6 @@ PACKAGE = Path(symreduce.__file__).resolve().parent
 # A check that only tests need, such as the ratio bound or the order floor
 # and |Out| cap the scan prunes with, lives in tests/oracles.py instead.
 UNREFERENCED_ON_PURPOSE = {
-    "implication_check": "the diagonal step of ROADMAP item 1 uses it",
-    "diag_oddpart_test": "the tested per-group form of the diagonal scan predicate",
     "prime_powers_upto": "perfbench times it",
     "lambda_from": "acceptance criterion 7 reads it",
 }
@@ -78,9 +76,11 @@ def test_package_root_imports_nothing(capsys):
 
 
 def test_cuts_are_derived_not_written():
-    # diagonal.M_RANGE comes from diag_m_admissible and product.M4_V0 from
-    # power_gap_feasible; neither conclusion is written out in the source.
-    literal = re.compile(r"[({]\s*(2|5)\s*,\s*6\s*[)}]")
+    # diagonal.M_RANGE comes from the m bound |T|^(m-4) < m^3 (through
+    # diagonal._m_bound_holds) and product.M4_V0 from power_gap_feasible;
+    # neither conclusion, (2, 5) or (5, 6), nor the old (2, 6), is written out
+    # in the source.
+    literal = re.compile(r"[({]\s*(2\s*,\s*[56]|5\s*,\s*6)\s*[)}]")
     for path in PACKAGE.glob("*.py"):
         assert not literal.search(path.read_text()), path.name
 

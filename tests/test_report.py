@@ -4,7 +4,9 @@ import json
 import pytest
 
 from symreduce import atlas, cli, diagonal, product
+from symreduce.atlas import sporadic
 from symreduce.report import (
+    HYPOTHESES,
     OnanScottType,
     Verdict,
     emit,
@@ -12,6 +14,8 @@ from symreduce.report import (
     run_reduce,
     simple_diagonal_verdict,
 )
+
+from . import oracles
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +58,11 @@ def test_evidence_sections(default_report):
     sd = evidence["simple_diagonal"]
     assert sd["survivors"] == []
     assert sd["near_misses"] == ["L3(4)"]
-    assert sd["m_range"] == [2, 6]
-    assert "verified within catalog bound" in sd["label"]
+    assert sd["m_range"] == [2, 5]
+    assert sd["label"] == (
+        "orders below the constant-step floor 81 from the catalog to 10000000, "
+        "orders from it on from the out4 candidates"
+    )
     scan = sd["out4_scan"]
     assert (scan["n_max"], scan["q_max"]) == atlas.certified_box()
     assert "warnings" not in scan
@@ -95,9 +102,19 @@ def test_imprimitive_evidence(default_report):
 
 
 def test_hypotheses_present(default_report):
+    # The simple-diagonal elimination derives the odd-part premise for every
+    # lambda and covers every group, so neither a lambda floor nor a scan
+    # bound is assumed; what is left is cited or is the paper's hypothesis.
     hyps = report_payload(default_report)["hypotheses"]
-    assert any("lambda > 100" in h for h in hyps)
-    assert any("within the configured bounds" in h for h in hyps)
+    assert hyps == list(HYPOTHESES) == [
+        "k > lambda(lambda - 2), the focus condition",
+        "a simple-diagonal G satisfies G <= T^m.(Out(T) x S_m) "
+        "(O'Nan-Scott; Liebeck, Praeger & Saxl, J. Austral. Math. Soc. 1988)",
+        "every non-abelian finite simple group has even order (Feit-Thompson)",
+        "the cited orders and outer automorphism group orders of the finite simple groups "
+        "(Kleidman & Liebeck, Table 5.1.A; ATLAS of Finite Groups)",
+    ]
+    assert not any("lambda > 100" in h or "configured bounds" in h for h in hyps)
 
 
 def test_json_determinism():
@@ -111,10 +128,10 @@ def test_json_determinism():
 # sha256 of the report bytes.  A change that means to alter the report
 # updates these and records why in CHANGES.md.
 _REPORT_SHA256 = {
-    ("json", 2): "b5627c8a16b971d76e605112bcfaf099f89fd0c256ad682916e2584526ec4231",
-    ("json", 5): "23c2e51a35be95660cfd3196e7c97f6bff2d1f0d1d4ae5221245fee146454043",
-    ("md", 2): "bdf6b9356238be8f25dcd4377bec091efaa56224a5cb7829e5946be48e35cce5",
-    ("md", 5): "edb2fadf87e49dcfb813425ab89a35326c834e809e8fea28dcfdd82495d79ecd",
+    ("json", 2): "8a5e5ca7b762f4150048aff4fcdb792214c8b9319f4fee5270fb4c1a60284cf7",
+    ("json", 5): "a2a58df46ebffdd6a7812e6d93b4fcdec97c696e1eee745e2145223b57f2f0ea",
+    ("md", 2): "ccd4c04ecf3b3074ccc15d8528b739c158b734b0f26c7bd4ef38e0feeb5255e1",
+    ("md", 5): "4af95deabfa2092b65fe57402bdee0498af5ef69e8357f56f7b03eae5eef4c6f",
 }
 
 
@@ -153,6 +170,42 @@ def test_empty_catalog_never_agrees(monkeypatch):
     assert report.agrees_with_reference is False
 
 
+def test_out4_candidates_decide_the_verdict_by_the_odd_part_test(default_report, monkeypatch):
+    # A fake group of order 2*10^7, past the 10^7 catalog, with |Out| = 96:
+    # 2*10^7 < 96^4, so the certified out4 scan lists it beside L3(4).
+    # odd_part(96)^4 = 81, so it fails the odd-part test at every m and the
+    # verdict stands; only the comparison with the reference candidates
+    # sees it.
+    found = {t.triple: t.witnesses[0].v0 for t in default_report.product_triples}
+    monkeypatch.setattr(product, "REFERENCE_PRODUCT_TRIPLES", found)
+    assert cli.main(["reduce"]) == cli.EXIT_AGREES
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", atlas.GroupFacts(2 * 10**7, 96))
+    report = run_reduce()
+    assert report.out4_result.ok and sporadic("FAKE") in report.out4_result.candidates
+    assert not report.out4_result.matches_reference
+    assert report.verdicts[OnanScottType.SIMPLE_DIAGONAL] is Verdict.ELIMINATED_BY_COMPUTATION
+    assert report.product_matches_reference and not report.agrees_with_reference
+    assert cli.main(["reduce"]) == cli.EXIT_DISAGREES
+    # With |Out| = 99, odd_part(99)^4 > 2*10^7: it passes at m = 2.
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", atlas.GroupFacts(2 * 10**7, 99))
+    assert diagonal.diag_oddpart_test(sporadic("FAKE"), 2)
+    assert run_reduce().verdicts[OnanScottType.SIMPLE_DIAGONAL] is Verdict.OPEN
+
+
+def test_orders_below_the_constant_step_floor_need_the_catalog(monkeypatch):
+    # A fake group of order 70 lies below the floor 81, where the step from
+    # the odd-part test to |T| < |Out(T)|^4 fails (81 > 70 at m = 3), so
+    # only the catalog scan tests it.  A scan to 65 misses it and leaves the
+    # verdict open; a scan to 80 tests it and every group below the floor.
+    monkeypatch.setitem(atlas._SPORADIC_FACTS, "FAKE", atlas.GroupFacts(70, 1))
+    out4 = atlas.out4_scan()
+    assert out4.ok and sporadic("FAKE") not in out4.candidates
+    assert simple_diagonal_verdict(diagonal.diagonal_scan(65), out4) is Verdict.OPEN
+    scan = diagonal.diagonal_scan(diagonal.CONSTANT_STEP_FLOOR - 1)
+    assert (scan.catalog_bound, scan.catalog_size, scan.survivors) == (80, 2, ())
+    assert simple_diagonal_verdict(scan, out4) is Verdict.ELIMINATED_BY_COMPUTATION
+
+
 def test_agreement_flag(default_report):
     # the fourth product triple keeps full agreement out of reach
     assert default_report.product_matches_reference is False
@@ -189,7 +242,7 @@ _RECORDS = {
     "RegionRow": ("q", lambda rep: rep.out4_result.region[0]),
     "GroupFacts": ("order", lambda rep: atlas.facts(rep.out4_result.candidates[0])),
     "DiagonalCase": ("m", lambda rep: diagonal.DiagonalCase(rep.out4_result.candidates[0], 3)),
-    "ImplicationCheck": ("premise", lambda rep: diagonal.implication_check(rep.out4_result.candidates[0], 3)),
+    "ImplicationCheck": ("premise", lambda rep: oracles.implication_check(rep.out4_result.candidates[0], 3)),
     "ProductTriple": ("witnesses", lambda rep: rep.product_triples[0]),
     "ProductCase": ("k", lambda rep: rep.product_triples[0].witnesses[0]),
     "M4Report": ("candidates", lambda rep: rep.m4_reports[0]),
